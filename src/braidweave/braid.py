@@ -141,7 +141,7 @@ def render_perm(p) -> str:
 
 
 def parse_perm(text: str) -> tuple[int, ...]:
-    vals = [int(t) for t in text.strip().strip("[]").split()]
+    vals = [parse_int(t, "permutation entry") for t in text.strip().strip("[]").split()]
     p = tuple(v - 1 for v in vals)
     if sorted(p) != list(range(len(p))):
         raise BraidError(f"not a permutation: {text!r}")
@@ -244,15 +244,33 @@ def parse_braid(text: str, n: int | None = None) -> BraidWord:
     (``n`` required in the bare form).  Fresh variables z1..zl are attached."""
     text = text.strip()
     if text.startswith("B"):
-        head, _, rest = text.partition(":")
-        n = int(head[1:])
-        body = rest
+        head, _, body = text.partition(":")
+        n = parse_int(head[1:], "strand count")
     else:
         if n is None:
             raise BraidError("strand count n required")
         body = text
-    letters = tuple(int(t) for t in body.split())
+    if n < 1:
+        raise BraidError(f"strand count must be at least 1, got {n}")
+    letters = tuple(parse_int(t, "letter") for t in body.split())
     return make_word(n, letters)
+
+
+def parse_int(token: str, what: str) -> int:
+    """int(token), with a BraidError naming ``what`` for a non-integer."""
+    try:
+        return int(token)
+    except ValueError:
+        raise BraidError(f"{what} {token.strip()!r} is not an integer") from None
+
+
+def check_opening_order(beta: BraidWord, order) -> list[int]:
+    """The order as a list, checked to be a permutation of beta's 1-based
+    crossing indices."""
+    order = list(order)
+    if sorted(order) != list(range(1, len(beta) + 1)):
+        raise PatternMismatch("order must be a permutation of the crossing indices")
+    return order
 
 
 def half_twist_word(n: int, prefix: str = "z", start: int = 1) -> BraidWord:

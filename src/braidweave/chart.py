@@ -34,8 +34,8 @@ from .braid import (
     PatternMismatch,
     append_half_twist,
     braid_matrix,
+    check_opening_order,
     compose,
-    elementary_braid_matrix,
     exchange_index,
     identity_perm,
     longest_perm,
@@ -66,22 +66,28 @@ def _check_unit_upper(u: MatrixExpr):
 def slide_left(u: MatrixExpr, letter: int, z: RationalExpr, check: bool = True) -> SlideResult:
     """Solve B_i(z) U = U' B_i(z') for U' and z' (i = letter, 1-based).
 
-    U' is computed as the product B_i(z) U B_i(z')^{-1} and asserted upper
-    triangular with vanishing (i, i+1) entry and diagonal entries i, i+1
-    swapped.
+    U' = B_i(z) U B_i(z')^{-1} in closed form: only rows and columns i, i+1
+    change, the diagonal entries i, i+1 swap and the (i, i+1) entry vanishes
+    (z' is chosen for that), so the update is O(n) entry edits.
     """
     if check:
         _check_unit_upper(u)
-    i = letter
-    zp = (u[i, i] * z + u[i - 1, i]) / u[i - 1, i - 1]
-    b_left = elementary_braid_matrix(u.n, i, z, u.ring)
-    b_right = elementary_braid_matrix(u.n, i, zp, u.ring)
-    up = b_left * u * b_right.inverse()
-    if check:
-        assert up.is_upper_triangular()
-        assert up[i - 1, i].is_zero()
-        assert up[i - 1, i - 1] == u[i, i] and up[i, i] == u[i - 1, i - 1]
-    return SlideResult(up, zp)
+    b = letter
+    a = b - 1
+    zp = (u[b, b] * z + u[a, b]) / u[a, a]
+    out = MatrixExpr(u.rows, u.ring)
+    rows = out.rows
+    ra, rb = rows[a], rows[b]
+    for c in range(b + 1, u.n):
+        x, y = ra[c], rb[c]
+        ra[c], rb[c] = y, (x if y.is_zero() else x + z * y)
+    for r in range(a):
+        row = rows[r]
+        x, y = row[a], row[b]
+        row[a], row[b] = (y if x.is_zero() else y - zp * x), x
+    zero = RationalExpr.const(0, u.ring)
+    ra[a], ra[b], rb[a], rb[b] = rb[b], zero, zero, ra[a]
+    return SlideResult(out, zp)
 
 
 def unslide_left(u: MatrixExpr, letter: int, zp: RationalExpr) -> SlideResult:
@@ -143,7 +149,17 @@ class Propagation:
     values: list[RationalExpr]  # value of each bottom letter, in top variables
     inverted: list[RationalExpr]  # one per trivalent vertex, must not vanish
     vanishing: list[RationalExpr]  # one per cup, must vanish
-    left_matrix: MatrixExpr  # accumulated factor U with B(top) = U . B(bottom)
+    factors: list[MatrixExpr]  # vertex factors slid to the left edge, top-down
+    ring: object = QQ
+
+    @property
+    def left_matrix(self) -> MatrixExpr:
+        """The accumulated factor U with B(top) = U . B(bottom), multiplied
+        out from ``factors`` on each read."""
+        u = MatrixExpr.identity(self.bottom.n, self.ring)
+        for factor in self.factors:
+            u = u * factor
+        return u
 
 
 def six_values(a, b, c, up: bool):
@@ -160,15 +176,14 @@ def six_values_inverse(x, y, z, up: bool):
 
 def propagate_down(weave: Weave, ring=QQ) -> Propagation:
     """Compute the bottom letter values of a simplifying weave as rational
-    functions of its top variables, the constraint record, and the
-    accumulated left matrix."""
+    functions of its top variables, the constraint record, and the vertex
+    factors slid to the left edge."""
     if any(ev.kind == "cap" for ev in weave.events):
         raise PatternMismatch("propagation requires a simplifying weave (no caps)")
     n = weave.n
     letters = list(weave.top.letters)
     values = [RationalExpr.variable(v, ring) for v in weave.top.variables]
-    u_acc = MatrixExpr.identity(n, ring)
-    inverted, vanishing = [], []
+    inverted, vanishing, factors = [], [], []
     for ev in weave.events:
         p = ev.pos
         if ev.kind == "three":
@@ -182,7 +197,7 @@ def propagate_down(weave: Weave, ring=QQ) -> Propagation:
             values[:p] = head
             values[p : p + 2] = [newval]
             del letters[p + 1]
-            u_acc = u_acc * factor
+            factors.append(factor)
         elif ev.kind == "cup":
             a, b = values[p], values[p + 1]
             vanishing.append(a)
@@ -191,7 +206,7 @@ def propagate_down(weave: Weave, ring=QQ) -> Propagation:
             values[:p] = head
             del values[p : p + 2]
             del letters[p : p + 2]
-            u_acc = u_acc * factor
+            factors.append(factor)
         elif ev.kind == "six":
             up = letters[p + 1] == letters[p] + 1
             values[p : p + 3] = list(six_values(*values[p : p + 3], up))
@@ -202,7 +217,7 @@ def propagate_down(weave: Weave, ring=QQ) -> Propagation:
         else:
             raise PatternMismatch(f"unsupported event {ev.kind}")
     bottom = BraidWord(n, tuple(letters), weave.bottom_variables())
-    return Propagation(bottom, values, inverted, vanishing, u_acc)
+    return Propagation(bottom, values, inverted, vanishing, factors, ring)
 
 
 def check_master_identity(weave: Weave, prop: Propagation) -> bool:
@@ -262,7 +277,6 @@ class ChartMap:
     subs: dict[int, RationalExpr]  # top variable id -> expression in params
     inverted: list[RationalExpr]  # constraint record, in top variables
     vanishing: list[RationalExpr] = field(default_factory=list)
-    left_matrix: MatrixExpr | None = None
     opened_crossings: list[int] | None = None  # 1-based indices into beta
 
     def substitution_items(self):
@@ -399,7 +413,8 @@ def chart_parametrize(weave: Weave, param_names=None, ring=QQ) -> ChartMap:
             letters[p], letters[p + 1] = letters[p + 1], letters[p]
         else:
             raise PatternMismatch(f"unsupported event {ev.kind}")
-    assert tuple(letters) == weave.top.letters
+    if tuple(letters) != weave.top.letters:
+        raise PatternMismatch("upward pass did not restore the top word")
     unit_params.reverse()
     affine_params.reverse()
     subs = dict(zip(weave.top.variables, values))
@@ -411,7 +426,6 @@ def chart_parametrize(weave: Weave, param_names=None, ring=QQ) -> ChartMap:
         subs=subs,
         inverted=prop.inverted,
         vanishing=prop.vanishing,
-        left_matrix=prop.left_matrix,
         opened_crossings=list(weave.opened_crossings)
         if weave.opened_crossings is not None
         else None,
@@ -531,7 +545,8 @@ def open_crossing(word: BraidWord, pos: int, ring=QQ):
     for k, j in enumerate(letters[pos + 1 :]):
         low, suffix_vals[k] = slide_lower_right(low, j, suffix_vals[k])
     new_lower = low * lower
-    assert new_lower.is_lower_triangular()
+    if not new_lower.is_lower_triangular():
+        raise PatternMismatch("opening left the c matrix not lower triangular")
 
     # slide U_i then D_i left through the prefix
     prefix_letters = letters[:pos]
@@ -561,8 +576,7 @@ def ldu_chart(beta: BraidWord, order, ring=QQ) -> ChartMap:
     final c matrix by a triangular solve).
     """
     n = beta.n
-    order = list(order)
-    assert sorted(order) == list(range(1, len(beta) + 1))
+    order = check_opening_order(beta, order)
     one, zero = RationalExpr.const(1, ring), RationalExpr.const(0, ring)
 
     # state after all openings: empty word, L = Id
@@ -594,13 +608,15 @@ def ldu_chart(beta: BraidWord, order, ring=QQ) -> ChartMap:
         for k, j in enumerate(letters[p:]):
             low, tail[k] = unslide_lower_right(low, j, tail[k])
         lower = low.inverse() * lower
-        assert lower.is_lower_triangular()
+        if not lower.is_lower_triangular():
+            raise PatternMismatch("undoing an opening left L not lower triangular")
 
         letters[p:p] = [i]
         crossings[p:p] = [r]
         values = head + [t] + tail
 
-    assert letters == list(beta.letters)
+    if letters != list(beta.letters):
+        raise PatternMismatch("restored letters differ from beta")
     bd = append_half_twist(beta)
     delta_vars = bd.variables[len(beta) :]
     usubs = solve_delta_lower(n, delta_vars, lower, ring)
@@ -617,7 +633,6 @@ def ldu_chart(beta: BraidWord, order, ring=QQ) -> ChartMap:
         subs=subs,
         inverted=prop.inverted,
         vanishing=[],
-        left_matrix=None,
         opened_crossings=list(order),
     )
 
@@ -678,7 +693,8 @@ def mellit_order(beta: BraidWord):
                 stall = j
                 break
             p = compose(p, transposition(n, i))
-        assert stall is not None, "walk never stalls on a non-reduced word"
+        if stall is None:
+            raise PatternMismatch("walk never stalls on a non-reduced word")
         prefix = BraidWord(
             n,
             tuple(letters[: stall - 1]),
@@ -686,7 +702,8 @@ def mellit_order(beta: BraidWord):
         )
         k = exchange_index(prefix, letters[stall - 1])
         opened = original[k - 1]
-        assert opened <= len(beta), "Mellit order never opens inside the half twist"
+        if opened > len(beta):
+            raise PatternMismatch("Mellit order opened a crossing inside the half twist")
         order.append(opened)
         del letters[k - 1]
         del original[k - 1]

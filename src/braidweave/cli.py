@@ -19,7 +19,7 @@ def _parse_braid_arg(text: str) -> braid.BraidWord:
 
 
 def _parse_order(text: str):
-    return [int(t) for t in text.replace(",", " ").split()]
+    return [braid.parse_int(t, "crossing index") for t in text.replace(",", " ").split()]
 
 
 def _parse_pi(text: str, n: int):
@@ -27,7 +27,10 @@ def _parse_pi(text: str, n: int):
         return braid.longest_perm(n)
     if text == "id":
         return braid.identity_perm(n)
-    return braid.parse_perm(text)
+    p = braid.parse_perm(text)
+    if len(p) != n:
+        raise braid.BraidError(f"permutation {text!r} does not have {n} entries")
+    return p
 
 
 def cmd_matrix(args, out):
@@ -76,6 +79,7 @@ def _chart_for(args):
 
 def cmd_chart(args, out):
     if not args.mellit and not args.order:
+        print("error: chart needs --order or --mellit", file=sys.stderr)
         raise SystemExit(2)
     _, _, ch = _chart_for(args)
     out.write(ch.render() + "\n")

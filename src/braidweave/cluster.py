@@ -580,15 +580,6 @@ def quiver(basis: CycleBasis) -> list[list[int]]:
     return [list(row) for row in basis.intersections]
 
 
-def quiver_from_form(form: TwoFormMatrix, vectors) -> list[list[int]]:
-    """Antisymmetric integer matrix <gamma_i, gamma_j> of the form evaluated
-    on the given lattice vectors."""
-    size = len(vectors)
-    return [
-        [form.pair(vectors[i], vectors[j]) for j in range(size)] for i in range(size)
-    ]
-
-
 def quiver_mutate(b, k: int):
     size = len(b)
     out = [[0] * size for _ in range(size)]

@@ -26,6 +26,7 @@ from .ring import (
 from .braid import (
     BraidWord,
     append_half_twist,
+    check_opening_order,
     compose,
     elementary_braid_matrix,
     identity_perm,
@@ -92,7 +93,7 @@ def chart_form_matrix(beta: BraidWord, order) -> TwoFormMatrix:
     """Track the diagonal factors deposited by opening beta's crossings in the
     given order; the (a, b) entry is the signed overlap of their support
     patterns (a opened before b)."""
-    order = list(order)
+    order = check_opening_order(beta, order)
     n = beta.n
     letters = list(beta.letters)
     crossings = list(range(1, len(beta) + 1))

@@ -981,14 +981,6 @@ class MatrixExpr:
         return f"MatrixExpr(\n{self.render()}\n)"
 
 
-def mat_mul(a: MatrixExpr, b: MatrixExpr) -> MatrixExpr:
-    return a * b
-
-
-def mat_inv(a: MatrixExpr) -> MatrixExpr:
-    return a.inverse()
-
-
 # ---------------------------------------------------------------------------
 # differential forms
 

@@ -27,6 +27,7 @@ from .braid import (
     PatternMismatch,
     append_half_twist,
     available_moves,
+    check_opening_order,
     compose,
     demazure_mul,
     half_twist_letters,
@@ -300,9 +301,7 @@ def weave_from_opening_order(beta: BraidWord, order, half_twist_var_prefix="z") 
     back to the right end.
     """
     n = beta.n
-    order = list(order)
-    if sorted(order) != list(range(1, len(beta) + 1)):
-        raise PatternMismatch("order must be a permutation of the crossing indices")
+    order = check_opening_order(beta, order)
     delta = half_twist_letters(n)
     m = len(delta)
     word = append_half_twist(beta, prefix=half_twist_var_prefix)

@@ -1,6 +1,9 @@
 """Charts: slides, propagation, parametrization, openings, Mellit order."""
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -23,6 +26,7 @@ from braidweave.chart import (
     propagate_down,
     rational_map,
     slide_left,
+    slide_lower_right,
     unslide_left,
     check_master_identity,
 )
@@ -54,6 +58,53 @@ def test_slide_left_formula():
     assert back.new_value == z
     with pytest.raises(NonUnitDiagonal):
         slide_left(MatrixExpr([[a + b, const(0)], [const(0), c]]), 1, z)
+
+
+def generic_slide(u, letter, z):
+    """Oracle for slide_left: B_i(z) U B_i(z')^{-1} by full matrix products
+    and a generic inverse."""
+    i = letter
+    zp = (u[i, i] * z + u[i - 1, i]) / u[i - 1, i - 1]
+    b_left = elementary_braid_matrix(u.n, i, z)
+    b_right = elementary_braid_matrix(u.n, i, zp)
+    return b_left * u * b_right.inverse(), zp
+
+
+def random_unit_upper(rng, n):
+    """Upper-triangular matrix with unit diagonal entries (nonzero scalars
+    times Laurent monomials) and symbolic entries, often zero, above it."""
+    x, y, w = poly("x"), poly("y"), poly("w")
+    units = [const(1), const(-2), x, -y.inverse(), x * y, w**2 / x]
+    entries = [const(0)] * 4 + [const(3), x, y + w, x / (const(1) + y), x * y - const(1), w.inverse()]
+    rows = [[const(0)] * n for _ in range(n)]
+    for r in range(n):
+        rows[r][r] = rng.choice(units)
+        for c in range(r + 1, n):
+            rows[r][c] = rng.choice(entries)
+    return MatrixExpr(rows)
+
+
+def test_slide_left_matches_generic_product():
+    rng = random.Random(11)
+    z, x = poly("z"), poly("x")
+    values = [z, const(0), const(5), z + x, z / (const(1) - x)]
+    for n in range(2, 6):
+        for letter in range(1, n):
+            for _ in range(4):
+                u = random_unit_upper(rng, n)
+                zv = rng.choice(values)
+                want, zp = generic_slide(u, letter, zv)
+                assert want.is_upper_triangular() and want[letter - 1, letter].is_zero()
+                res = slide_left(u, letter, zv)
+                assert res.new_value == zp and res.matrix == want
+                back = unslide_left(u, letter, res.new_value)
+                assert back.new_value == zv and back.matrix == want
+                # L B_j(z) = B_j(z') L' for lower-triangular L
+                low = random_unit_upper(rng, n).transpose()
+                low2, zp2 = slide_lower_right(low, letter, zv)
+                assert low2.is_lower_triangular()
+                lhs = low * elementary_braid_matrix(n, letter, zv)
+                assert lhs == elementary_braid_matrix(n, letter, zp2) * low2
 
 
 def test_diagonal_slide():
@@ -269,6 +320,37 @@ def test_mellit_chart_conditions_for_two_strands():
     chart = chart_parametrize(weave_from_opening_order(beta, order))
     cores = chart.invert_key()
     assert cores == frozenset({"z1", "1 + z1*z2"})
+
+
+def test_two_strand_mellit_chart_of_length_ten():
+    # a long chart stays cheap because the left matrix is only multiplied
+    # out when Propagation.left_matrix is read
+    beta = make_word(2, [1] * 10)
+    chart = chart_parametrize(weave_from_opening_order(beta, mellit_order(beta)))
+    pres = variety_equations(append_half_twist(beta), longest_perm(2))
+    assert chart_satisfies_equations(chart, pres)
+
+
+def test_ldu_order_check_survives_optimize():
+    # the order check raises a domain exception, so python -O keeps it
+    import braidweave
+
+    src = os.path.dirname(os.path.dirname(braidweave.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = (
+        "from braidweave.braid import PatternMismatch, parse_braid\n"
+        "from braidweave.chart import ldu_chart\n"
+        "try:\n"
+        "    ldu_chart(parse_braid('B2: 1 1'), [1, 1])\n"
+        "except PatternMismatch:\n"
+        "    print('PatternMismatch')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "PatternMismatch\n"
 
 
 def test_ldu_matches_weave_charts_small():

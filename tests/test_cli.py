@@ -94,15 +94,33 @@ def test_weave_file_round_trip(tmp_path):
     assert parse_weave(w.render()).events == w.events
 
 
-def test_usage_and_domain_errors():
+def test_usage_and_domain_errors(capsys):
     code, _ = run(["nonsense"])
     assert code == 2
     code, _ = run(["variety"])
     assert code == 2
     code, _ = run(["variety", "--braid", "B3: 9"])
     assert code == 1
+    capsys.readouterr()
     code, _ = run(["chart", "--braid", "B2: 1 1"])  # neither order nor mellit
     assert code == 2
+    assert capsys.readouterr().err == "error: chart needs --order or --mellit\n"
+
+
+def test_bad_input_is_one_error_line(capsys):
+    for argv in (
+        ["demazure", "--braid", "B2: x"],
+        ["demazure", "--braid", "Bx: 1"],
+        ["demazure", "--braid", "B0:"],
+        ["form", "--braid", "B2: 1 1", "--order", "3 1"],
+        ["chart", "--braid", "B2: 1 1", "--order", "1 x"],
+        ["variety", "--braid", "B2: 1", "--pi", "[2 y]"],
+        ["variety", "--braid", "B2: 1", "--pi", "[1 2 3]"],
+    ):
+        code, text = run(argv)
+        err = capsys.readouterr().err
+        assert code == 1 and text == "", argv
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
 
 
 def test_braid_format_round_trip():
