@@ -8,6 +8,7 @@ the canonical renderings; DOT files are written on request.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 
@@ -97,12 +98,24 @@ def cmd_form(args, out):
     out.write(m.render() + "\n")
 
 
+def _is_prime_power(q: int) -> bool:
+    if q < 2:
+        return False
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
 def cmd_count(args, out):
     beta = _parse_braid_arg(args.braid)
+    if args.q is not None and not _is_prime_power(args.q):
+        print(f"error: --q {args.q} is not a prime power", file=sys.stderr)
+        raise SystemExit(1)
     rng = random.Random(args.seed)
     poly = count.point_count_polynomial(beta, rng=rng)
     line = f"polynomial: {poly.render()}"
-    if args.q:
+    if args.q is not None:
         line += f"; q={args.q}: {poly.eval(args.q)}"
     out.write(line + "\n")
     if args.strata:

@@ -19,6 +19,7 @@ from fractions import Fraction
 from .ring import (
     QQ,
     RationalExpr,
+    RingError,
     TwoForm,
     var_id,
     wedge_trace,
@@ -177,15 +178,16 @@ def pulled_back_form_matrix(beta: BraidWord, order, check_constant=True):
         if c.is_zero():
             continue
         if p not in index or q not in index or index[p] >= size or index[q] >= size:
-            raise AssertionError("form does not vanish on affine directions")
+            raise RingError("form does not vanish on affine directions")
         a, b = index[p], index[q]
         val = c * sparams[a] * sparams[b]
         if check_constant and val.variables():
-            raise AssertionError(
+            raise RingError(
                 f"coefficient of ds_{a} ds_{b} is not constant: {val.render()}"
             )
         fr = val.num.constant_value()
-        assert fr.denominator == 1
+        if fr.denominator != 1:
+            raise RingError(f"coefficient of ds_{a} ds_{b} is not an integer: {fr}")
         entries[a][b] = int(fr)
         entries[b][a] = -int(fr)
     return TwoFormMatrix(params, list(order), entries)

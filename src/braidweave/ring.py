@@ -11,7 +11,9 @@ F_q.  Everything downstream of this module is built from four value types:
   any variable, primitive with positive leading coefficient over Q (monic
   over F_q), and coprime to the polynomial part of the numerator.  Any Laurent
   monomial factor is carried by the numerator.  Equality of rational functions
-  is therefore structural equality of the canonical form.
+  is therefore structural equality of the canonical form.  Arithmetic on
+  canonical operands cancels only through gcds of the operands' parts
+  (Henrici's method); the full gcd runs in the general constructor alone.
 - ``MatrixExpr``: square matrix of ``RationalExpr``; inversion is only allowed
   when the determinant is a unit (scalar times a Laurent monomial).
 - ``OneForm`` / ``TwoForm``: differential forms with ``RationalExpr``
@@ -618,7 +620,7 @@ class RationalExpr:
         _same_ring(num, den)
         if den.is_zero():
             raise ZeroDenominator("zero denominator")
-        self.num, self.den = _canonical(num, den)
+        self.num, self.den = _normal_form(*_cancel(num, den))
 
     @property
     def ring(self):
@@ -653,8 +655,22 @@ class RationalExpr:
     # arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
+        # Henrici: both operands are canonical, so only the gcd of the sum
+        # with the common part of the denominators can be nontrivial
         other = self._coerce(other)
-        return RationalExpr(self.num * other.den + other.num * self.den, self.den * other.den)
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if d2.is_constant():
+            return _reduced(n1 + n2 * d1, d1)
+        if d1.is_constant():
+            return _reduced(n1 * d2 + n2, d2)
+        if d1 == d2:
+            return _reduced(*_cancel(n1 + n2, d1))
+        g = poly_gcd(d1, d2)
+        if g.is_constant():
+            return _reduced(n1 * d2 + n2 * d1, d1 * d2)
+        d1, d2 = poly_exact_div(d1, g), poly_exact_div(d2, g)
+        num, g = _cancel(n1 * d2 + n2 * d1, g)
+        return _reduced(num, g * d1 * d2)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -668,8 +684,11 @@ class RationalExpr:
         return self + (-self._coerce(other))
 
     def __mul__(self, other):
+        # cancel across first; the two products are then coprime
         other = self._coerce(other)
-        return RationalExpr(self.num * other.num, self.den * other.den)
+        n1, d2 = _cancel(self.num, other.den)
+        n2, d1 = _cancel(other.num, self.den)
+        return _reduced(n1 * n2, d1 * d2)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -678,12 +697,12 @@ class RationalExpr:
         other = self._coerce(other)
         if other.is_zero():
             raise ZeroDenominator("division by zero")
-        return RationalExpr(self.num * other.den, self.den * other.num)
+        return self * other.inverse()
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDenominator("inverse of zero")
-        return RationalExpr(self.den, self.num)
+        return _reduced(self.den, self.num)
 
     def __pow__(self, k):
         if k < 0:
@@ -760,34 +779,51 @@ class RationalExpr:
         return f"RationalExpr({self.render()})"
 
 
-def _canonical(num: LaurentPoly, den: LaurentPoly):
+def _cancel(num: LaurentPoly, den: LaurentPoly):
+    """num and den divided by the gcd of their polynomial cores."""
+    if num.is_zero() or den.is_monomial():
+        return num, den
+    g = poly_gcd(num, den)
+    if g.is_constant():
+        return num, den
+    return poly_exact_div(num, g), poly_exact_div(den, g)
+
+
+def _reduced(num: LaurentPoly, den: LaurentPoly) -> RationalExpr:
+    """The RationalExpr num/den when the polynomial cores of num and den are
+    already coprime: only the monomial and scalar normalisation run."""
+    out = object.__new__(RationalExpr)
+    out.num, out.den = _normal_form(num, den)
+    return out
+
+
+def _normal_form(num: LaurentPoly, den: LaurentPoly):
+    """Move the Laurent monomial factor of den into num and scale den to a
+    primitive polynomial with positive leading coefficient (monic over F_q).
+    The polynomial cores of num and den must be coprime."""
     ring = num.ring
     if num.is_zero():
         return num, LaurentPoly.const(1, ring)
-    num_poly, num_mono = num.monomial_normalized()
-    den_poly, den_mono = den.monomial_normalized()
-    mono = mono_mul(num_mono, mono_inv(den_mono))
-    if not den_poly.is_constant():
-        g = poly_gcd(num_poly, den_poly)
-        if not g.is_constant():
-            num_poly = poly_exact_div(num_poly, g)
-            den_poly = poly_exact_div(den_poly, g)
-    # scalar normalization of the denominator
+    den, den_mono = den.monomial_normalized()
     if ring.characteristic == 0:
         den_lcm, num_gcd = 1, 0
-        for c in den_poly.terms.values():
+        for c in den.terms.values():
             den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
             num_gcd = _int_gcd(num_gcd, abs(c.numerator))
         scale = Fraction(den_lcm, num_gcd or 1)
-        _, lead = den_poly.leading()
+        _, lead = den.leading()
         if lead < 0:
             scale = -scale
     else:
-        _, lead = den_poly.leading()
+        _, lead = den.leading()
         scale = ring.inv(lead)
-    den_poly = den_poly.scale(scale)
-    num_poly = num_poly.scale(scale)
-    return num_poly.mul_monomial(mono), den_poly
+    if den_mono:
+        num = num.mul_monomial(mono_inv(den_mono), scale)
+    elif scale != 1:
+        num = num.scale(scale)
+    if scale != 1:
+        den = den.scale(scale)
+    return num, den
 
 
 # convenience constructors used throughout the package
@@ -1023,7 +1059,8 @@ class TwoForm:
 
     def __init__(self, coeffs):
         self.coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
-        assert all(v < w for v, w in self.coeffs)
+        if any(v >= w for v, w in self.coeffs):
+            raise RingError("2-form coefficients are keyed by pairs (v, w) with v < w")
 
     @classmethod
     def zero(cls):

@@ -17,6 +17,7 @@ from .ring import (
     MatrixExpr,
     NonUnitDiagonal,
     RationalExpr,
+    RingError,
     var_id,
 )
 from .braid import (
@@ -62,6 +63,14 @@ def below_diagonal_positions(n: int):
             yield a, b
 
 
+def _polynomial_entry(m: MatrixExpr, i: int, j: int) -> LaurentPoly:
+    """Entry [i, j] of a braid matrix product, checked to be a polynomial."""
+    entry = m[i, j]
+    if not entry.is_polynomial():
+        raise RingError(f"entry ({i + 1}, {j + 1}) is not a polynomial: {entry.render()}")
+    return entry.num
+
+
 def variety_equations(word: BraidWord, perm=None, ring=QQ) -> VarietyPresentation:
     """Defining equations of the locus where B_word(z) . P_perm is upper
     triangular.  Identically-zero entries are dropped but their positions
@@ -71,9 +80,7 @@ def variety_equations(word: BraidWord, perm=None, ring=QQ) -> VarietyPresentatio
     m = braid_matrix(word, ring=ring)
     eqs, zeros, positions = [], [], []
     for a, b in below_diagonal_positions(word.n):
-        entry = m[a - 1, perm[b - 1]]
-        assert entry.is_polynomial()
-        p = entry.num
+        p = _polynomial_entry(m, a - 1, perm[b - 1])
         if p.is_zero():
             zeros.append((a, b))
         else:
@@ -107,7 +114,8 @@ def delta_lower_factor(n: int, variables, ring=QQ) -> MatrixExpr:
     entries in the Delta variables."""
     word = BraidWord(n, half_twist_letters(n), tuple(variables))
     m = braid_matrix(word, ring=ring) * perm_matrix(longest_perm(n), ring)
-    assert m.is_lower_triangular()
+    if not m.is_lower_triangular():
+        raise RingError("B_Delta . w0 is not lower triangular")
     return m
 
 
@@ -115,7 +123,8 @@ def delta_upper_factor(n: int, variables, ring=QQ) -> MatrixExpr:
     """w0 . B_Delta(w): upper uni-triangular with polynomial entries."""
     word = BraidWord(n, half_twist_letters(n), tuple(variables))
     m = perm_matrix(longest_perm(n), ring) * braid_matrix(word, ring=ring)
-    assert m.is_upper_triangular()
+    if not m.is_upper_triangular():
+        raise RingError("w0 . B_Delta is not upper triangular")
     return m
 
 
@@ -191,9 +200,7 @@ def augmentation_equations(
 
     eqs, zeros, positions = [], [], []
     for a, b in below_diagonal_positions(n):
-        entry = m[a - 1, b - 1]
-        assert entry.is_polynomial()
-        p = entry.num
+        p = _polynomial_entry(m, a - 1, b - 1)
         if p.is_zero():
             zeros.append((a, b))
         else:

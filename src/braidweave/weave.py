@@ -317,32 +317,33 @@ def weave_from_opening_order(beta: BraidWord, order, half_twist_var_prefix="z") 
         letters = list(cur)
         events.extend(evs)
 
+    def apply_moves(src, dst, pos):
+        path = _move_path(n, src, dst)
+        if path is None:
+            raise PatternMismatch(f"{src} and {dst} are not braid equivalent")
+        apply_events(_moves_to_events(path, pos))
+
     for r in order:
         p = remaining.index(r)
         d = len(remaining)  # block currently at [d, d+m)
         # move the block left, one letter at a time
         for q in range(d - 1, p, -1):
             j = letters[q]
-            path = _move_path(n, (j,) + tuple(letters[q + 1 : q + 1 + m]), tuple(delta) + (n - j,))
-            assert path is not None
-            apply_events(_moves_to_events(path, q))
+            apply_moves((j,) + tuple(letters[q + 1 : q + 1 + m]), tuple(delta) + (n - j,), q)
         # block now at [p+1, p+1+m); rewrite it to start with the crossing letter
         i = letters[p]
         path, dword = _path_to_prefix(n, tuple(letters[p + 1 : p + 1 + m]), i)
         apply_events(_moves_to_events(path, p + 1))
         apply_events([WeaveEvent("three", p)])
         # block now at [p, p+m); rewrite back to the fixed half-twist word
-        path = _move_path(n, tuple(letters[p : p + m]), tuple(delta))
-        assert path is not None
-        apply_events(_moves_to_events(path, p))
+        apply_moves(tuple(letters[p : p + m]), tuple(delta), p)
         # move the block right, back to the end
         remaining.remove(r)
         for q in range(p, len(remaining)):
             k = letters[q + m]
-            path = _move_path(n, tuple(delta) + (k,), (n - k,) + tuple(delta))
-            assert path is not None
-            apply_events(_moves_to_events(path, q))
-    assert tuple(letters) == tuple(delta)
+            apply_moves(tuple(delta) + (k,), (n - k,) + tuple(delta), q)
+    if tuple(letters) != tuple(delta):
+        raise PatternMismatch(f"opening left {tuple(letters)}, not the half twist")
     w = Weave(n, word, tuple(events), opened_crossings=tuple(order))
     validate(w)
     return w
@@ -728,7 +729,8 @@ def _tree_shape(weave: Weave):
             raise PatternMismatch("2-strand Demazure weave expected")
         p = ev.pos
         items[p : p + 2] = [("node", items[p], items[p + 1])]
-    assert len(items) == 1
+    if len(items) != 1:
+        raise PatternMismatch(f"weave ends in {len(items)} letters, not one")
     return items[0]
 
 

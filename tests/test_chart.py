@@ -251,6 +251,11 @@ def test_charts_satisfy_equations_sweep():
         # recovers the parameters
         for r, expr in zip(order, chart.inverted):
             assert expr.substitute(chart.subs) == poly(f"s{r}")
+    # longer Mellit weaves, whose left matrices are the largest products
+    for text in ("B2: 1 1 1 1 1 1 1", "B3: 1 2 1 1 1 1 2", "B4: 1 2 3 3 3 1 1 2"):
+        beta = parse_braid(text)
+        w = weave_from_opening_order(beta, mellit_order(beta))
+        assert check_master_identity(w, propagate_down(w))
 
 
 def test_simplifying_chart_with_cup():

@@ -51,6 +51,17 @@ def test_count_output():
     assert "stratum a=0 b=3 count=1" in text and "stratum a=1 b=1 count=2" in text
 
 
+def test_count_q_must_be_a_prime_power(capsys):
+    for q in ("6", "0", "-3", "1"):
+        code, text = run(["count", "--braid", "B2: 1 1 1", "--q", q])
+        err = capsys.readouterr().err
+        assert code == 1 and text == "", q
+        assert err == f"error: --q {q} is not a prime power\n"
+    code, text = run(["count", "--braid", "B2: 1 1 1", "--q", "4"])
+    assert code == 0
+    assert text == "polynomial: (q-1)^3 + 2q(q-1); q=4: 51\n"
+
+
 def test_mellit_and_chart():
     code, text = run(["mellit", "--braid", "B3: 1 2 1"])
     assert code == 0 and text == "3 1 2\n"

@@ -1,5 +1,9 @@
 """Exact arithmetic kernel tests."""
+import operator
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -185,6 +189,33 @@ def test_prime_field_arithmetic():
         PrimeField(6)
 
 
+def test_checks_survive_optimize():
+    # shape checks raise domain exceptions, so python -O keeps them
+    import braidweave
+
+    src = os.path.dirname(os.path.dirname(braidweave.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = (
+        "from braidweave.braid import PatternMismatch, make_word\n"
+        "from braidweave.ring import RingError, TwoForm, const\n"
+        "from braidweave.weave import Weave, WeaveEvent, _tree_shape\n"
+        "try:\n"
+        "    TwoForm({(2, 1): const(1)})\n"
+        "except RingError:\n"
+        "    print('RingError')\n"
+        "try:\n"
+        "    _tree_shape(Weave(2, make_word(2, [1, 1, 1]), (WeaveEvent('three', 0),)))\n"
+        "except PatternMismatch:\n"
+        "    print('PatternMismatch')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "RingError\nPatternMismatch\n"
+
+
 def _braid2(z):
     return MatrixExpr([[const(0), const(1)], [const(1), z]])
 
@@ -250,3 +281,91 @@ def test_wedge_trace_cocycle():
             lhs = wedge_trace(g, h) + wedge_trace(f, g * h)
             rhs = wedge_trace(f * g, h) + wedge_trace(f, g)
             assert lhs == rhs
+
+
+# -- gcd-aware arithmetic against the general constructor -------------------
+
+
+def _henrici_operands(ring):
+    """Canonical operands, built through the general constructor, whose
+    pairs force every branch of the gcd-aware arithmetic: denominator 1,
+    equal denominators, denominators sharing a factor (also p^2), Laurent
+    monomial numerators, sums that cancel to 0, and a shared factor that
+    divides the sum of the cross terms (r + q = 2p)."""
+    x, y, z = (LaurentPoly.variable(var_id(v), ring) for v in ("z1", "z2", "z3"))
+    one = LaurentPoly.const(1, ring)
+    p, q, s = one + x * y, one + x, z + LaurentPoly.const(3, ring)
+    r = one + x * y.scale(2) - x
+    laurent = x.mul_monomial(((var_id("z1"), -2), (var_id("z2"), 1)), 3)
+    pairs = [
+        (one, one),
+        (laurent, one),
+        (y - x * z, one),
+        (one, p),
+        (x, p),
+        (-one, p),
+        (y - x * z, p * p),
+        (one, p * q),
+        (one, p * r),
+        (q.mul_monomial(((var_id("z3"), -1),)), p * p * r),
+        (laurent + z, s),
+    ]
+    return [RationalExpr(n, d) for n, d in pairs]
+
+
+def _oracle(op, a, b):
+    n1, d1, n2, d2 = a.num, a.den, b.num, b.den
+    if op == "+":
+        return RationalExpr(n1 * d2 + n2 * d1, d1 * d2)
+    if op == "-":
+        return RationalExpr(n1 * d2 - n2 * d1, d1 * d2)
+    if op == "*":
+        return RationalExpr(n1 * n2, d1 * d2)
+    return RationalExpr(n1 * d2, d1 * n2)
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+@pytest.mark.parametrize("ring", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+def test_gcd_aware_arithmetic_matches_general_constructor(ring):
+    ops = _henrici_operands(ring)
+    for a in ops:
+        assert a.inverse() == RationalExpr(a.den, a.num)
+        assert (a - a).is_zero() and (a + (-a)).is_zero()
+        for b in ops:
+            for op, fn in _OPS.items():
+                if op == "/" and b.is_zero():
+                    continue
+                got, want = fn(a, b), _oracle(op, a, b)
+                assert (got.num, got.den) == (want.num, want.den), (op, a, b)
+                assert got.render() == want.render()
+    # the shared factor p divides the cross-term sum and must cancel
+    x, y = poly("z1", ring), poly("z2", ring)
+    one = const(1, ring)
+    p, q, r = one + x * y, one + x, one + const(2, ring) * x * y - x
+    assert one / (p * q) + one / (p * r) == const(2, ring) / (q * r)
+    assert one / (p * p * q) + one / (p * p * r) == const(2, ring) / (p * q * r)
+
+
+def test_gcd_aware_arithmetic_matches_sympy_cancel():
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols("z1 z2 z3")
+    table = {str(s): s for s in syms}
+
+    def to_sympy(e):
+        return sympy.sympify(e.render().replace("^", "**"), locals=table)
+
+    ops = [_henrici_operands(QQ)[k] for k in (1, 3, 6, 7, 8, 9)]
+    for a in ops:
+        for b in ops:
+            for op, fn in _OPS.items():
+                if op == "/" and b.is_zero():
+                    continue
+                got = fn(a, b)
+                want = sympy.cancel(fn(to_sympy(a), to_sympy(b)))
+                assert sympy.cancel(to_sympy(got) - want) == 0, (op, a, b)
+                # the denominator is sympy's reduced one up to a unit
+                unit = sympy.cancel(sympy.denom(want) / to_sympy(RationalExpr(got.den)))
+                assert len(sympy.Poly(sympy.numer(unit), *syms).terms()) == 1, (op, a, b)
+                assert len(sympy.Poly(sympy.denom(unit), *syms).terms()) == 1, (op, a, b)
