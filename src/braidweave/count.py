@@ -6,6 +6,8 @@ letter (found after braid moves): the letter's variable is either invertible
 (trivalent vertex, one letter shorter) or zero (cup, two letters shorter).
 Each leaf reached at a reduced word for w0 contributes a stratum
 C^a x (C*)^b, and the count polynomial is sum q^a (q-1)^b over leaves.
+A word reached along several branches is stratified once and its node is
+shared.
 """
 from __future__ import annotations
 
@@ -24,30 +26,34 @@ from .braid import (
 from .weave import BudgetExceeded, find_doubled_letter
 
 
-@dataclass
+@dataclass(eq=False)
 class StrataTree:
-    """Binary branching record of one stratification."""
+    """One node of a stratification.  Equal words share one node, so the
+    tree is a DAG and nodes compare by identity."""
 
     letters: tuple[int, ...]
     status: str  # "branch", "leaf", "dead"
-    cups: int = 0
-    trivalent: int = 0
     invert_child: "StrataTree | None" = None
     vanish_child: "StrataTree | None" = None
 
-    def leaves(self):
-        if self.status == "leaf":
-            yield (self.cups, self.trivalent)
-        elif self.status == "branch":
-            yield from self.invert_child.leaves()
-            yield from self.vanish_child.leaves()
-
     def strata(self):
-        """Multiset of (a, b) = (cups, trivalent) over live leaves."""
-        out: dict[tuple[int, int], int] = {}
-        for ab in self.leaves():
-            out[ab] = out.get(ab, 0) + 1
-        return out
+        """Multiset of (a, b) = (cups, trivalent) over the live leaves below
+        this node, folded bottom-up with each shared node visited once."""
+        folded: dict[StrataTree, dict[tuple[int, int], int]] = {}
+
+        def fold(node):
+            if node not in folded:
+                out: dict[tuple[int, int], int] = {}
+                if node.status == "leaf":
+                    out[(0, 0)] = 1
+                elif node.status == "branch":
+                    for child, da, db in ((node.invert_child, 0, 1), (node.vanish_child, 1, 0)):
+                        for (a, b), mult in fold(child).items():
+                            out[(a + da, b + db)] = out.get((a + da, b + db), 0) + mult
+                folded[node] = out
+            return folded[node]
+
+        return fold(self)
 
 
 @dataclass
@@ -95,9 +101,11 @@ class PointCountPolynomial:
 
 
 def stratify(word: BraidWord, move_budget: int = 64, rng: random.Random | None = None) -> StrataTree:
-    """Stratification tree of X0(word; w0)."""
+    """Stratification tree of X0(word; w0).  Each distinct word reached gets
+    one node, one Demazure check and one search for a doubled letter."""
     n = word.n
     w0 = longest_perm(n)
+    nodes: dict[tuple[int, ...], StrataTree] = {}
 
     def dem(letters):
         p = identity_perm(n)
@@ -105,19 +113,25 @@ def stratify(word: BraidWord, move_budget: int = 64, rng: random.Random | None =
             p = demazure_mul(p, i)
         return p
 
-    def rec(letters, cups, triv):
+    def rec(letters):
+        if letters in nodes:
+            return nodes[letters]
         if dem(letters) != w0:
-            return StrataTree(letters, "dead", cups, triv)
-        found = find_doubled_letter(letters, n, budget=move_budget, rng=rng)
-        if found is None:
-            # reduced with Demazure product w0: a point stratum
-            return StrataTree(letters, "leaf", cups, triv)
-        _, moved, p = found
-        inv = rec(moved[:p] + moved[p + 1 :], cups, triv + 1)
-        van = rec(moved[:p] + moved[p + 2 :], cups + 1, triv)
-        return StrataTree(letters, "branch", cups, triv, inv, van)
+            node = StrataTree(letters, "dead")
+        else:
+            found = find_doubled_letter(letters, n, budget=move_budget, rng=rng)
+            if found is None:
+                # reduced with Demazure product w0: a point stratum
+                node = StrataTree(letters, "leaf")
+            else:
+                _, moved, p = found
+                inv = rec(moved[:p] + moved[p + 1 :])
+                van = rec(moved[:p] + moved[p + 2 :])
+                node = StrataTree(letters, "branch", inv, van)
+        nodes[letters] = node
+        return node
 
-    return rec(tuple(word.letters), 0, 0)
+    return rec(tuple(word.letters))
 
 
 def point_count_polynomial(
@@ -129,29 +143,55 @@ def point_count_polynomial(
     return PointCountPolynomial(len(beta), tree.strata())
 
 
+# Matrices that brute_count holds at its deepest level at once.  A chunk k
+# levels above holds at most _ROWS / q^k, so memory is bounded by about
+# 2 * _ROWS matrices whatever q^l and the budget are.
+_ROWS = 2**15
+
+
 def brute_count(word: BraidWord, perm, q: int, budget: int = 10**8) -> int:
-    """Exhaustive point count of the presentation over F_q (numpy batched)."""
-    l = len(word)
+    """Exhaustive point count of the presentation over F_q.
+
+    The q^l points form a prefix tree on their digits: the product of the
+    first k elementary matrices is computed once per prefix (numpy batched,
+    entries kept reduced mod q), and the tree is walked depth first in chunks.
+    Every point is enumerated and checked."""
+    letters = word.letters
+    l = len(letters)
     if q**l > budget:
-        raise BudgetExceeded(f"{q}^{l} exceeds the budget")
+        raise BudgetExceeded(f"brute count needs {q}^{l} = {q**l} points, over the budget of {budget}")
     n = word.n
-    count_pts = q**l
-    # batched products: start from identity, multiply the elementary matrix
-    # of each letter with its own coordinate digit
-    mats = np.broadcast_to(np.eye(n, dtype=np.int64), (count_pts, n, n)).copy()
-    for k, i in enumerate(word.letters):
-        digits = (np.arange(count_pts) // q**k) % q
-        cols = mats.copy()
-        new_i = cols[:, :, i].copy()  # column i+1 (0-based i)
-        new_ip1 = (cols[:, :, i - 1] + digits[:, None] * cols[:, :, i]) % q
-        mats[:, :, i - 1] = new_i
-        mats[:, :, i] = new_ip1
-        mats %= q
-    ok = np.ones(count_pts, dtype=bool)
-    for a in range(1, n):
-        for b in range(a):
-            ok &= mats[:, a, perm[b]] % q == 0
-    return int(ok.sum())
+    vanishing = [(a, perm[b]) for a in range(1, n) for b in range(a)]
+
+    def walk(mats, k):
+        """Points whose first k digits have the prefix products mats."""
+        if k == l:
+            ok = np.ones(len(mats), dtype=bool)
+            for a, c in vanishing:
+                ok &= mats[:, a, c] == 0
+            return int(ok.sum())
+        below = q ** (l - k - 1)  # points under each child prefix
+        digit_step = min(q, max(1, _ROWS // below))
+        row_step = max(1, _ROWS // (below * digit_step))
+        total = 0
+        for r in range(0, len(mats), row_step):
+            for d in range(0, q, digit_step):
+                digits = np.arange(d, min(q, d + digit_step))
+                total += walk(_times_letter(mats[r : r + row_step], letters[k], digits, q), k + 1)
+        return total
+
+    return walk(np.eye(n, dtype=np.int64)[None], 0)
+
+
+def _times_letter(mats, i: int, digits, q: int):
+    """Every matrix M times B_i(z) for every digit z: columns i, i+1
+    (1-based) become M_{i+1} and M_i + z M_{i+1} mod q."""
+    out = np.repeat(mats, len(digits), axis=0)
+    z = np.tile(digits, len(mats))[:, None]
+    new = (out[:, :, i - 1] + z * out[:, :, i]) % q
+    out[:, :, i - 1] = out[:, :, i]
+    out[:, :, i] = new
+    return out
 
 
 def brute_count_presentation(pres, q: int, budget: int = 10**8) -> int:
@@ -160,7 +200,7 @@ def brute_count_presentation(pres, q: int, budget: int = 10**8) -> int:
     vars_ = list(pres.variables)
     l = len(vars_)
     if q**l > budget:
-        raise BudgetExceeded(f"{q}^{l} exceeds the budget")
+        raise BudgetExceeded(f"brute count needs {q}^{l} = {q**l} points, over the budget of {budget}")
     total = 0
     point = dict.fromkeys(vars_, 0)
     for code in range(q**l):

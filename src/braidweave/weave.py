@@ -253,11 +253,15 @@ def find_doubled_letter(letters: tuple[int, ...], n: int, budget: int = 64, rng=
     seen = {letters: None}
     queue = deque([letters])
     explored = 0
+    limit = budget * max(1, len(letters))
     while queue:
         cur = queue.popleft()
         explored += 1
-        if explored > budget * max(1, len(letters)):
-            raise BudgetExceeded("move budget exhausted searching for a doubled letter")
+        if explored > limit:
+            raise BudgetExceeded(
+                f"move budget exhausted searching for a doubled letter: explored {explored} words, "
+                f"over the limit {budget}*{max(1, len(letters))} = {limit}"
+            )
         moves = available_moves(cur, n)
         if rng is not None:
             moves = list(moves)
@@ -801,8 +805,9 @@ def mutation_graph(beta: BraidWord, max_len_2=8, max_len_3=5, orbit_cap=120) -> 
 
     n = beta.n
     l = len(beta)
-    if (n == 2 and l > max_len_2) or (n >= 3 and l > max_len_3):
-        raise BudgetExceeded(f"mutation graph bound exceeded for l={l}, n={n}")
+    limit = max_len_2 if n == 2 else max_len_3
+    if l > limit:
+        raise BudgetExceeded(f"mutation graph bound exceeded for n={n}: l={l} letters, over the limit of {limit}")
     if n == 2:
         shapes = {}
         for order in all_orders(l):

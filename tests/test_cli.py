@@ -139,3 +139,18 @@ def test_braid_format_round_trip():
 
     w = parse_braid("B3: 1 2 1")
     assert parse_braid(w.render()).letters == w.letters
+
+
+def test_budget_errors_name_the_count_and_the_limit(capsys):
+    # the search for a doubled letter in 5 . Delta_6 runs past its move budget
+    code, text = run(["count", "--braid", "B6: 5"])
+    err = capsys.readouterr().err
+    assert code == 1 and text == ""
+    assert err == (
+        "error: move budget exhausted searching for a doubled letter: "
+        "explored 1025 words, over the limit 64*16 = 1024\n"
+    )
+    code, text = run(["mutation-graph", "--braid", "B2: 1 1 1 1 1 1 1 1 1"])
+    err = capsys.readouterr().err
+    assert code == 1 and text == ""
+    assert err == "error: mutation graph bound exceeded for n=2: l=9 letters, over the limit of 8\n"

@@ -1,9 +1,12 @@
 """Stratification and finite-field point counts."""
 import itertools
+import math
 import random
+import tracemalloc
 
 import pytest
 
+from braidweave import count
 from braidweave.braid import (
     append_half_twist,
     half_twist_word,
@@ -14,9 +17,11 @@ from braidweave.braid import (
 from braidweave.count import (
     PointCountPolynomial,
     brute_count,
+    brute_count_presentation,
     point_count_polynomial,
     stratify,
 )
+from braidweave.variety import variety_equations
 from braidweave.weave import BudgetExceeded
 
 
@@ -59,8 +64,84 @@ def test_brute_counts():
     assert brute_count(append_half_twist(parse_braid("B2: 1 1 1")), longest_perm(2), 2) == 5
     assert brute_count(append_half_twist(parse_braid("B2: 1 1")), longest_perm(2), 3) == 7
     assert brute_count(half_twist_word(3), longest_perm(3), 5) == 1
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match=r"5\^30 = 931322574615478515625 points, over the budget of 100000000$"):
         brute_count(make_word(2, [1] * 30), longest_perm(2), 5)
+    pres = variety_equations(make_word(2, [1] * 12), longest_perm(2))
+    with pytest.raises(BudgetExceeded, match=r"3\^12 = 531441 points, over the budget of 1000$"):
+        brute_count_presentation(pres, 3, budget=1000)
+
+
+def slow_brute_count(letters, n, perms, q):
+    """Reference for brute_count, in pure Python: at every point of F_q^l
+    multiply out the elementary matrices B_i(z) (identity but for the block
+    [[0, 1], [1, z]] at rows and columns i, i+1) and test, for each perm,
+    whether the product times the permutation matrix is upper triangular.
+    Returns the count for each perm."""
+
+    def mul(x, y):
+        return [[sum(x[r][k] * y[k][c] for k in range(n)) % q for c in range(n)] for r in range(n)]
+
+    def elementary(i, z):
+        m = [[int(r == c) for c in range(n)] for r in range(n)]
+        m[i - 1][i - 1], m[i - 1][i], m[i][i - 1], m[i][i] = 0, 1, 1, z
+        return m
+
+    perm_mats = [[[int(r == p[c]) for c in range(n)] for r in range(n)] for p in perms]
+    counts = [0] * len(perms)
+
+    def walk(m, k):
+        if k == len(letters):
+            for j, pm in enumerate(perm_mats):
+                mp = mul(m, pm)
+                counts[j] += all(mp[r][c] == 0 for r in range(n) for c in range(r))
+            return
+        for z in range(q):
+            walk(mul(m, elementary(letters[k], z)), k + 1)
+
+    walk([[int(r == c) for c in range(n)] for r in range(n)], 0)
+    return counts
+
+
+def test_brute_count_matches_slow_oracle(monkeypatch):
+    for n, max_len in ((2, 6), (3, 4)):
+        perms = list(itertools.permutations(range(n)))
+        for l in range(max_len + 1):
+            for letters in itertools.product(range(1, n), repeat=l):
+                word = make_word(n, letters)
+                for q in (2, 3, 5):
+                    expected = slow_brute_count(letters, n, perms, q)
+                    assert [brute_count(word, p, q) for p in perms] == expected, (n, letters, q)
+                    # chunks of 3 rows split every level, and for q = 5 the digits too
+                    with monkeypatch.context() as patch:
+                        patch.setattr(count, "_ROWS", 3)
+                        w0 = longest_perm(n)
+                        assert brute_count(word, w0, q) == expected[perms.index(w0)], (n, letters, q)
+
+
+def test_brute_count_past_the_row_chunk():
+    beta = parse_braid("B3: 1 2 1 2 1 2 1")
+    gamma = append_half_twist(beta)
+    assert 3 ** len(gamma) > count._ROWS
+    expected = slow_brute_count(gamma.letters, 3, [longest_perm(3)], 3)
+    assert [brute_count(gamma, longest_perm(3), 3)] == expected
+    assert expected == [point_count_polynomial(beta).eval(3)]
+
+
+def _brute_peak_bytes(word, q):
+    tracemalloc.start()
+    try:
+        brute_count(word, longest_perm(word.n), q)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_brute_count_memory_does_not_grow_with_points():
+    small = append_half_twist(parse_braid("B4: 1 2 3 1"))  # 3^10 points
+    large = append_half_twist(parse_braid("B4: 1 2 3 1 2 3"))  # 3^12 points
+    peak_small, peak_large = _brute_peak_bytes(small, 3), _brute_peak_bytes(large, 3)
+    assert peak_large < 32 * 2**20
+    assert peak_large < 1.5 * peak_small, (peak_small, peak_large)
 
 
 def test_oracle_agreement_sweep():
@@ -78,6 +159,46 @@ def test_oracle_agreement_sweep():
                         letters,
                         q,
                     )
+
+
+def test_two_strand_strata_closed_form():
+    for l in range(41):
+        strata = point_count_polynomial(make_word(2, [1] * l)).strata
+        assert strata == {(a, l - 2 * a): math.comb(l - a, a) for a in range(l // 2 + 1)}, l
+
+
+def test_equal_words_share_one_node():
+    tree = stratify(make_word(2, [1] * 12))
+    nodes, todo = set(), [tree]
+    while todo:
+        node = todo.pop()
+        if node not in nodes:
+            nodes.add(node)
+            if node.status == "branch":
+                todo += (node.invert_child, node.vanish_child)
+    assert len({node.letters for node in nodes}) == len(nodes)
+
+
+def test_count_polynomial_properties():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def braids(draw):
+        n = draw(st.integers(2, 4))
+        letters = draw(st.lists(st.integers(1, n - 1), max_size=10 - n * (n - 1) // 2))
+        return make_word(n, letters)
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(braids(), st.integers(0, 2**32))
+    def check(beta, seed):
+        poly = point_count_polynomial(beta)
+        gamma = append_half_twist(beta)
+        for q in (2, 3):
+            assert poly.eval(q) == brute_count(gamma, longest_perm(beta.n), q)
+        assert point_count_polynomial(beta, rng=random.Random(seed)).strata == poly.strata
+
+    check()
 
 
 def test_stratification_order_independence():
