@@ -121,11 +121,15 @@ def right_descent(p, i: int) -> bool:
     return p[i - 1] > p[i]
 
 
-def demazure_mul(p, i: int):
-    """0-Hecke product p * s_i: apply s_i only when the length goes up."""
-    if right_descent(p, i):
-        return p
-    return compose(p, transposition(len(p), i))
+def demazure_letters(n: int, letters, start=None) -> tuple[int, ...]:
+    """0-Hecke product ``start * s_{i_1} * ... * s_{i_l}`` of a letter tuple
+    (``start`` defaults to the identity of S_n): each letter i swaps entries
+    i-1 and i of the one-line list exactly when that raises the length."""
+    p = list(range(n) if start is None else start)
+    for i in letters:
+        if p[i - 1] < p[i]:
+            p[i - 1], p[i] = p[i], p[i - 1]
+    return tuple(p)
 
 
 def perm_matrix(p, ring=QQ) -> MatrixExpr:
@@ -161,11 +165,10 @@ class NilHeckeElement:
         return cls(transposition(n, i))
 
     def star(self, other: "NilHeckeElement") -> "NilHeckeElement":
-        p = self.perm
         # fold a reduced word for other.perm into the Demazure product
-        for i in reduced_word(other.perm):
-            p = demazure_mul(p, i)
-        return NilHeckeElement(p)
+        return NilHeckeElement(
+            demazure_letters(len(self.perm), reduced_word(other.perm), self.perm)
+        )
 
     def __mul__(self, other):
         return self.star(other)
@@ -315,10 +318,7 @@ def is_reduced(word: BraidWord) -> bool:
 
 def demazure_product(word: BraidWord):
     """The image of the word in the 0-Hecke monoid, as a permutation."""
-    p = identity_perm(word.n)
-    for i in word.letters:
-        p = demazure_mul(p, i)
-    return p
+    return demazure_letters(word.n, word.letters)
 
 
 # ---------------------------------------------------------------------------

@@ -305,10 +305,13 @@ class ChartMap:
         )
 
     def invert_key(self) -> frozenset:
-        """Coarse pre-key of the chart as a subset: the set of polynomial
-        cores (numerators up to sign and monomial factors) of the inverted
-        expressions.  Equal charts always share this key; use
-        ``charts_equal_as_subsets`` to decide equality exactly."""
+        """Coarse fingerprint of the chart: the set of polynomial cores
+        (numerators with negative exponents cleared, up to sign) of the
+        inverted expressions.  It is not a pre-key: it records the cores,
+        not the group of units they generate, so equal charts can have
+        different keys (on ``B3: 1 2 1`` the orders (1,2,3) and (1,3,2) give
+        ``z2`` against ``z1*z2``).  ``charts_equal_as_subsets`` decides
+        equality."""
         cores = set()
         for e in self.inverted:
             p = e.num

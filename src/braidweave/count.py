@@ -19,8 +19,7 @@ import numpy as np
 from .braid import (
     BraidWord,
     append_half_twist,
-    demazure_mul,
-    identity_perm,
+    demazure_letters,
     longest_perm,
 )
 from .weave import BudgetExceeded, find_doubled_letter
@@ -107,16 +106,10 @@ def stratify(word: BraidWord, move_budget: int = 64, rng: random.Random | None =
     w0 = longest_perm(n)
     nodes: dict[tuple[int, ...], StrataTree] = {}
 
-    def dem(letters):
-        p = identity_perm(n)
-        for i in letters:
-            p = demazure_mul(p, i)
-        return p
-
     def rec(letters):
         if letters in nodes:
             return nodes[letters]
-        if dem(letters) != w0:
+        if demazure_letters(n, letters) != w0:
             node = StrataTree(letters, "dead")
         else:
             found = find_doubled_letter(letters, n, budget=move_budget, rng=rng)

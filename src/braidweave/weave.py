@@ -29,7 +29,7 @@ from .braid import (
     available_moves,
     check_opening_order,
     compose,
-    demazure_mul,
+    demazure_letters,
     half_twist_letters,
     identity_perm,
     longest_perm,
@@ -140,15 +140,9 @@ def validate(weave: Weave) -> list[tuple[int, ...]]:
     Demazure weaves the Demazure product of every slice is asserted equal."""
     slices = weave.slices()
     if weave.is_demazure():
-        def dem(letters):
-            p = identity_perm(weave.n)
-            for i in letters:
-                p = demazure_mul(p, i)
-            return p
-
-        top_d = dem(slices[0])
+        top_d = demazure_letters(weave.n, slices[0])
         for s in slices[1:]:
-            if dem(s) != top_d:
+            if demazure_letters(weave.n, s) != top_d:
                 raise PatternMismatch("Demazure product changed along the weave")
     return slices
 
@@ -392,10 +386,7 @@ class Triangulation:
         return len(self.letters)
 
     def label(self, a: int, b: int):
-        p = identity_perm(self.n)
-        for i in self.letters[a:b]:
-            p = demazure_mul(p, i)
-        return p
+        return demazure_letters(self.n, self.letters[a:b])
 
     def edges(self):
         N = self.size
@@ -448,10 +439,7 @@ class Triangulation:
 def check_demazure_triangle(n: int, u, v, w) -> bool:
     """A labeled triangle is valid when the third side is the 0-Hecke product
     of the other two."""
-    p = u
-    for i in reduced_word(v):
-        p = demazure_mul(p, i)
-    return p == w
+    return demazure_letters(n, reduced_word(v), u) == w
 
 
 def triangulation_for(beta: BraidWord, diagonals) -> Triangulation:
@@ -783,12 +771,17 @@ def equivalence_orbit(weave: Weave, cap: int = 250):
                 candidates.append(apply_move(cur, "remove_cancel", k))
             except PatternMismatch:
                 pass
-        for k in range(len(cur.events)):
-            for pos in range(len(cur.top)):
-                try:
-                    candidates.append(apply_move(cur, "flip_1212", k, pos))
-                except (PatternMismatch, IndexError):
-                    pass
+        # both flip patterns open with a six event: pattern b at pos + 1,
+        # pattern a at pos
+        for k, ev in enumerate(cur.events):
+            if ev.kind != "six":
+                continue
+            for pos in (ev.pos - 1, ev.pos):
+                if 0 <= pos < len(cur.top):
+                    try:
+                        candidates.append(apply_move(cur, "flip_1212", k, pos))
+                    except PatternMismatch:
+                        pass
         for nw in candidates:
             r = nw.render()
             if r not in seen:

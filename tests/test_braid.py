@@ -1,4 +1,5 @@
 """Braid words, permutations, Demazure products, braid matrices, moves."""
+import itertools
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from braidweave.braid import (
     compose,
     coxeter_image,
     cycle_count,
+    demazure_letters,
     demazure_product,
     exchange_index,
     exchange_index_brute,
@@ -28,6 +30,7 @@ from braidweave.braid import (
     parse_perm,
     perm_length,
     perm_matrix,
+    reduced_word,
     render_perm,
     transposition,
     word_cycle_count,
@@ -70,6 +73,46 @@ def test_demazure_product():
     assert demazure_product(parse_braid("B2: 1 1 1")) == transposition(2, 1)
     assert demazure_product(parse_braid("B3: 1 2 1 2")) == longest_perm(3)
     assert demazure_product(parse_braid("", 3)) == identity_perm(3)
+
+
+def _demazure_mul(p, i):
+    """Slow form of p * s_i in the 0-Hecke monoid: multiply by s_i exactly
+    when the inversion count goes up."""
+    q = compose(p, transposition(len(p), i))
+    return q if perm_length(q) > perm_length(p) else p
+
+
+def _demazure_fold(start, letters):
+    p = start
+    for i in letters:
+        p = _demazure_mul(p, i)
+    return p
+
+
+def test_demazure_letters_matches_slow_fold():
+    rng = random.Random(5)
+
+    def check(n, letters):
+        assert demazure_letters(n, letters) == _demazure_fold(identity_perm(n), letters)
+        start = list(range(n))
+        rng.shuffle(start)
+        start = tuple(start)
+        assert demazure_letters(n, letters, start) == _demazure_fold(start, letters)
+
+    for n in range(1, 5):
+        for l in range(7):
+            for letters in itertools.product(range(1, n), repeat=l):
+                check(n, letters)
+    for n in (5, 6):
+        for _ in range(300):
+            check(n, tuple(rng.randrange(1, n) for _ in range(rng.randrange(13))))
+    # the NilHecke product folds a reduced word from its left factor
+    for _ in range(50):
+        a, b = list(range(5)), list(range(5))
+        rng.shuffle(a)
+        rng.shuffle(b)
+        got = NilHeckeElement(a) * NilHeckeElement(b)
+        assert got.perm == _demazure_fold(tuple(a), reduced_word(tuple(b)))
 
 
 def test_nilhecke_idempotent_and_associative():

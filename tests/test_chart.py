@@ -455,3 +455,14 @@ def test_charts_equal_as_subsets():
     c3 = chart_parametrize(weave_from_opening_order(beta, (1, 2, 3)))
     assert charts_equal_as_subsets(c1, c2)
     assert not charts_equal_as_subsets(c1, c3)
+
+
+def test_invert_key_is_not_a_pre_key():
+    # equal charts whose inverted cores generate the same units but differ
+    # as sets: bucketing mutation_graph by invert_key would split this class
+    beta = parse_braid("B3: 1 2 1")
+    c1 = chart_parametrize(weave_from_opening_order(beta, (1, 2, 3)))
+    c2 = chart_parametrize(weave_from_opening_order(beta, (1, 3, 2)))
+    assert charts_equal_as_subsets(c1, c2)
+    assert sorted(c1.invert_key()) == ["-z2 + z1*z3", "z1", "z2"]
+    assert sorted(c2.invert_key()) == ["-z2 + z1*z3", "z1", "z1*z2"]

@@ -1,5 +1,9 @@
 """Weave validation, builders, triangulations, moves, mutation graphs."""
+import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +14,7 @@ from braidweave.weave import (
     WeaveEvent,
     apply_move,
     canonicalize,
+    equivalence_orbit,
     export_dot,
     fan_triangulation,
     find_doubled_letter,
@@ -83,6 +88,32 @@ def test_demazure_invariance_checked():
     wc = Weave(2, make_word(2, [1]), (WeaveEvent("cap", 0, 1),))
     assert validate(wc) == [(1,), (1, 1, 1)]
     assert not wc.is_simplifying()
+    # a Demazure weave whose slice breaks the Demazure product is rejected,
+    # also under python -O; a subclass supplies the slices (1 2 1) -> (1 2),
+    # because no event that passes its pattern check changes the product
+    import braidweave
+
+    src = os.path.dirname(os.path.dirname(braidweave.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = (
+        "from braidweave.braid import PatternMismatch, make_word\n"
+        "from braidweave.weave import Weave, WeaveEvent, validate\n"
+        "class Broken(Weave):\n"
+        "    def slices(self):\n"
+        "        return [(1, 2, 1), (1, 2)]\n"
+        "w = Broken(3, make_word(3, [1, 2, 1]), (WeaveEvent('three', 1),))\n"
+        "try:\n"
+        "    validate(w)\n"
+        "except PatternMismatch as exc:\n"
+        "    print(exc)\n"
+    )
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "Demazure product changed along the weave\n"
 
 
 def test_trivalent_count_accounting():
@@ -212,6 +243,45 @@ def test_missing_crossing_one_vertex():
     assert missing_crossing(wa) == missing_crossing(wb) == 1
     with pytest.raises(PatternMismatch):
         missing_crossing(weave_from_opening_order(parse_braid("B2: 1 1"), (1, 2)))
+
+
+def _orbit_over_every_pos(weave, cap):
+    """Slow form of equivalence_orbit: tries flip_1212 at every position."""
+    from collections import deque
+
+    seen = {weave.render(): weave}
+    queue = deque([weave])
+    while queue and len(seen) < cap:
+        cur = queue.popleft()
+        candidates = []
+        for k in range(len(cur.events) - 1):
+            for move in ("swap", "remove_cancel"):
+                try:
+                    candidates.append(apply_move(cur, move, k))
+                except PatternMismatch:
+                    pass
+        for k in range(len(cur.events)):
+            for pos in range(len(cur.top)):
+                try:
+                    candidates.append(apply_move(cur, "flip_1212", k, pos))
+                except (PatternMismatch, IndexError):
+                    pass
+        for nw in candidates:
+            r = nw.render()
+            if r not in seen:
+                seen[r] = nw
+                queue.append(nw)
+    return list(seen.values())
+
+
+def test_equivalence_orbit_matches_every_pos_search():
+    for text in ("B3: 1 2 1", "B4: 2 2 2", "B4: 1 2 3", "B5: 3 3 3"):
+        beta = parse_braid(text)
+        for order in itertools.permutations(range(1, len(beta) + 1)):
+            w = weave_from_opening_order(beta, order)
+            fast = [x.render() for x in equivalence_orbit(w, cap=120)]
+            slow = [x.render() for x in _orbit_over_every_pos(w, cap=120)]
+            assert fast == slow, (text, order)
 
 
 def test_mutation_graph_pentagon():
