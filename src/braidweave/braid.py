@@ -73,13 +73,6 @@ def compose(a, b):
     return tuple(a[b[i]] for i in range(len(a)))
 
 
-def inverse_perm(p):
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
-
-
 def perm_length(p) -> int:
     """Coxeter length = inversion count."""
     n = len(p)

@@ -23,9 +23,12 @@ from dataclasses import dataclass, field
 
 from .ring import (
     QQ,
+    LaurentPoly,
     MatrixExpr,
     NonUnitDiagonal,
     RationalExpr,
+    poly_exact_div,
+    poly_gcd,
     var_id,
     var_name,
 )
@@ -348,6 +351,53 @@ def charts_equal_as_subsets(c1: ChartMap, c2: ChartMap) -> bool:
     return included(c1, c2) and included(c2, c1)
 
 
+def _common_core(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
+    """A polynomial f with a and b both units times powers of f, or None
+    when the gcd-free basis of {a, b} has two coprime elements."""
+    if a.is_monomial():
+        return b
+    if b.is_monomial():
+        return a
+    g = poly_gcd(a, b)
+    if g.is_constant():
+        return None
+    f = _common_core(g, poly_exact_div(a, g))
+    return None if f is None else _common_core(f, poly_exact_div(b, g))
+
+
+def charts_adjacent(c1: ChartMap, c2: ChartMap) -> bool:
+    """Exact test that two toric charts of the same variety are one mutation
+    apart: each chart's defining non-vanishing conditions, pulled back
+    through the other's parametrization, must be units times powers of one
+    and the same non-monomial polynomial (the exchange binomial), so the two
+    tori differ in a single cluster variable."""
+    if c1.top.letters != c2.top.letters:
+        return False
+
+    def one_core(inner: ChartMap, outer: ChartMap) -> bool:
+        core, seen = None, set()
+        for e in outer.inverted:
+            for p in (e.num, e.den):
+                r = p.substitute(inner.subs)
+                if r.is_zero():
+                    return False
+                for part in (r.num, r.den):
+                    if part.is_monomial():
+                        continue
+                    # normalised core: monomial factor and scalar stripped,
+                    # so associates compare equal
+                    part = poly_gcd(part, LaurentPoly.zero(part.ring))
+                    if part in seen:
+                        continue
+                    seen.add(part)
+                    core = part if core is None else _common_core(core, part)
+                    if core is None:  # a second coprime core
+                        return False
+        return core is not None
+
+    return one_core(c1, c2) and one_core(c2, c1)
+
+
 def chart_parametrize(weave: Weave, param_names=None, ring=QQ) -> ChartMap:
     """Invert the downward propagation of a weave whose bottom is a reduced
     word for w0 (all bottom values are then forced to vanish), producing the
@@ -463,14 +513,6 @@ def compare_extended(map1, map2) -> bool:
 
 # ---------------------------------------------------------------------------
 # opening crossings directly (factor into U D L and slide outwards)
-
-
-def diagonal_matrix(entries, ring=QQ) -> MatrixExpr:
-    n = len(entries)
-    zero = RationalExpr.const(0, ring)
-    return MatrixExpr(
-        [[entries[i] if i == j else zero for j in range(n)] for i in range(n)], ring
-    )
 
 
 def slide_diag_left(d_entries, letter: int, z: RationalExpr):

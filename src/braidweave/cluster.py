@@ -606,10 +606,6 @@ def _quiver_key(b):
     return best
 
 
-def quiver_equal_up_to_iso(b1, b2) -> bool:
-    return _quiver_key(b1) == _quiver_key(b2)
-
-
 def mutation_equivalent(b1, b2, depth: int = 6) -> bool:
     """Finite search: are the two quivers related by at most ``depth``
     mutations (up to relabeling)?"""

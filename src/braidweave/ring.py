@@ -1104,14 +1104,6 @@ class TwoForm:
         return f"TwoForm({self.render()})"
 
 
-def wedge(a: OneForm, b: OneForm) -> TwoForm:
-    out = TwoForm.zero()
-    for v, cv in a.coeffs.items():
-        for w, cw in b.coeffs.items():
-            out = out + TwoForm.term(v, w, cv * cw)
-    return out
-
-
 def mat_dlog_left(f: MatrixExpr):
     """The matrix-valued 1-form f^-1 df, as a dict var -> MatrixExpr."""
     finv = f.inverse()

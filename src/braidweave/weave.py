@@ -17,6 +17,7 @@ that equal diagrams compare equal.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from collections import deque
 from dataclasses import dataclass, replace
@@ -685,12 +686,6 @@ def missing_crossing(weave: Weave) -> int:
     return missing
 
 
-def mutation_candidates(weave: Weave):
-    """Pairs of trivalent event indices worth trying for a mutation."""
-    idx = [k for k, ev in enumerate(weave.events) if ev.kind == "three"]
-    return [(a, b) for i, a in enumerate(idx) for b in idx[i + 1 :]]
-
-
 # ---------------------------------------------------------------------------
 # mutation graph
 
@@ -699,7 +694,6 @@ def mutation_candidates(weave: Weave):
 class MutationGraph:
     beta: BraidWord
     vertices: list  # class representatives (Weave)
-    keys: list  # canonical class keys
     edges: set  # pairs of vertex indices
     proxy: str
 
@@ -748,15 +742,14 @@ def _tree_rotations(shape):
 
 
 def all_orders(l: int):
-    import itertools
-
     return itertools.permutations(range(1, l + 1))
 
 
 def equivalence_orbit(weave: Weave, cap: int = 250):
     """Weaves reachable from this one by the cataloged equivalence moves
-    (height isotopies, cancel-pair removals, braid-relation path flips),
-    capped; used to expose mutation patterns hidden by block shuffles."""
+    (height isotopies, cancel-pair removals, braid-relation path flips), in
+    breadth-first order, capped at ``cap`` weaves; it exposes mutation
+    patterns hidden by block shuffles."""
     seen = {weave.render(): weave}
     queue = deque([weave])
     while queue and len(seen) < cap:
@@ -790,11 +783,13 @@ def equivalence_orbit(weave: Weave, cap: int = 250):
     return list(seen.values())
 
 
-def mutation_graph(beta: BraidWord, max_len_2=8, max_len_3=5, orbit_cap=120) -> MutationGraph:
+def mutation_graph(beta: BraidWord, max_len_2=8, max_len_3=5) -> MutationGraph:
     """Vertices: classes of Demazure weaves beta Delta -> Delta (class proxy:
-    equality of the induced chart substitution maps; for n = 2 this is the
-    binary-tree shape).  Edges: single mutations."""
-    from .chart import chart_parametrize  # lazy import; chart depends on weave
+    equality of the charts as subsets; for n = 2 this is the binary-tree
+    shape).  Edges: single mutations, decided for n >= 3 by exact chart
+    adjacency (the two tori differ in one exchange binomial)."""
+    # lazy import; chart depends on weave
+    from .chart import chart_parametrize, charts_adjacent, charts_equal_as_subsets
 
     n = beta.n
     l = len(beta)
@@ -806,79 +801,28 @@ def mutation_graph(beta: BraidWord, max_len_2=8, max_len_3=5, orbit_cap=120) -> 
         for order in all_orders(l):
             w = weave_from_opening_order(beta, order)
             shapes.setdefault(_tree_shape(w), w)
-        keys = list(shapes)
-        index = {s: i for i, s in enumerate(keys)}
+        index = {s: i for i, s in enumerate(shapes)}
         edges = set()
-        for s in keys:
+        for s in shapes:
             for s2 in _tree_rotations(s):
                 if s2 in index:
                     edges.add(tuple(sorted((index[s], index[s2]))))
-        return MutationGraph(beta, list(shapes.values()), keys, edges, "binary-tree shape")
-
-    from .chart import charts_equal_as_subsets
-
-    orders, weaves, charts = [], [], []
-    for order in all_orders(l):
-        w = weave_from_opening_order(beta, order)
-        orders.append(order)
-        weaves.append(w)
-        charts.append(chart_parametrize(w))
-
-    def classify(chart):
-        for i, rep in enumerate(class_charts):
-            if charts_equal_as_subsets(chart, rep):
-                return i
-        return None
+        return MutationGraph(beta, list(shapes.values()), edges, "binary-tree shape")
 
     class_charts: list = []
     class_weaves: list[Weave] = []
-    member: list[int] = []
-    for w, c in zip(weaves, charts):
-        idx = classify(c)
-        if idx is None:
-            idx = len(class_charts)
+    for order in all_orders(l):
+        w = weave_from_opening_order(beta, order)
+        c = chart_parametrize(w)
+        if not any(charts_equal_as_subsets(c, rep) for rep in class_charts):
             class_charts.append(c)
             class_weaves.append(w)
-        member.append(idx)
-    edges = set()
-    # pattern mutations applied over each class representative's orbit of
-    # equivalent weaves (block shuffles can hide the mutation pattern)
-    classify_memo: dict[str, int | None] = {}
-
-    def classify_weave(w2: Weave):
-        r = w2.render()
-        if r not in classify_memo:
-            classify_memo[r] = classify(chart_parametrize(w2))
-        return classify_memo[r]
-
-    seeds: dict[int, list[Weave]] = {}
-    for w, idx in zip(weaves, member):
-        seeds.setdefault(idx, [])
-        if len(seeds[idx]) < 3:
-            seeds[idx].append(w)
-    tried = set()
-    for idx, seed_list in seeds.items():
-        for seed in seed_list:
-            for rep in equivalence_orbit(seed, cap=orbit_cap):
-                for k1, k2 in mutation_candidates(rep):
-                    try:
-                        w2 = mutate(rep, k1, k2)
-                    except PatternMismatch:
-                        continue
-                    r2 = w2.render()
-                    if (idx, r2) in tried:
-                        continue
-                    tried.add((idx, r2))
-                    jdx = classify_weave(w2)
-                    if jdx is not None and jdx != idx:
-                        edges.add(tuple(sorted((idx, jdx))))
-    return MutationGraph(
-        beta,
-        class_weaves,
-        [c.invert_key() for c in class_charts],
-        edges,
-        "chart-subset equality",
-    )
+    edges = {
+        (i, j)
+        for i, j in itertools.combinations(range(len(class_charts)), 2)
+        if charts_adjacent(class_charts[i], class_charts[j])
+    }
+    return MutationGraph(beta, class_weaves, edges, "chart-subset equality")
 
 
 # ---------------------------------------------------------------------------

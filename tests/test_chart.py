@@ -18,6 +18,7 @@ from braidweave.chart import (
     ChartMap,
     chart_parametrize,
     chart_satisfies_equations,
+    charts_adjacent,
     charts_equal_as_subsets,
     compare_extended,
     ldu_chart,
@@ -41,6 +42,7 @@ from braidweave.ring import (
 )
 from braidweave.variety import variety_equations
 from braidweave.weave import Weave, WeaveEvent, weave_from_opening_order
+from braidweave.weave import _tree_rotations, _tree_shape
 
 
 def test_slide_left_formula():
@@ -466,3 +468,88 @@ def test_invert_key_is_not_a_pre_key():
     assert charts_equal_as_subsets(c1, c2)
     assert sorted(c1.invert_key()) == ["-z2 + z1*z3", "z1", "z2"]
     assert sorted(c2.invert_key()) == ["-z2 + z1*z3", "z1", "z1*z2"]
+
+
+@pytest.mark.parametrize("l, n_edges", [(2, 1), (3, 5), (4, 21), (5, 84)])
+def test_charts_adjacent_matches_tree_rotations(l, n_edges):
+    # n = 2 oracle: one chart per binary-tree shape of B2: 1^l (no subset
+    # classification needed); adjacency must give exactly the single
+    # (ss)s <-> s(ss) rotations of the shapes
+    beta = make_word(2, [1] * l)
+    charts = {}
+    for order in itertools.permutations(range(1, l + 1)):
+        w = weave_from_opening_order(beta, order)
+        shape = _tree_shape(w)
+        if shape not in charts:
+            charts[shape] = chart_parametrize(w)
+    shapes = list(charts)
+    index = {s: i for i, s in enumerate(shapes)}
+    rotations = {
+        tuple(sorted((index[s], index[t]))) for s in shapes for t in _tree_rotations(s)
+    }
+    adjacent = {
+        (i, j)
+        for i, j in itertools.combinations(range(len(shapes)), 2)
+        if charts_adjacent(charts[shapes[i]], charts[shapes[j]])
+    }
+    assert adjacent == rotations
+    assert len(adjacent) == n_edges
+
+
+def _identity_chart(top, inverted, subs=None):
+    if subs is None:
+        subs = {v: RationalExpr.variable(v) for v in top.variables}
+    return ChartMap(top=top, unit_params=[], affine_params=[], subs=subs, inverted=inverted)
+
+
+def test_charts_adjacent_core_basis():
+    top = parse_braid("B2: 1 1")
+    z1, z2, t = poly("z1"), poly("z2"), poly("t1")
+    f = 1 + z1 * z2
+    c1 = _identity_chart(top, [z1, f])
+    # associates (scalar and monomial multiples) and powers of one core merge
+    c2 = _identity_chart(top, [z2, (2 + 2 * z1 * z2) ** 2 / z1, f**3 * z2])
+    assert charts_adjacent(c1, c2) and charts_adjacent(c2, c1)
+    # nothing is factored: a product of two coprime polynomials is one part
+    assert charts_adjacent(c1, _identity_chart(top, [z1, (1 + z1) * (1 + z2)]))
+    # two coprime parts
+    c3 = _identity_chart(top, [z1, 1 + z1, 1 + z2])
+    assert not charts_adjacent(c1, c3)
+    # no core at all: the pull-backs are units both ways
+    c4 = _identity_chart(top, [z1, z2])
+    assert not charts_adjacent(c4, _identity_chart(top, [z2]))
+    # a pull-back that vanishes identically (each side alone has one core)
+    flat = _identity_chart(top, [1 + t], subs={v: t for v in top.variables})
+    assert not charts_adjacent(flat, _identity_chart(top, [z1 - z2, 1 + z1]))
+    assert charts_adjacent(flat, _identity_chart(top, [1 + z1]))
+    # charts of different varieties
+    assert not charts_adjacent(c1, _identity_chart(parse_braid("B2: 1 1 1"), [z1, f]))
+
+
+def test_charts_adjacent_stops_at_a_second_core(monkeypatch):
+    # non-adjacent class charts of the pentagon B4: 2 2 2 pull back to two
+    # coprime cores: the core merge must report it and the test say no edge
+    from braidweave import chart
+    from braidweave.weave import mutation_graph
+
+    g = mutation_graph(parse_braid("B4: 2 2 2"))
+    charts = [chart_parametrize(w) for w in g.vertices]
+    merges = []
+    merge = chart._common_core
+
+    def spy(a, b):
+        out = merge(a, b)
+        merges.append(out)
+        return out
+
+    monkeypatch.setattr(chart, "_common_core", spy)
+    non_edges = [
+        (i, j)
+        for i, j in itertools.combinations(range(len(charts)), 2)
+        if (i, j) not in g.edges
+    ]
+    assert len(non_edges) == 5
+    for i, j in non_edges:
+        merges.clear()
+        assert not charts_adjacent(charts[i], charts[j])
+        assert merges and merges[-1] is None

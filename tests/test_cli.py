@@ -91,6 +91,33 @@ def test_mutation_graph():
     assert "vertices: 5" in text and "edges: 5" in text and "proxy:" in text
 
 
+def test_mutation_graph_pentagon_dot(tmp_path):
+    dot = tmp_path / "g.dot"
+    code, text = run(["mutation-graph", "--braid", "B4: 2 2 2", "--dot", str(dot)])
+    assert code == 0
+    assert text.splitlines()[:3] == ["vertices: 5", "edges: 5", "proxy: chart-subset equality"]
+    assert dot.read_text() == (
+        "graph mutation_graph {\n"
+        '  v0 [label="0"];\n'
+        '  v1 [label="1"];\n'
+        '  v2 [label="2"];\n'
+        '  v3 [label="3"];\n'
+        '  v4 [label="4"];\n'
+        "  v0 -- v1;\n"
+        "  v0 -- v2;\n"
+        "  v1 -- v4;\n"
+        "  v2 -- v3;\n"
+        "  v3 -- v4;\n"
+        "}\n"
+    )
+
+
+def test_mutation_graph_three_strand_associahedron():
+    code, text = run(["mutation-graph", "--braid", "B3: 1 1 1 1"])
+    assert code == 0
+    assert text.splitlines()[:2] == ["vertices: 14", "edges: 21"]
+
+
 def test_weave_file_round_trip(tmp_path):
     source = "weave n=3 top=1 2 1\nsix 0\n"
     path = tmp_path / "w.weave"

@@ -284,6 +284,95 @@ def test_equivalence_orbit_matches_every_pos_search():
             assert fast == slow, (text, order)
 
 
+def _mutation_candidates(weave):
+    """Pairs of trivalent event indices worth trying for a mutation."""
+    idx = [k for k, ev in enumerate(weave.events) if ev.kind == "three"]
+    return [(a, b) for i, a in enumerate(idx) for b in idx[i + 1 :]]
+
+
+def _orbit_edges(beta, cap=120):
+    """Slow, incomplete edge search: mutate the weaves in the capped
+    equivalence orbits of up to three seed weaves per chart class and
+    classify every mutant by its chart.  Returns (classes, edges) with the
+    classes numbered as in mutation_graph."""
+    from braidweave.chart import chart_parametrize, charts_equal_as_subsets
+
+    class_charts, weaves, member = [], [], []
+
+    def classify(chart):
+        for i, rep in enumerate(class_charts):
+            if charts_equal_as_subsets(chart, rep):
+                return i
+        return None
+
+    for order in itertools.permutations(range(1, len(beta) + 1)):
+        w = weave_from_opening_order(beta, order)
+        c = chart_parametrize(w)
+        idx = classify(c)
+        if idx is None:
+            idx = len(class_charts)
+            class_charts.append(c)
+        weaves.append(w)
+        member.append(idx)
+    seeds = {}
+    for w, idx in zip(weaves, member):
+        seeds.setdefault(idx, [])
+        if len(seeds[idx]) < 3:
+            seeds[idx].append(w)
+    memo, tried, edges = {}, set(), set()
+    for idx, seed_list in seeds.items():
+        for seed in seed_list:
+            for rep in equivalence_orbit(seed, cap=cap):
+                for k1, k2 in _mutation_candidates(rep):
+                    try:
+                        w2 = mutate(rep, k1, k2)
+                    except PatternMismatch:
+                        continue
+                    r2 = w2.render()
+                    if (idx, r2) in tried:
+                        continue
+                    tried.add((idx, r2))
+                    if r2 not in memo:
+                        memo[r2] = classify(chart_parametrize(w2))
+                    jdx = memo[r2]
+                    if jdx is not None and jdx != idx:
+                        edges.add(tuple(sorted((idx, jdx))))
+    return len(class_charts), edges
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "B4: 2 2",
+        "B4: 1 3",
+        "B3: 1 2 1",
+        "B3: 1 1 2",
+        "B4: 1 2 2",
+        "B4: 2 1 2",
+        "B4: 1 2 3",
+        "B3: 2 1 1",
+        "B3: 1 1 1",
+    ],
+)
+def test_mutation_graph_matches_orbit_search(text):
+    beta = parse_braid(text)
+    g = mutation_graph(beta)
+    size, orbit = _orbit_edges(beta)
+    assert len(g.vertices) == size
+    assert g.edges == orbit
+
+
+@pytest.mark.parametrize("text", ["B4: 2 2 2", "B5: 3 3 3", "B5: 4 4 4"])
+def test_mutation_graph_finds_edges_the_orbit_search_misses(text):
+    # the powers s_i^3 have the pentagon of B2: 1 1 1; the capped orbit
+    # search finds only some of its edges
+    beta = parse_braid(text)
+    g = mutation_graph(beta)
+    size, orbit = _orbit_edges(beta)
+    assert len(g.vertices) == size == 5 and len(g.edges) == 5
+    assert orbit < g.edges
+
+
 def test_mutation_graph_pentagon():
     g = mutation_graph(parse_braid("B2: 1 1 1"))
     assert len(g.vertices) == 5 and len(g.edges) == 5
