@@ -114,6 +114,28 @@ def right_descent(p, i: int) -> bool:
     return p[i - 1] > p[i]
 
 
+def coxeter_letters(n: int, letters, start=None) -> tuple[int, ...]:
+    """Coxeter image ``start * s_{i_1} * ... * s_{i_l}`` of a letter tuple
+    (``start`` defaults to the identity of S_n): each letter i swaps entries
+    i-1 and i of the one-line list."""
+    p = list(range(n) if start is None else start)
+    for i in letters:
+        p[i - 1], p[i] = p[i], p[i - 1]
+    return tuple(p)
+
+
+def stall_index(n: int, letters) -> int | None:
+    """The 0-based k at which the word stops being reduced: ``letters[:k]``
+    is reduced and ``letters[k]`` is a right descent of it.  None for a
+    reduced word."""
+    p = identity_perm(n)
+    for k, i in enumerate(letters):
+        if right_descent(p, i):
+            return k
+        p = coxeter_letters(n, (i,), p)
+    return None
+
+
 def demazure_letters(n: int, letters, start=None) -> tuple[int, ...]:
     """0-Hecke product ``start * s_{i_1} * ... * s_{i_l}`` of a letter tuple
     (``start`` defaults to the identity of S_n): each letter i swaps entries
@@ -271,10 +293,7 @@ def check_opening_order(beta: BraidWord, order) -> list[int]:
 
 def half_twist_word(n: int, prefix: str = "z", start: int = 1) -> BraidWord:
     """The fixed positive lift of w0: (1 2 .. n-1)(1 .. n-2)...(1 2)(1)."""
-    letters = []
-    for k in range(n - 1, 0, -1):
-        letters.extend(range(1, k + 1))
-    return make_word(n, letters, prefix, start)
+    return make_word(n, half_twist_letters(n), prefix, start)
 
 
 def half_twist_letters(n: int) -> tuple[int, ...]:
@@ -295,10 +314,7 @@ def append_half_twist(word: BraidWord, count: int = 1, prefix: str = "z") -> Bra
 
 
 def coxeter_image(word: BraidWord):
-    p = identity_perm(word.n)
-    for i in word.letters:
-        p = compose(p, transposition(word.n, i))
-    return p
+    return coxeter_letters(word.n, word.letters)
 
 
 def word_cycle_count(word: BraidWord) -> int:

@@ -38,13 +38,11 @@ from .braid import (
     append_half_twist,
     braid_matrix,
     check_opening_order,
-    compose,
+    coxeter_letters,
     exchange_index,
-    identity_perm,
     longest_perm,
     perm_length,
-    right_descent,
-    transposition,
+    stall_index,
 )
 from .weave import Weave, weave_from_opening_order
 
@@ -413,9 +411,7 @@ def chart_parametrize(weave: Weave, param_names=None, ring=QQ) -> ChartMap:
     bottom = slices[-1]
     n = weave.n
     # bottom must be a reduced word lifting w0, so that X0(bottom; w0) is a point
-    bp = identity_perm(n)
-    for i in bottom:
-        bp = compose(bp, transposition(n, i))
+    bp = coxeter_letters(n, bottom)
     if bp != longest_perm(n) or perm_length(bp) != len(bottom):
         raise PatternMismatch("chart parametrization needs a reduced w0 word at the bottom")
 
@@ -731,21 +727,15 @@ def mellit_order(beta: BraidWord):
     m = n * (n - 1) // 2
     order = []
     while len(letters) > m:
-        p = identity_perm(n)
-        stall = None
-        for j, i in enumerate(letters, start=1):
-            if right_descent(p, i):
-                stall = j
-                break
-            p = compose(p, transposition(n, i))
+        stall = stall_index(n, letters)
         if stall is None:
             raise PatternMismatch("walk never stalls on a non-reduced word")
         prefix = BraidWord(
             n,
-            tuple(letters[: stall - 1]),
-            tuple(var_id(f"_m{k}") for k in range(stall - 1)),
+            tuple(letters[:stall]),
+            tuple(var_id(f"_m{k}") for k in range(stall)),
         )
-        k = exchange_index(prefix, letters[stall - 1])
+        k = exchange_index(prefix, letters[stall])
         opened = original[k - 1]
         if opened > len(beta):
             raise PatternMismatch("Mellit order opened a crossing inside the half twist")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import random
 import sys
 
 from . import braid, chart, cluster, count, form, ring, torus, variety, weave
@@ -112,8 +111,7 @@ def cmd_count(args, out):
     if args.q is not None and not _is_prime_power(args.q):
         print(f"error: --q {args.q} is not a prime power", file=sys.stderr)
         raise SystemExit(1)
-    rng = random.Random(args.seed)
-    poly = count.point_count_polynomial(beta, rng=rng)
+    poly = count.point_count_polynomial(beta)
     line = f"polynomial: {poly.render()}"
     if args.q is not None:
         line += f"; q={args.q}: {poly.eval(args.q)}"
@@ -206,7 +204,12 @@ def build_parser() -> argparse.ArgumentParser:
             "--braid": dict(required=True),
             "--q": dict(type=int, default=None),
             "--strata": dict(action="store_true"),
-            "--seed": dict(type=int, default=0),
+            "--seed": dict(
+                type=int,
+                default=0,
+                help="accepted for old invocations; changes nothing, since the "
+                "stratification no longer has a search order",
+            ),
         },
     )
     add(

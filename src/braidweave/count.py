@@ -2,8 +2,9 @@
 counts over prime fields, with a brute-force oracle.
 
 A word gamma with Demazure product w0 is stratified by branching at a doubled
-letter (found after braid moves): the letter's variable is either invertible
-(trivalent vertex, one letter shorter) or zero (cup, two letters shorter).
+letter (reached by braid moves in closed form): the letter's variable is
+either invertible (trivalent vertex, one letter shorter) or zero (cup, two
+letters shorter).
 Each leaf reached at a reduced word for w0 contributes a stratum
 C^a x (C*)^b, and the count polynomial is sum q^a (q-1)^b over leaves.
 A word reached along several branches is stratified once and its node is
@@ -11,7 +12,6 @@ shared.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,9 +99,9 @@ class PointCountPolynomial:
         return " + ".join(parts)
 
 
-def stratify(word: BraidWord, move_budget: int = 64, rng: random.Random | None = None) -> StrataTree:
+def stratify(word: BraidWord) -> StrataTree:
     """Stratification tree of X0(word; w0).  Each distinct word reached gets
-    one node, one Demazure check and one search for a doubled letter."""
+    one node, one Demazure check and one rewrite to a doubled letter."""
     n = word.n
     w0 = longest_perm(n)
     nodes: dict[tuple[int, ...], StrataTree] = {}
@@ -112,7 +112,7 @@ def stratify(word: BraidWord, move_budget: int = 64, rng: random.Random | None =
         if demazure_letters(n, letters) != w0:
             node = StrataTree(letters, "dead")
         else:
-            found = find_doubled_letter(letters, n, budget=move_budget, rng=rng)
+            found = find_doubled_letter(letters, n)
             if found is None:
                 # reduced with Demazure product w0: a point stratum
                 node = StrataTree(letters, "leaf")
@@ -127,12 +127,10 @@ def stratify(word: BraidWord, move_budget: int = 64, rng: random.Random | None =
     return rec(tuple(word.letters))
 
 
-def point_count_polynomial(
-    beta: BraidWord, rng: random.Random | None = None
-) -> PointCountPolynomial:
+def point_count_polynomial(beta: BraidWord) -> PointCountPolynomial:
     """The count polynomial of X0(beta Delta; w0) over F_q."""
     gamma = append_half_twist(beta)
-    tree = stratify(gamma, rng=rng)
+    tree = stratify(gamma)
     return PointCountPolynomial(len(beta), tree.strata())
 
 

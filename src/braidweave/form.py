@@ -28,10 +28,8 @@ from .braid import (
     BraidWord,
     append_half_twist,
     check_opening_order,
-    compose,
+    coxeter_letters,
     elementary_braid_matrix,
-    identity_perm,
-    transposition,
     word_cycle_count,
 )
 
@@ -102,9 +100,7 @@ def chart_form_matrix(beta: BraidWord, order) -> TwoFormMatrix:
     for r in order:
         p = crossings.index(r)
         i = letters[p]
-        w = identity_perm(n)
-        for j in letters[:p]:
-            w = compose(w, transposition(n, j))
+        w = coxeter_letters(n, letters[:p])
         vec = [0] * n
         vec[w[i - 1]] -= 1
         vec[w[i]] += 1

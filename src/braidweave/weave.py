@@ -21,24 +21,19 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 from .braid import (
     BraidWord,
     PatternMismatch,
     append_half_twist,
-    available_moves,
     check_opening_order,
-    compose,
     demazure_letters,
     half_twist_letters,
-    identity_perm,
-    longest_perm,
     make_word,
-    move_letters,
+    parse_int,
     perm_length,
     reduced_word,
-    transposition,
+    stall_index,
 )
 from .ring import var_id
 
@@ -149,134 +144,97 @@ def validate(weave: Weave) -> list[tuple[int, ...]]:
 
 
 def parse_weave(text: str) -> Weave:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "weave" or not head[1].startswith("n="):
-        raise PatternMismatch(f"bad weave header: {lines[0]!r}")
-    n = int(head[1][2:])
-    top_letters = [int(t) for t in " ".join(head[2:])[len("top="):].split()]
+    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
+    head = lines[0] if lines else []
+    if len(head) < 3 or head[0] != "weave" or head[1][:2] != "n=" or head[2][:4] != "top=":
+        raise PatternMismatch(f"bad weave header: {' '.join(head)!r}")
+    n = parse_int(head[1][2:], "strand count")
+    top_letters = [parse_int(t, "letter") for t in " ".join(head[2:])[len("top="):].split()]
     events = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "cap":
-            events.append(WeaveEvent("cap", int(parts[1]), int(parts[2])))
-        else:
-            events.append(WeaveEvent(parts[0], int(parts[1])))
+    for parts in lines[1:]:
+        width = 3 if parts[0] == "cap" else 2
+        if len(parts) < width:
+            raise PatternMismatch(f"event {' '.join(parts)!r} is missing a field")
+        pos = parse_int(parts[1], "event position")
+        if pos < 0:
+            raise PatternMismatch(f"event {' '.join(parts)!r} has a negative position")
+        letter = parse_int(parts[2], "cap letter") if width == 3 else 0
+        if width == 3 and not 1 <= letter <= n - 1:
+            raise PatternMismatch(f"event {' '.join(parts)!r}: letter out of range for n={n}")
+        events.append(WeaveEvent(parts[0], pos, letter))
     w = Weave(n, make_word(n, top_letters), tuple(events))
     validate(w)
     return w
 
 
 # ---------------------------------------------------------------------------
-# word-rewriting searches (shared with stratification)
+# braid-move paths in closed form (shared with stratification)
+#
+# A path is a tuple of (pos, kind) braid moves, as in braid.available_moves.
+# The variable change of a positive braid does not depend on which path of
+# braid moves is taken (Zamolodchikov relations), so every path below gives
+# the same chart; each is written down from the exchange condition, with no
+# search.
 
 
-@lru_cache(maxsize=None)
-def _move_path(n: int, src: tuple[int, ...], dst: tuple[int, ...]):
-    """Shortest braid-move path src -> dst as a tuple of (pos, kind), or None."""
-    if src == dst:
+def _to_suffix(word: tuple[int, ...], s: int):
+    """Moves taking the reduced word ``word``, which has right descent s, to
+    a word ending in s; returns (path, final word).  With t the last letter:
+    nothing to do if t = s; if t commutes with s, move s to the end of the
+    prefix and commute; if |s - t| = 1, rewrite the prefix to end in t s and
+    turn t s t into s t s (Björner-Brenti, Combinatorics of Coxeter Groups,
+    3.3)."""
+    if not word:
+        raise PatternMismatch(f"letter {s} is not a right descent of the word")
+    t, end = word[-1], len(word)
+    if t == s:
+        return (), word
+    path, u = _to_suffix(word[:-1], s)
+    if abs(s - t) >= 2:
+        return path + ((end - 2, "comm"),), u[:-1] + (t, s)
+    path2, v = _to_suffix(u[:-1], t)
+    kind = "r3_up" if s == t + 1 else "r3_down"
+    return path + path2 + ((end - 3, kind),), v[:-1] + (s, t, s)
+
+
+def _reduced_path(src: tuple[int, ...], dst: tuple[int, ...]):
+    """Moves taking the reduced word src to the reduced word dst of the same
+    permutation: bring dst's last letter to the end of src, then recurse on
+    both prefixes."""
+    if len(src) != len(dst):
+        raise PatternMismatch(f"{src} and {dst} are not braid equivalent")
+    if not dst:
         return ()
-    seen = {src: None}
-    queue = deque([src])
-    while queue:
-        cur = queue.popleft()
-        for pos, kind in available_moves(cur, n):
-            nxt = move_letters(cur, pos, kind)
-            if nxt not in seen:
-                seen[nxt] = (cur, pos, kind)
-                if nxt == dst:
-                    path = []
-                    node = nxt
-                    while seen[node] is not None:
-                        prev, p, k = seen[node]
-                        path.append((p, k))
-                        node = prev
-                    return tuple(reversed(path))
-                queue.append(nxt)
-    return None
+    path, src = _to_suffix(src, dst[-1])
+    return path + _reduced_path(src[:-1], dst[:-1])
 
 
-@lru_cache(maxsize=None)
-def _path_to_prefix(n: int, src: tuple[int, ...], first: int):
-    """Shortest move path from src to some word starting with ``first``;
-    returns (path, final_word)."""
-    if src and src[0] == first:
-        return (), src
-    seen = {src: None}
-    queue = deque([src])
-    while queue:
-        cur = queue.popleft()
-        for pos, kind in sorted(available_moves(cur, n)):
-            nxt = move_letters(cur, pos, kind)
-            if nxt not in seen:
-                seen[nxt] = (cur, pos, kind)
-                if nxt[0] == first:
-                    path = []
-                    node = nxt
-                    while seen[node] is not None:
-                        prev, p, k = seen[node]
-                        path.append((p, k))
-                        node = prev
-                    return tuple(reversed(path)), nxt
-                queue.append(nxt)
-    raise PatternMismatch(f"no word for {src} starting with {first}")
+def _mirror(path, length: int):
+    """The same moves on the reversed word."""
+    return tuple((length - pos - (2 if kind == "comm" else 3), kind) for pos, kind in path)
 
 
-def find_doubled_letter(letters: tuple[int, ...], n: int, budget: int = 64, rng=None):
-    """Breadth-first search over braid moves for a word with a doubled letter.
+def _through_half_twist(j: int, delta: tuple[int, ...], n: int):
+    """Moves taking (j,) + delta to delta + (n - j,), for a reduced word
+    delta of w0: rewrite delta to end in n - j (w0 s_{n-j} = s_j w0), after
+    which the first len(delta) letters again spell w0."""
+    path, y = _to_suffix(delta, n - j)
+    shifted = tuple((pos + 1, kind) for pos, kind in path)
+    return shifted + _reduced_path((j,) + y[:-1], delta)
 
-    Returns (move path, final word, position of the double) or None if the
-    word is reduced.  Raises BudgetExceeded when the search runs past the
-    move budget on a non-reduced word (which would be a bug: non-reduced
-    words always reach a doubled letter).
-    """
 
-    def double_at(w):
-        for p in range(len(w) - 1):
-            if w[p] == w[p + 1]:
-                return p
+def find_doubled_letter(letters: tuple[int, ...], n: int):
+    """Braid moves that give a non-reduced word a doubled letter.
+
+    Returns (move path, final word, position of the double), or None if the
+    word is reduced.  The first prefix that is not reduced ends in a right
+    descent s of the reduced part; rewriting that part to end in s doubles
+    s."""
+    k = stall_index(n, letters)
+    if k is None:
         return None
-
-    p = double_at(letters)
-    if p is not None:
-        return (), letters, p
-    perm = identity_perm(n)
-    for i in letters:
-        perm = compose(perm, transposition(n, i))
-    if perm_length(perm) == len(letters):
-        return None  # reduced
-    seen = {letters: None}
-    queue = deque([letters])
-    explored = 0
-    limit = budget * max(1, len(letters))
-    while queue:
-        cur = queue.popleft()
-        explored += 1
-        if explored > limit:
-            raise BudgetExceeded(
-                f"move budget exhausted searching for a doubled letter: explored {explored} words, "
-                f"over the limit {budget}*{max(1, len(letters))} = {limit}"
-            )
-        moves = available_moves(cur, n)
-        if rng is not None:
-            moves = list(moves)
-            rng.shuffle(moves)
-        for pos, kind in moves:
-            nxt = move_letters(cur, pos, kind)
-            if nxt in seen:
-                continue
-            seen[nxt] = (cur, pos, kind)
-            q = double_at(nxt)
-            if q is not None:
-                path = []
-                node = nxt
-                while seen[node] is not None:
-                    prev, pp, kk = seen[node]
-                    path.append((pp, kk))
-                    node = prev
-                return tuple(reversed(path)), nxt, q
-            queue.append(nxt)
-    raise BudgetExceeded("no doubled letter reachable; word claimed non-reduced")
+    path, prefix = _to_suffix(tuple(letters[:k]), letters[k])
+    return path, prefix + tuple(letters[k:]), k - 1
 
 
 def _moves_to_events(path, offset: int):
@@ -302,6 +260,7 @@ def weave_from_opening_order(beta: BraidWord, order, half_twist_var_prefix="z") 
     n = beta.n
     order = check_opening_order(beta, order)
     delta = half_twist_letters(n)
+    rdelta = delta[::-1]
     m = len(delta)
     word = append_half_twist(beta, prefix=half_twist_var_prefix)
     letters = list(word.letters)
@@ -316,10 +275,7 @@ def weave_from_opening_order(beta: BraidWord, order, half_twist_var_prefix="z") 
         letters = list(cur)
         events.extend(evs)
 
-    def apply_moves(src, dst, pos):
-        path = _move_path(n, src, dst)
-        if path is None:
-            raise PatternMismatch(f"{src} and {dst} are not braid equivalent")
+    def apply_path(path, pos):
         apply_events(_moves_to_events(path, pos))
 
     for r in order:
@@ -327,20 +283,16 @@ def weave_from_opening_order(beta: BraidWord, order, half_twist_var_prefix="z") 
         d = len(remaining)  # block currently at [d, d+m)
         # move the block left, one letter at a time
         for q in range(d - 1, p, -1):
-            j = letters[q]
-            apply_moves((j,) + tuple(letters[q + 1 : q + 1 + m]), tuple(delta) + (n - j,), q)
+            apply_path(_through_half_twist(letters[q], delta, n), q)
         # block now at [p+1, p+1+m); rewrite it to start with the crossing letter
-        i = letters[p]
-        path, dword = _path_to_prefix(n, tuple(letters[p + 1 : p + 1 + m]), i)
-        apply_events(_moves_to_events(path, p + 1))
+        apply_path(_mirror(_to_suffix(rdelta, letters[p])[0], m), p + 1)
         apply_events([WeaveEvent("three", p)])
         # block now at [p, p+m); rewrite back to the fixed half-twist word
-        apply_moves(tuple(letters[p : p + m]), tuple(delta), p)
+        apply_path(_reduced_path(tuple(letters[p : p + m]), delta), p)
         # move the block right, back to the end
         remaining.remove(r)
         for q in range(p, len(remaining)):
-            k = letters[q + m]
-            apply_moves(tuple(delta) + (k,), (n - k,) + tuple(delta), q)
+            apply_path(_mirror(_through_half_twist(letters[q + m], rdelta, n), m + 1), q)
     if tuple(letters) != tuple(delta):
         raise PatternMismatch(f"opening left {tuple(letters)}, not the half twist")
     w = Weave(n, word, tuple(events), opened_crossings=tuple(order))
@@ -354,19 +306,12 @@ def demazure_weave_events(letters: tuple[int, ...], target: tuple[int, ...], n: 
     moves to the target)."""
     events: list[WeaveEvent] = []
     cur = tuple(letters)
-    while True:
-        found = find_doubled_letter(cur, n)
-        if found is None:
-            break
+    while (found := find_doubled_letter(cur, n)) is not None:
         path, word, p = found
         events.extend(_moves_to_events(path, 0))
-        cur = word[:p] + (word[p],) + word[p + 2 :]
+        cur = word[:p] + word[p + 1 :]
         events.append(WeaveEvent("three", p))
-    path = _move_path(n, cur, tuple(target))
-    if path is None:
-        raise PatternMismatch(f"{cur} and {target} are not braid equivalent")
-    events.extend(_moves_to_events(path, 0))
-    return events
+    return events + _moves_to_events(_reduced_path(cur, tuple(target)), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +449,7 @@ def weave_from_triangulation(tri: Triangulation, beta: BraidWord) -> Weave:
 
     events, bottom = build(0, tri.size)
     # finish with braid moves to the fixed half-twist word
-    path = _move_path(n, tuple(bottom), half_twist_letters(n))
-    if path is None:
-        raise InvalidLabels("triangulation does not end at the half twist")
-    events += _moves_to_events(path, 0)
+    events += _moves_to_events(_reduced_path(tuple(bottom), half_twist_letters(n)), 0)
     bd = append_half_twist(beta)
     w = Weave(n, bd, tuple(events))
     validate(w)

@@ -370,6 +370,23 @@ def test_ldu_matches_weave_charts_small():
             assert all(cw.subs[v] == cl.subs[v] for v in cw.top.variables)
 
 
+def test_ldu_matches_weave_charts_six_and_seven_strands():
+    # criterion 8 at more strands: every word of length <= 2 for n = 6 and of
+    # length 1 for n = 7, in every opening order
+    total = 0
+    for n, max_len in ((6, 2), (7, 1)):
+        for l in range(1, max_len + 1):
+            for letters in itertools.product(range(1, n), repeat=l):
+                beta = make_word(n, letters)
+                for order in itertools.permutations(range(1, l + 1)):
+                    cw = chart_parametrize(weave_from_opening_order(beta, order))
+                    cl = ldu_chart(beta, order)
+                    same = all(cw.subs[v] == cl.subs[v] for v in cw.top.variables)
+                    assert same, (n, letters, order)
+                    total += 1
+    assert total == 5 + 2 * 25 + 6
+
+
 def test_open_crossing_round_trip_f7():
     rng = random.Random(5)
     beta = parse_braid("B3: 1 2 1")

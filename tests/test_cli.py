@@ -145,8 +145,21 @@ def test_usage_and_domain_errors(capsys):
     assert capsys.readouterr().err == "error: chart needs --order or --mellit\n"
 
 
-def test_bad_input_is_one_error_line(capsys):
+def test_bad_input_is_one_error_line(capsys, tmp_path):
+    weave_files = []
+    bodies = (
+        "weave n=x top=1\n",
+        "",
+        "weave n=2 top=1 1\nsix\n",
+        "weave n=2 top=1 1\nthree -1\n",
+        "weave n=3 top=1\ncap 0 9\n",
+    )
+    for k, body in enumerate(bodies):
+        path = tmp_path / f"bad{k}.weave"
+        path.write_text(body)
+        weave_files.append(["weave", "--weave", str(path)])
     for argv in (
+        *weave_files,
         ["demazure", "--braid", "B2: x"],
         ["demazure", "--braid", "Bx: 1"],
         ["demazure", "--braid", "B0:"],
@@ -169,15 +182,18 @@ def test_braid_format_round_trip():
 
 
 def test_budget_errors_name_the_count_and_the_limit(capsys):
-    # the search for a doubled letter in 5 . Delta_6 runs past its move budget
-    code, text = run(["count", "--braid", "B6: 5"])
-    err = capsys.readouterr().err
-    assert code == 1 and text == ""
-    assert err == (
-        "error: move budget exhausted searching for a doubled letter: "
-        "explored 1025 words, over the limit 64*16 = 1024\n"
-    )
+    # one-letter words on six and seven strands reach a doubled letter
+    # without any search, so they count without a budget
+    for text in ("B6: 5", "B7: 3"):
+        code, out = run(["count", "--braid", text])
+        assert code == 0 and out == "polynomial: (q-1)\n", text
     code, text = run(["mutation-graph", "--braid", "B2: 1 1 1 1 1 1 1 1 1"])
     err = capsys.readouterr().err
     assert code == 1 and text == ""
     assert err == "error: mutation graph bound exceeded for n=2: l=9 letters, over the limit of 8\n"
+
+
+def test_seven_strand_mellit_chart():
+    code, text = run(["chart", "--braid", "B7: 1 2 3", "--mellit"])
+    assert code == 0
+    assert text.splitlines()[-3:] == ["invert: z1", "invert: z2", "invert: z3"]

@@ -23,6 +23,7 @@ from braidweave.count import (
 )
 from braidweave.variety import variety_equations
 from braidweave.weave import BudgetExceeded
+from move_search import search_strata
 
 
 def test_trefoil_polynomial():
@@ -196,16 +197,18 @@ def test_count_polynomial_properties():
         gamma = append_half_twist(beta)
         for q in (2, 3):
             assert poly.eval(q) == brute_count(gamma, longest_perm(beta.n), q)
-        assert point_count_polynomial(beta, rng=random.Random(seed)).strata == poly.strata
+        assert search_strata(beta, random.Random(seed)) == poly.strata
 
     check()
 
 
 def test_stratification_order_independence():
-    beta = parse_braid("B3: 1 2 1 2")
-    base = point_count_polynomial(beta).strata
-    for seed in range(6):
-        assert point_count_polynomial(beta, rng=random.Random(seed)).strata == base
+    # the closed-form rewrite against breadth-first searches in shuffled orders
+    for text in ("B3: 1 2 1 2", "B4: 2 1 3 2 1", "B4: 1 3 2 2 1 3"):
+        beta = parse_braid(text)
+        base = point_count_polynomial(beta).strata
+        for seed in range(6):
+            assert search_strata(beta, random.Random(seed)) == base, (text, seed)
 
 
 def test_dimension_bookkeeping():

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from braidweave.braid import PatternMismatch, make_word, parse_braid
+from braidweave.braid import PatternMismatch, half_twist_letters, make_word, parse_braid
 from braidweave.weave import (
     InvalidLabels,
     Weave,
@@ -28,7 +28,8 @@ from braidweave.weave import (
     weave_from_opening_order,
     weave_from_triangulation,
 )
-from braidweave.weave import _tree_shape
+from braidweave.weave import _mirror, _reduced_path, _through_half_twist, _to_suffix, _tree_shape
+from move_search import apply_path, is_reduced, shortest_path
 
 
 def test_validate_examples():
@@ -134,6 +135,39 @@ def test_find_doubled_letter():
     assert find_doubled_letter((1, 2, 1), 3) is None  # reduced
     path, word, p = find_doubled_letter((1, 2, 1, 2), 3)
     assert word[p] == word[p + 1]
+    rng = random.Random(3)
+    for _ in range(60):
+        n = rng.randrange(2, 6)
+        letters = tuple(rng.randrange(1, n) for _ in range(rng.randrange(8)))
+        found = find_doubled_letter(letters, n)
+        assert (found is None) == is_reduced(letters, n), letters
+        if found is not None:
+            path, word, p = found
+            assert apply_path(letters, path) == word and word[p] == word[p + 1], letters
+
+
+def test_closed_form_paths_no_longer_than_breadth_first():
+    # the four path families of weave_from_opening_order, for every letter j
+    for n in range(2, 6):
+        delta = half_twist_letters(n)
+        rdelta, m = delta[::-1], len(delta)
+        for j in range(1, n):
+            to_j = _mirror(_to_suffix(rdelta, j)[0], m)
+            starts_with_j = apply_path(delta, to_j)
+            cases = [
+                ((j,) + delta, _through_half_twist(j, delta, n), lambda w: w == delta + (n - j,)),
+                (
+                    delta + (j,),
+                    _mirror(_through_half_twist(j, rdelta, n), m + 1),
+                    lambda w: w == (n - j,) + delta,
+                ),
+                (delta, to_j, lambda w: w[0] == j),
+                (starts_with_j, _reduced_path(starts_with_j, delta), lambda w: w == delta),
+            ]
+            for src, path, done in cases:
+                assert done(apply_path(src, path)), (n, j, src)
+                shortest, _ = shortest_path(src, done)
+                assert len(path) <= len(shortest), (n, j, src, len(path), len(shortest))
 
 
 def test_fan_triangulation_right_comb():
