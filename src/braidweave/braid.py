@@ -424,15 +424,6 @@ def available_moves(letters, n):
     return out
 
 
-def move_letters(letters, pos, kind):
-    """The letter tuple after a move (no variable bookkeeping)."""
-    if kind in ("r3_up", "r3_down"):
-        a, b, c = letters[pos : pos + 3]
-        return letters[:pos] + (b, a, b) + letters[pos + 3 :]
-    a, b = letters[pos : pos + 2]
-    return letters[:pos] + (b, a) + letters[pos + 2 :]
-
-
 def exchange_index(word: BraidWord, i: int) -> int:
     """For a reduced word u and l(u s_i) = l(u) - 1, the unique 1-based k with
     u with its k-th letter deleted equal to u s_i.

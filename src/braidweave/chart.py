@@ -11,11 +11,20 @@ The elementary identities, with ``B_i(z)`` the braid matrix:
 - 4-valent vertex:   distant letters swap, values swap
 - cup:               B_i(0) B_i(b) = Id + b E_{i,i+1}
 - sliding:           B_i(z) U = U' B_i(z'), z' = (U_{i+1,i+1} z + U_{i,i+1}) / U_{i,i}
+- opening:           B_i(z) = T_i(z) . L_i(z), T_i(z) = [[-1/z, 1], [0, z]] the
+                     trivalent factor (U_i D_i of the LDU factorization) and
+                     L_i(z) = Id + (1/z) E_{i+1,i}
 
 Every upper-triangular factor produced at a vertex is slid to the left edge
 of the diagram, transforming the letters it passes; the product of the
 factors that reach the left edge is the accumulated matrix ``U`` with
 ``B(top) = U . B(bottom)`` after substituting the propagated values.
+
+``slide_left`` is the one slide: it moves an upper-triangular factor left
+through a whole word, and with ``back=True`` recovers the original values
+from the slid ones.  A lower-triangular factor slides right by the same
+code: every B_j is symmetric, so L . B(word) = B(word') . L' is the slide of
+L^T through the reversed word, transposed.
 """
 from __future__ import annotations
 
@@ -25,7 +34,6 @@ from .ring import (
     QQ,
     LaurentPoly,
     MatrixExpr,
-    NonUnitDiagonal,
     RationalExpr,
     poly_exact_div,
     poly_gcd,
@@ -44,83 +52,43 @@ from .braid import (
     perm_length,
     stall_index,
 )
-from .weave import Weave, weave_from_opening_order
+from .weave import Weave
 
 
-@dataclass
-class SlideResult:
-    """Outcome of sliding an upper-triangular matrix left past one letter."""
+def slide_left(u: MatrixExpr, letters, values, back: bool = False):
+    """Slide the upper-triangular u left through a word, rightmost letter
+    first: solve B(letters, values) . u = u' . B(letters, values') and
+    return (u', values').  With ``back`` the values given are the slid ones
+    and the original values are returned, with the same u'.
 
-    matrix: MatrixExpr  # the transformed upper-triangular factor
-    new_value: RationalExpr
-
-
-def _check_unit_upper(u: MatrixExpr):
-    if not u.is_upper_triangular():
-        raise NonUnitDiagonal("matrix is not upper triangular")
-    for i in range(u.n):
-        d = u[i, i]
-        if d.is_zero() or not d.is_unit():
-            raise NonUnitDiagonal(f"diagonal entry {d.render()} is not a unit")
-
-
-def slide_left(u: MatrixExpr, letter: int, z: RationalExpr, check: bool = True) -> SlideResult:
-    """Solve B_i(z) U = U' B_i(z') for U' and z' (i = letter, 1-based).
-
-    U' = B_i(z) U B_i(z')^{-1} in closed form: only rows and columns i, i+1
-    change, the diagonal entries i, i+1 swap and the (i, i+1) entry vanishes
-    (z' is chosen for that), so the update is O(n) entry edits.
+    Each letter i is handled in closed form, u' = B_i(z) u B_i(z')^{-1}:
+    only rows and columns i, i+1 change, the diagonal entries i, i+1 swap
+    and the (i, i+1) entry vanishes (z' is chosen for that), so a letter
+    costs O(n) entry edits.  The diagonal of u must not vanish.
     """
-    if check:
-        _check_unit_upper(u)
-    b = letter
-    a = b - 1
-    zp = (u[b, b] * z + u[a, b]) / u[a, a]
     out = MatrixExpr(u.rows, u.ring)
     rows = out.rows
-    ra, rb = rows[a], rows[b]
-    for c in range(b + 1, u.n):
-        x, y = ra[c], rb[c]
-        ra[c], rb[c] = y, (x if y.is_zero() else x + z * y)
-    for r in range(a):
-        row = rows[r]
-        x, y = row[a], row[b]
-        row[a], row[b] = (y if x.is_zero() else y - zp * x), x
+    values = list(values)
     zero = RationalExpr.const(0, u.ring)
-    ra[a], ra[b], rb[a], rb[b] = rb[b], zero, zero, ra[a]
-    return SlideResult(out, zp)
-
-
-def unslide_left(u: MatrixExpr, letter: int, zp: RationalExpr) -> SlideResult:
-    """Inverse of slide_left: recover z from z' (same accumulated matrix)."""
-    i = letter
-    z = (u[i - 1, i - 1] * zp - u[i - 1, i]) / u[i, i]
-    res = slide_left(u, letter, z, check=False)
-    return SlideResult(res.matrix, z)
-
-
-def slide_chain_left(u: MatrixExpr, letters, values, check: bool = False):
-    """Slide u left through a whole prefix (processed right to left).
-
-    Returns (u_out, new_values) with
-    B(letters, values) . u == u_out . B(letters, new_values).
-    """
-    new_values = list(values)
     for k in range(len(letters) - 1, -1, -1):
-        res = slide_left(u, letters[k], new_values[k], check=check)
-        new_values[k] = res.new_value
-        u = res.matrix
-    return u, new_values
-
-
-def unslide_chain_left(u: MatrixExpr, letters, values):
-    """Inverse of slide_chain_left (also processed right to left)."""
-    new_values = list(values)
-    for k in range(len(letters) - 1, -1, -1):
-        res = unslide_left(u, letters[k], new_values[k])
-        new_values[k] = res.new_value
-        u = res.matrix
-    return u, new_values
+        b = letters[k]
+        a = b - 1
+        ra, rb = rows[a], rows[b]
+        if back:
+            zp = values[k]
+            z = values[k] = (ra[a] * zp - ra[b]) / rb[b]
+        else:
+            z = values[k]
+            zp = values[k] = (rb[b] * z + ra[b]) / ra[a]
+        for c in range(b + 1, u.n):
+            x, y = ra[c], rb[c]
+            ra[c], rb[c] = y, (x if y.is_zero() else x + z * y)
+        for r in range(a):
+            row = rows[r]
+            x, y = row[a], row[b]
+            row[a], row[b] = (y if x.is_zero() else y - zp * x), x
+        ra[a], ra[b], rb[a], rb[b] = rb[b], zero, zero, ra[a]
+    return out, values
 
 
 def trivalent_factor(n: int, letter: int, a: RationalExpr) -> MatrixExpr:
@@ -163,16 +131,21 @@ class Propagation:
         return u
 
 
-def six_values(a, b, c, up: bool):
-    """Variable change at a hexavalent vertex; ``up`` means the pattern is
-    (i, i+1, i) -> (i+1, i, i+1)."""
-    return (c, b - a * c, a) if up else (c, b + a * c, a)
-
-
-def six_values_inverse(x, y, z, up: bool):
-    a, c = z, x
-    b = y + a * c if up else y - a * c
-    return (a, b, c)
+def _braid_step(kind: str, letters, values, p: int):
+    """Apply a hexavalent or 4-valent vertex at p to the letters and values,
+    in place.  The direction is read from the letters met, so the downward
+    and the upward pass share this step: the change for (i, i+1, i) undoes
+    the one for (i+1, i, i+1)."""
+    if kind == "six":
+        a, b, c = values[p : p + 3]
+        up = letters[p + 1] == letters[p] + 1
+        values[p : p + 3] = [c, b - a * c if up else b + a * c, a]
+        letters[p : p + 3] = [letters[p + 1], letters[p], letters[p + 1]]
+    elif kind == "four":
+        values[p], values[p + 1] = values[p + 1], values[p]
+        letters[p], letters[p + 1] = letters[p + 1], letters[p]
+    else:
+        raise PatternMismatch(f"unsupported event {kind}")
 
 
 def propagate_down(weave: Weave, ring=QQ) -> Propagation:
@@ -193,30 +166,20 @@ def propagate_down(weave: Weave, ring=QQ) -> Propagation:
                 raise PatternMismatch("trivalent vertex with identically zero input")
             inverted.append(a)
             factor = trivalent_factor(n, letters[p], a)
-            newval = b + a.inverse()
-            factor, head = slide_chain_left(factor, letters[:p], values[:p])
-            values[:p] = head
-            values[p : p + 2] = [newval]
+            factor, values[:p] = slide_left(factor, letters[:p], values[:p])
+            values[p : p + 2] = [b + a.inverse()]
             del letters[p + 1]
             factors.append(factor)
         elif ev.kind == "cup":
             a, b = values[p], values[p + 1]
             vanishing.append(a)
             factor = cup_factor(n, letters[p], b)
-            factor, head = slide_chain_left(factor, letters[:p], values[:p])
-            values[:p] = head
+            factor, values[:p] = slide_left(factor, letters[:p], values[:p])
             del values[p : p + 2]
             del letters[p : p + 2]
             factors.append(factor)
-        elif ev.kind == "six":
-            up = letters[p + 1] == letters[p] + 1
-            values[p : p + 3] = list(six_values(*values[p : p + 3], up))
-            letters[p : p + 3] = [letters[p + 1], letters[p], letters[p + 1]]
-        elif ev.kind == "four":
-            values[p], values[p + 1] = values[p + 1], values[p]
-            letters[p], letters[p + 1] = letters[p + 1], letters[p]
         else:
-            raise PatternMismatch(f"unsupported event {ev.kind}")
+            _braid_step(ev.kind, letters, values, p)
     bottom = BraidWord(n, tuple(letters), weave.bottom_variables())
     return Propagation(bottom, values, inverted, vanishing, factors, ring)
 
@@ -290,20 +253,6 @@ class ChartMap:
         lines += [f"invert: {e.render()}" for e in self.inverted]
         lines += [f"vanish: {e.render()}" for e in self.vanishing]
         return "\n".join(lines)
-
-    def key(self) -> tuple:
-        """Canonical comparison key: the substitution map with parameters
-        renamed in order of first appearance (equality of maps, not images)."""
-        params = set(self.unit_params) | set(self.affine_params)
-        renames: dict[int, RationalExpr] = {}
-        for v in self.top.variables:
-            for pv in sorted(self.subs[v].variables()):
-                if pv in params and pv not in renames:
-                    renames[pv] = RationalExpr.variable(var_id(f"p{len(renames) + 1}"))
-        return tuple(
-            (var_name(v), self.subs[v].substitute(renames).render())
-            for v in self.top.variables
-        )
 
     def invert_key(self) -> frozenset:
         """Coarse fingerprint of the chart: the set of polynomial cores
@@ -437,31 +386,20 @@ def chart_parametrize(weave: Weave, param_names=None, ring=QQ) -> ChartMap:
             t = RationalExpr.variable(var_id(param_names[k]), ring)
             unit_params.append(var_id(param_names[k]))
             factor = trivalent_factor(n, letters[p], t)
-            _, head = unslide_chain_left(factor, letters[:p], values[:p])
-            newval = values[p]
-            values[:p] = head
-            values[p : p + 1] = [t, newval - t.inverse()]
+            _, values[:p] = slide_left(factor, letters[:p], values[:p], back=True)
+            values[p : p + 1] = [t, values[p] - t.inverse()]
             letters[p : p + 1] = [letters[p], letters[p]]
         elif ev.kind == "cup":
             letter = slices[k][p]
             a = RationalExpr.variable(var_id(affine_names[k]), ring)
             affine_params.append(var_id(affine_names[k]))
             factor = cup_factor(n, letter, a)
-            _, head = unslide_chain_left(factor, letters[:p], values[:p])
-            values[:p] = head
+            _, values[:p] = slide_left(factor, letters[:p], values[:p], back=True)
             values[p:p] = [zero, a]
             letters[p:p] = [letter, letter]
-        elif ev.kind == "six":
-            # the event maps slice k to slice k+1; undo it
-            upper = slices[k][p : p + 3]
-            up = upper[1] == upper[0] + 1
-            values[p : p + 3] = list(six_values_inverse(*values[p : p + 3], up))
-            letters[p : p + 3] = list(upper)
-        elif ev.kind == "four":
-            values[p], values[p + 1] = values[p + 1], values[p]
-            letters[p], letters[p + 1] = letters[p + 1], letters[p]
         else:
-            raise PatternMismatch(f"unsupported event {ev.kind}")
+            # the event maps slice k to slice k+1; undo it
+            _braid_step(ev.kind, letters, values, p)
     if tuple(letters) != weave.top.letters:
         raise PatternMismatch("upward pass did not restore the top word")
     unit_params.reverse()
@@ -511,33 +449,19 @@ def compare_extended(map1, map2) -> bool:
 # opening crossings directly (factor into U D L and slide outwards)
 
 
-def slide_diag_left(d_entries, letter: int, z: RationalExpr):
-    """B_j(z) . D = D' . B_j(z') with D' = D with entries j, j+1 swapped and
-    z' = (d_{j+1} / d_j) z."""
-    j = letter
-    zp = d_entries[j] / d_entries[j - 1] * z
-    dp = list(d_entries)
-    dp[j - 1], dp[j] = dp[j], dp[j - 1]
-    return dp, zp
-
-
-def unslide_diag_left(d_entries, letter: int, zp: RationalExpr):
-    j = letter
-    z = d_entries[j - 1] / d_entries[j] * zp
-    dp = list(d_entries)
-    dp[j - 1], dp[j] = dp[j], dp[j - 1]
-    return dp, z
-
-
-def slide_lower_right(low: MatrixExpr, letter: int, z: RationalExpr):
-    """L . B_j(z) = B_j(z') . L' by transposing the upper-triangular slide."""
-    res = slide_left(low.transpose(), letter, z, check=False)
-    return res.matrix.transpose(), res.new_value
-
-
-def unslide_lower_right(low: MatrixExpr, letter: int, zp: RationalExpr):
-    res = unslide_left(low.transpose(), letter, zp)
-    return res.matrix.transpose(), res.new_value
+def _opening_slides(n: int, i: int, t: RationalExpr, letters, values, p: int, back: bool = False):
+    """Slide the factors of an opened letter B_i(t) = T_i(t) . L_i(t) out of
+    the word it sat in at 0-based position p (``letters`` and ``values``
+    without it): the trivalent factor T_i = U_i D_i left through letters[:p],
+    and L_i right through letters[p:], as the transposed slide on the
+    reversed suffix.  Returns the new values and the lower-triangular factor
+    that leaves the right end; with ``back`` the values given are the new
+    ones and the old ones are returned, with the same factor."""
+    _, head = slide_left(trivalent_factor(n, i, t), letters[:p], values[:p], back)
+    low, tail = slide_left(
+        cup_factor(n, i, t.inverse()), letters[p:][::-1], values[p:][::-1], back
+    )
+    return head + tail[::-1], low.transpose()
 
 
 def open_crossing(word: BraidWord, pos: int, ring=QQ):
@@ -546,7 +470,7 @@ def open_crossing(word: BraidWord, pos: int, ring=QQ):
     The word is the beta-part; the presentation in the background is
     ``B_word(z) . L(c)`` upper triangular (the half-twist part of
     beta Delta absorbed into the c coordinates).  Opening the letter at
-    0-based ``pos`` factors it as U D L, slides U and D to the far left and
+    0-based ``pos`` factors it as U D L, slides U D to the far left and
     L into the c matrix, and returns
 
         (word', subs, unit)
@@ -558,10 +482,7 @@ def open_crossing(word: BraidWord, pos: int, ring=QQ):
     invertible.
     """
     n = word.n
-    letters = word.letters
-    i = letters[pos]
     zvals = [RationalExpr.variable(v, ring) for v in word.variables]
-    z = zvals[pos]
 
     # c coordinates as a symbolic lower uni-triangular matrix
     one, zero = RationalExpr.const(1, ring), RationalExpr.const(0, ring)
@@ -574,33 +495,16 @@ def open_crossing(word: BraidWord, pos: int, ring=QQ):
             rows[a - 1][b - 1] = RationalExpr.variable(vid, ring)
     lower = MatrixExpr(rows, ring)
 
-    # B_i(z) = U_i(z) D_i(z) L_i(z)
-    u_i = cup_factor(n, i, z.inverse())
-    d_entries = [one] * n
-    d_entries[i - 1], d_entries[i] = -z.inverse(), z
-    l_i = u_i.transpose()
-
-    # slide L_i right through the suffix, then absorb into the c matrix
-    low = l_i
-    suffix_vals = list(zvals[pos + 1 :])
-    for k, j in enumerate(letters[pos + 1 :]):
-        low, suffix_vals[k] = slide_lower_right(low, j, suffix_vals[k])
+    new_letters = word.letters[:pos] + word.letters[pos + 1 :]
+    new_vars = word.variables[:pos] + word.variables[pos + 1 :]
+    new_values, low = _opening_slides(
+        n, word.letters[pos], zvals[pos], new_letters, zvals[:pos] + zvals[pos + 1 :], pos
+    )
     new_lower = low * lower
     if not new_lower.is_lower_triangular():
         raise PatternMismatch("opening left the c matrix not lower triangular")
 
-    # slide U_i then D_i left through the prefix
-    prefix_letters = letters[:pos]
-    u_out, prefix_vals = slide_chain_left(u_i, prefix_letters, zvals[:pos])
-    d_out = list(d_entries)
-    for k in range(len(prefix_letters) - 1, -1, -1):
-        d_out, prefix_vals[k] = slide_diag_left(d_out, prefix_letters[k], prefix_vals[k])
-
-    new_letters = letters[:pos] + letters[pos + 1 :]
-    new_vars = word.variables[:pos] + word.variables[pos + 1 :]
-    subs = {}
-    for v, e in zip(new_vars, prefix_vals + suffix_vals):
-        subs[v] = e
+    subs = dict(zip(new_vars, new_values))
     for (a, b), vid in cvars.items():
         subs[vid] = new_lower[a - 1, b - 1]
     word2 = BraidWord(n, new_letters, new_vars)
@@ -614,11 +518,12 @@ def ldu_chart(beta: BraidWord, order, ring=QQ) -> ChartMap:
 
     Produces the same kind of substitution as the weave route: values for all
     variables of beta Delta (the half-twist block is reconstituted from the
-    final c matrix by a triangular solve).
+    final c matrix by a triangular solve).  The constraint record is the
+    value of each opened letter, in the variables of beta, from the same
+    openings run forwards (no c matrix is needed for it).
     """
     n = beta.n
     order = check_opening_order(beta, order)
-    one, zero = RationalExpr.const(1, ring), RationalExpr.const(0, ring)
 
     # state after all openings: empty word, L = Id
     letters: list[int] = []
@@ -632,29 +537,13 @@ def ldu_chart(beta: BraidWord, order, ring=QQ) -> ChartMap:
         # that are currently present keep their original relative order
         p = sum(1 for c in crossings if c < r)
         i = beta.letters[r - 1]
-
-        # undo the D slide (right to left through the prefix), then the U slide
-        d_entries = [one] * n
-        d_entries[i - 1], d_entries[i] = -t.inverse(), t
-        head = values[:p]
-        d_cur = list(d_entries)
-        for k in range(p - 1, -1, -1):
-            d_cur, head[k] = unslide_diag_left(d_cur, letters[k], head[k])
-        u_i = cup_factor(n, i, t.inverse())
-        _, head = unslide_chain_left(u_i, letters[:p], head)
-
-        # undo the L slide (left to right through the suffix)
-        low = u_i.transpose()
-        tail = values[p:]
-        for k, j in enumerate(letters[p:]):
-            low, tail[k] = unslide_lower_right(low, j, tail[k])
+        values, low = _opening_slides(n, i, t, letters, values, p, back=True)
         lower = low.inverse() * lower
         if not lower.is_lower_triangular():
             raise PatternMismatch("undoing an opening left L not lower triangular")
-
-        letters[p:p] = [i]
-        crossings[p:p] = [r]
-        values = head + [t] + tail
+        letters.insert(p, i)
+        crossings.insert(p, r)
+        values.insert(p, t)
 
     if letters != list(beta.letters):
         raise PatternMismatch("restored letters differ from beta")
@@ -664,15 +553,21 @@ def ldu_chart(beta: BraidWord, order, ring=QQ) -> ChartMap:
 
     subs = dict(zip(beta.variables, values))
     subs.update(usubs)
-    # the constraint record comes from the matching weave route
-    weave = weave_from_opening_order(beta, order)
-    prop = propagate_down(weave, ring)
+
+    values = beta.var_exprs(ring)
+    inverted = []
+    for r in order:
+        p = crossings.index(r)
+        del crossings[p], letters[p]
+        t = values.pop(p)
+        inverted.append(t)
+        values, _ = _opening_slides(n, beta.letters[r - 1], t, letters, values, p)
     return ChartMap(
         top=bd,
         unit_params=[var_id(f"s{r}") for r in order],
         affine_params=[],
         subs=subs,
-        inverted=prop.inverted,
+        inverted=inverted,
         vanishing=[],
         opened_crossings=list(order),
     )

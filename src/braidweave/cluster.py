@@ -22,7 +22,6 @@ from .ring import RationalExpr, var_id
 from .braid import BraidWord, PatternMismatch, elementary_braid_matrix
 from .chart import ChartMap, chart_parametrize
 from .weave import Weave
-from .form import TwoFormMatrix, chart_form_matrix
 
 
 class NotTwoStrand(Exception):
@@ -416,23 +415,6 @@ class NormalizedChart:
     expo: list[list[int]]
     signs: dict[int, int]
     param_ids: list[int]  # var ids S{r} in opening-order listing
-
-    def form_matrix(self, beta: BraidWord) -> TwoFormMatrix:
-        """The chart 2-form rewritten in dlog of the normalized parameters:
-        with s = +- S^inv we have dlog s_a = sum_i inv[a][i] dlog S_i, so the
-        matrix transforms by inv^T M inv."""
-        raw = chart_form_matrix(beta, self.order)
-        size = len(self.order)
-        inv = _integer_inverse(self.expo)
-        out = [[0] * size for _ in range(size)]
-        for i in range(size):
-            for j in range(size):
-                out[i][j] = sum(
-                    inv[a][i] * raw.entries[a][b] * inv[b][j]
-                    for a in range(size)
-                    for b in range(size)
-                )
-        return TwoFormMatrix(self.param_ids, self.order, out)
 
 
 def normalized_chart(beta: BraidWord, order, weave: Weave | None = None) -> NormalizedChart:

@@ -889,12 +889,6 @@ class MatrixExpr:
         one, zero = RationalExpr.const(1, ring), RationalExpr.const(0, ring)
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)], ring)
 
-    @classmethod
-    def from_scalars(cls, rows, ring=QQ):
-        return cls(
-            [[RationalExpr.const(c, ring) for c in r] for r in rows], ring
-        )
-
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]

@@ -15,7 +15,7 @@ correspondences.
 from __future__ import annotations
 
 from .ring import LaurentPoly
-from .braid import BraidWord, compose, identity_perm, transposition
+from .braid import BraidWord
 
 
 Weight = tuple  # integer vector of length n summing to 0
@@ -46,20 +46,16 @@ def action_weights(word: BraidWord, side: str = "left") -> dict[int, Weight]:
     n = word.n
     out: dict[int, Weight] = {}
     if side == "left":
-        w = identity_perm(n)
+        w = list(range(n))  # w_k in one-line notation
         for k, i in enumerate(word.letters):
             out[word.variables[k]] = basis_difference(n, w[i] + 1, w[i - 1] + 1)
-            w = compose(w, transposition(n, i))
+            w[i - 1], w[i] = w[i], w[i - 1]
     elif side == "right":
-        l = len(word)
-        v = identity_perm(n)
-        suffix = [v]  # suffix[j] = s_{i_l} ... s_{i_{l-j+1}}
-        for i in reversed(word.letters):
-            v = compose(v, transposition(n, i))
-            suffix.append(v)
-        for k, i in enumerate(word.letters, start=1):
-            vk = suffix[l - k]  # s_{i_l} ... s_{i_{k+1}}
-            out[word.variables[k - 1]] = basis_difference(n, vk[i - 1] + 1, vk[i] + 1)
+        v = list(range(n))  # v_k in one-line notation
+        for k in range(len(word) - 1, -1, -1):
+            i = word.letters[k]
+            out[word.variables[k]] = basis_difference(n, v[i - 1] + 1, v[i] + 1)
+            v[i - 1], v[i] = v[i], v[i - 1]
     else:
         raise ValueError(f"unknown side {side!r}")
     return out

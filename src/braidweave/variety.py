@@ -52,9 +52,6 @@ class VarietyPresentation:
     def render(self) -> str:
         return "\n".join(e.render() for e in self.equations)
 
-    def num_equations(self) -> int:
-        return len(self.equations)
-
 
 def below_diagonal_positions(n: int):
     """(row, col) strictly below the diagonal, row descending from n (1-based)."""
@@ -230,7 +227,8 @@ def augmentation_equations(
 
 
 def borel_act(u0: MatrixExpr, word: BraidWord, values=None):
-    """Right action of an upper-triangular matrix on braid matrix tuples.
+    """Right action of an upper-triangular matrix with unit diagonal entries
+    on braid matrix tuples (``NonUnitDiagonal`` for any other matrix).
 
     Iterated sliding from the rightmost letter: B_i(z) U = U' B_i(z').
     Returns (u_final, new_values) with
@@ -240,12 +238,10 @@ def borel_act(u0: MatrixExpr, word: BraidWord, values=None):
 
     if not u0.is_upper_triangular():
         raise NonUnitDiagonal("action matrix must be upper triangular")
+    for i in range(u0.n):
+        d = u0[i, i]
+        if d.is_zero() or not d.is_unit():
+            raise NonUnitDiagonal(f"diagonal entry {d.render()} is not a unit")
     if values is None:
         values = word.var_exprs()
-    u = u0
-    new_values = list(values)
-    for k in range(len(word) - 1, -1, -1):
-        res = slide_left(u, word.letters[k], new_values[k])
-        new_values[k] = res.new_value
-        u = res.matrix
-    return u, new_values
+    return slide_left(u0, word.letters, values)

@@ -195,6 +195,7 @@ def test_criterion_08_opening_vs_weave_oracle():
                     assert all(
                         cw.subs[v] == cl.subs[v] for v in cw.top.variables
                     ), (n, letters, order)
+                    assert cl.inverted == cw.inverted, (n, letters, order)
                     total += 1
     assert total == 475
     report(8, f"factor-and-slide charts equal weave charts for all {total} cases")

@@ -9,6 +9,7 @@ import pytest
 
 from braidweave.braid import (
     append_half_twist,
+    braid_matrix,
     elementary_braid_matrix,
     longest_perm,
     make_word,
@@ -27,13 +28,12 @@ from braidweave.chart import (
     propagate_down,
     rational_map,
     slide_left,
-    slide_lower_right,
-    unslide_left,
     check_master_identity,
+    cup_factor,
+    trivalent_factor,
 )
 from braidweave.ring import (
     MatrixExpr,
-    NonUnitDiagonal,
     RationalExpr,
     const,
     poly,
@@ -48,18 +48,16 @@ from braidweave.weave import _tree_rotations, _tree_shape
 def test_slide_left_formula():
     a, b, c, z = poly("a"), poly("b"), poly("c"), poly("z")
     u = MatrixExpr([[a, b], [const(0), c]])
-    res = slide_left(u, 1, z)
-    assert res.new_value == (c * z + b) / a
-    assert res.matrix[0, 0] == c and res.matrix[1, 1] == a
-    assert res.matrix[0, 1].is_zero()
+    u2, (zp,) = slide_left(u, [1], [z])
+    assert zp == (c * z + b) / a
+    assert u2[0, 0] == c and u2[1, 1] == a
+    assert u2[0, 1].is_zero()
     # identity slides trivially
-    res2 = slide_left(MatrixExpr.identity(2), 1, z)
-    assert res2.new_value == z and res2.matrix == MatrixExpr.identity(2)
-    # inverse slide undoes it
-    back = unslide_left(u, 1, res.new_value)
-    assert back.new_value == z
-    with pytest.raises(NonUnitDiagonal):
-        slide_left(MatrixExpr([[a + b, const(0)], [const(0), c]]), 1, z)
+    assert slide_left(MatrixExpr.identity(2), [1], [z]) == (MatrixExpr.identity(2), [z])
+    # the backward slide undoes it, with the same matrix
+    assert slide_left(u, [1], [zp], back=True) == (u2, [z])
+    # the input matrix is left as it was
+    assert u == MatrixExpr([[a, b], [const(0), c]])
 
 
 def generic_slide(u, letter, z):
@@ -70,6 +68,14 @@ def generic_slide(u, letter, z):
     b_left = elementary_braid_matrix(u.n, i, z)
     b_right = elementary_braid_matrix(u.n, i, zp)
     return b_left * u * b_right.inverse(), zp
+
+
+def generic_chain_slide(u, letters, values):
+    """The oracle above letter by letter, rightmost letter first."""
+    values = list(values)
+    for k in range(len(letters) - 1, -1, -1):
+        u, values[k] = generic_slide(u, letters[k], values[k])
+    return u, values
 
 
 def random_unit_upper(rng, n):
@@ -91,35 +97,35 @@ def test_slide_left_matches_generic_product():
     z, x = poly("z"), poly("x")
     values = [z, const(0), const(5), z + x, z / (const(1) - x)]
     for n in range(2, 6):
-        for letter in range(1, n):
-            for _ in range(4):
+        for length in range(1, 4):
+            for _ in range(6):
+                letters = [rng.randrange(1, n) for _ in range(length)]
+                vals = [rng.choice(values) for _ in letters]
                 u = random_unit_upper(rng, n)
-                zv = rng.choice(values)
-                want, zp = generic_slide(u, letter, zv)
-                assert want.is_upper_triangular() and want[letter - 1, letter].is_zero()
-                res = slide_left(u, letter, zv)
-                assert res.new_value == zp and res.matrix == want
-                back = unslide_left(u, letter, res.new_value)
-                assert back.new_value == zv and back.matrix == want
-                # L B_j(z) = B_j(z') L' for lower-triangular L
+                want, slid = generic_chain_slide(u, letters, vals)
+                assert want.is_upper_triangular()
+                assert slide_left(u, letters, vals) == (want, slid)
+                assert slide_left(u, letters, slid, back=True) == (want, vals)
+                # a lower-triangular L slides right by the transposed slide on
+                # the reversed word: L B(word) = B(word') L'
                 low = random_unit_upper(rng, n).transpose()
-                low2, zp2 = slide_lower_right(low, letter, zv)
-                assert low2.is_lower_triangular()
-                lhs = low * elementary_braid_matrix(n, letter, zv)
-                assert lhs == elementary_braid_matrix(n, letter, zp2) * low2
+                low_t, rev = slide_left(low.transpose(), letters[::-1], vals[::-1])
+                word = make_word(n, letters)
+                assert low_t.transpose().is_lower_triangular()
+                lhs = low * braid_matrix(word, vals)
+                assert lhs == braid_matrix(word, rev[::-1]) * low_t.transpose()
+                back_t, back = slide_left(low.transpose(), letters[::-1], rev, back=True)
+                assert back_t == low_t and back == vals[::-1]
 
 
-def test_diagonal_slide():
-    from braidweave.chart import slide_diag_left
-
-    t1, t2, z = poly("t1"), poly("t2"), poly("z")
-    entries, zp = slide_diag_left([t1, t2], 1, z)
-    assert zp == (t2 / t1) * z and entries == [t2, t1]
-    lhs = elementary_braid_matrix(2, 1, z) * MatrixExpr(
-        [[t1, const(0)], [const(0), t2]]
-    )
-    rhs = MatrixExpr([[t2, const(0)], [const(0), t1]]) * elementary_braid_matrix(2, 1, zp)
-    assert lhs == rhs
+def test_braid_matrix_is_trivalent_factor_times_lower():
+    # B_i(z) = T_i(z) . L_i(z): the U_i D_i part of the LDU factorization is
+    # the trivalent factor, and L_i is the transposed cup factor of 1/z
+    z = poly("z")
+    for n in range(2, 6):
+        for i in range(1, n):
+            lower = cup_factor(n, i, z.inverse()).transpose()
+            assert elementary_braid_matrix(n, i, z) == trivalent_factor(n, i, z) * lower
 
 
 def test_propagate_trivalent_rule():
@@ -368,6 +374,7 @@ def test_ldu_matches_weave_charts_small():
             cw = chart_parametrize(w)
             cl = ldu_chart(beta, order)
             assert all(cw.subs[v] == cl.subs[v] for v in cw.top.variables)
+            assert cl.inverted == cw.inverted
 
 
 def test_ldu_matches_weave_charts_six_and_seven_strands():
@@ -383,8 +390,34 @@ def test_ldu_matches_weave_charts_six_and_seven_strands():
                     cl = ldu_chart(beta, order)
                     same = all(cw.subs[v] == cl.subs[v] for v in cw.top.variables)
                     assert same, (n, letters, order)
+                    assert cl.inverted == cw.inverted, (n, letters, order)
                     total += 1
     assert total == 5 + 2 * 25 + 6
+
+
+def test_chart_properties_on_random_words():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def opened_words(draw):
+        n = draw(st.integers(2, 4))
+        letters = draw(st.lists(st.integers(1, n - 1), max_size=5))
+        order = draw(st.permutations(range(1, len(letters) + 1)))
+        return make_word(n, letters), order
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(opened_words())
+    def check(case):
+        beta, order = case
+        cw = chart_parametrize(weave_from_opening_order(beta, order))
+        pres = variety_equations(cw.top, longest_perm(beta.n))
+        assert chart_satisfies_equations(cw, pres)
+        for expr, param in zip(cw.inverted, cw.unit_params, strict=True):
+            assert expr.substitute(cw.subs) == RationalExpr.variable(param)
+        assert ldu_chart(beta, order).inverted == cw.inverted
+
+    check()
 
 
 def test_open_crossing_round_trip_f7():

@@ -14,7 +14,7 @@ from braidweave.braid import (
     parse_braid,
 )
 from braidweave.count import brute_count, brute_count_presentation
-from braidweave.ring import MatrixExpr, RationalExpr, const, poly, var_name
+from braidweave.ring import MatrixExpr, NonUnitDiagonal, RationalExpr, const, poly, var_name
 from braidweave.variety import (
     augmentation_equations,
     borel_act,
@@ -155,6 +155,11 @@ def test_borel_identity_and_diagonal():
     ul2, values2 = borel_act(MatrixExpr.identity(2), w)
     assert ul2 == MatrixExpr.identity(2)
     assert values2[0] == poly("z1")
+    # the action needs unit diagonal entries and an upper-triangular matrix
+    with pytest.raises(NonUnitDiagonal):
+        borel_act(MatrixExpr([[a + c, const(0)], [const(0), c]]), w)
+    with pytest.raises(NonUnitDiagonal):
+        borel_act(MatrixExpr([[a, const(0)], [const(1), c]]), w)
 
 
 def test_borel_action_axiom():
