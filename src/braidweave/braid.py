@@ -20,12 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ring import (
-    QQ,
-    MatrixExpr,
-    RationalExpr,
-    var_id,
-)
+from .ring import MatrixExpr, RationalExpr, var_id
 
 
 class BraidError(Exception):
@@ -147,12 +142,10 @@ def demazure_letters(n: int, letters, start=None) -> tuple[int, ...]:
     return tuple(p)
 
 
-def perm_matrix(p, ring=QQ) -> MatrixExpr:
+def perm_matrix(p) -> MatrixExpr:
     n = len(p)
-    one, zero = RationalExpr.const(1, ring), RationalExpr.const(0, ring)
-    return MatrixExpr(
-        [[one if p[j] == i else zero for j in range(n)] for i in range(n)], ring
-    )
+    one, zero = RationalExpr.const(1), RationalExpr.const(0)
+    return MatrixExpr([[one if p[j] == i else zero for j in range(n)] for i in range(n)])
 
 
 def render_perm(p) -> str:
@@ -239,8 +232,8 @@ class BraidWord:
     def __len__(self):
         return len(self.letters)
 
-    def var_exprs(self, ring=QQ):
-        return [RationalExpr.variable(v, ring) for v in self.variables]
+    def var_exprs(self):
+        return [RationalExpr.variable(v) for v in self.variables]
 
     def render(self) -> str:
         return f"B{self.n}: " + " ".join(str(i) for i in self.letters)
@@ -251,9 +244,9 @@ class BraidWord:
         return BraidWord(self.n, self.letters + other.letters, self.variables + other.variables)
 
 
-def make_word(n: int, letters, prefix: str = "z", start: int = 1) -> BraidWord:
+def make_word(n: int, letters, start: int = 1) -> BraidWord:
     letters = tuple(letters)
-    vids = tuple(var_id(f"{prefix}{start + k}") for k in range(len(letters)))
+    vids = tuple(var_id(f"z{start + k}") for k in range(len(letters)))
     return BraidWord(n, letters, vids)
 
 
@@ -291,9 +284,9 @@ def check_opening_order(beta: BraidWord, order) -> list[int]:
     return order
 
 
-def half_twist_word(n: int, prefix: str = "z", start: int = 1) -> BraidWord:
+def half_twist_word(n: int, start: int = 1) -> BraidWord:
     """The fixed positive lift of w0: (1 2 .. n-1)(1 .. n-2)...(1 2)(1)."""
-    return make_word(n, half_twist_letters(n), prefix, start)
+    return make_word(n, half_twist_letters(n), start)
 
 
 def half_twist_letters(n: int) -> tuple[int, ...]:
@@ -303,14 +296,9 @@ def half_twist_letters(n: int) -> tuple[int, ...]:
     return tuple(letters)
 
 
-def append_half_twist(word: BraidWord, count: int = 1, prefix: str = "z") -> BraidWord:
-    """word . Delta^count with variables continuing the z-numbering."""
-    out = word
-    for _ in range(count):
-        out = out.concat(
-            half_twist_word(word.n, prefix=prefix, start=len(out) + 1)
-        )
-    return out
+def append_half_twist(word: BraidWord) -> BraidWord:
+    """word . Delta with variables continuing the z-numbering."""
+    return word.concat(half_twist_word(word.n, start=len(word) + 1))
 
 
 def coxeter_image(word: BraidWord):
@@ -334,23 +322,23 @@ def demazure_product(word: BraidWord):
 # braid matrices
 
 
-def elementary_braid_matrix(n: int, i: int, z: RationalExpr, ring=QQ) -> MatrixExpr:
+def elementary_braid_matrix(n: int, i: int, z: RationalExpr) -> MatrixExpr:
     """Identity with the 2x2 block [[0,1],[1,z]] at rows/columns i, i+1."""
-    m = MatrixExpr.identity(n, ring)
+    m = MatrixExpr.identity(n)
     rows = m.rows
-    zero, one = RationalExpr.const(0, ring), RationalExpr.const(1, ring)
+    zero, one = RationalExpr.const(0), RationalExpr.const(1)
     rows[i - 1][i - 1], rows[i - 1][i] = zero, one
     rows[i][i - 1], rows[i][i] = one, z
-    return MatrixExpr(rows, ring)
+    return m
 
 
-def braid_matrix(word: BraidWord, values=None, ring=QQ) -> MatrixExpr:
+def braid_matrix(word: BraidWord, values=None) -> MatrixExpr:
     """Product of the elementary matrices over the word's letters."""
     if values is None:
-        values = word.var_exprs(ring)
-    m = MatrixExpr.identity(word.n, ring)
+        values = word.var_exprs()
+    m = MatrixExpr.identity(word.n)
     for i, z in zip(word.letters, values):
-        m = m * elementary_braid_matrix(word.n, i, z, ring)
+        m = m * elementary_braid_matrix(word.n, i, z)
     return m
 
 

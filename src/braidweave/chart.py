@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ring import (
-    QQ,
     LaurentPoly,
     MatrixExpr,
     RationalExpr,
@@ -66,10 +65,10 @@ def slide_left(u: MatrixExpr, letters, values, back: bool = False):
     and the (i, i+1) entry vanishes (z' is chosen for that), so a letter
     costs O(n) entry edits.  The diagonal of u must not vanish.
     """
-    out = MatrixExpr(u.rows, u.ring)
+    out = MatrixExpr(u.rows)
     rows = out.rows
     values = list(values)
-    zero = RationalExpr.const(0, u.ring)
+    zero = RationalExpr.const(0)
     for k in range(len(letters) - 1, -1, -1):
         b = letters[k]
         a = b - 1
@@ -94,20 +93,20 @@ def slide_left(u: MatrixExpr, letters, values, back: bool = False):
 def trivalent_factor(n: int, letter: int, a: RationalExpr) -> MatrixExpr:
     """The upper factor [[-1/a, 1],[0, a]] (block at letter) of a trivalent
     vertex whose left input carries the value a."""
-    m = MatrixExpr.identity(n, a.ring)
+    m = MatrixExpr.identity(n)
     i = letter
     rows = m.rows
     rows[i - 1][i - 1] = -a.inverse()
-    rows[i - 1][i] = RationalExpr.const(1, a.ring)
+    rows[i - 1][i] = RationalExpr.const(1)
     rows[i][i] = a
-    return MatrixExpr(rows, a.ring)
+    return m
 
 
 def cup_factor(n: int, letter: int, b: RationalExpr) -> MatrixExpr:
     """Id + b E_{i,i+1}: the factor of a cup whose surviving value is b."""
-    m = MatrixExpr.identity(n, b.ring)
+    m = MatrixExpr.identity(n)
     m.rows[letter - 1][letter] = b
-    return MatrixExpr(m.rows, b.ring)
+    return m
 
 
 @dataclass
@@ -119,13 +118,12 @@ class Propagation:
     inverted: list[RationalExpr]  # one per trivalent vertex, must not vanish
     vanishing: list[RationalExpr]  # one per cup, must vanish
     factors: list[MatrixExpr]  # vertex factors slid to the left edge, top-down
-    ring: object = QQ
 
     @property
     def left_matrix(self) -> MatrixExpr:
         """The accumulated factor U with B(top) = U . B(bottom), multiplied
         out from ``factors`` on each read."""
-        u = MatrixExpr.identity(self.bottom.n, self.ring)
+        u = MatrixExpr.identity(self.bottom.n)
         for factor in self.factors:
             u = u * factor
         return u
@@ -148,7 +146,7 @@ def _braid_step(kind: str, letters, values, p: int):
         raise PatternMismatch(f"unsupported event {kind}")
 
 
-def propagate_down(weave: Weave, ring=QQ) -> Propagation:
+def propagate_down(weave: Weave) -> Propagation:
     """Compute the bottom letter values of a simplifying weave as rational
     functions of its top variables, the constraint record, and the vertex
     factors slid to the left edge."""
@@ -156,7 +154,7 @@ def propagate_down(weave: Weave, ring=QQ) -> Propagation:
         raise PatternMismatch("propagation requires a simplifying weave (no caps)")
     n = weave.n
     letters = list(weave.top.letters)
-    values = [RationalExpr.variable(v, ring) for v in weave.top.variables]
+    values = weave.top.var_exprs()
     inverted, vanishing, factors = [], [], []
     for ev in weave.events:
         p = ev.pos
@@ -181,7 +179,7 @@ def propagate_down(weave: Weave, ring=QQ) -> Propagation:
         else:
             _braid_step(ev.kind, letters, values, p)
     bottom = BraidWord(n, tuple(letters), weave.bottom_variables())
-    return Propagation(bottom, values, inverted, vanishing, factors, ring)
+    return Propagation(bottom, values, inverted, vanishing, factors)
 
 
 def check_master_identity(weave: Weave, prop: Propagation) -> bool:
@@ -195,8 +193,8 @@ def check_master_identity(weave: Weave, prop: Propagation) -> bool:
     pointwise = False
     for expr in prop.vanishing:
         vs = sorted(expr.variables())
-        if len(vs) == 1 and expr == RationalExpr.variable(vs[0], expr.num.ring):
-            subs[vs[0]] = RationalExpr.const(0, expr.num.ring)
+        if len(vs) == 1 and expr == RationalExpr.variable(vs[0]):
+            subs[vs[0]] = RationalExpr.const(0)
         elif not expr.is_zero():
             pointwise = True
     top = braid_matrix(weave.top)
@@ -287,12 +285,10 @@ def charts_equal_as_subsets(c1: ChartMap, c2: ChartMap) -> bool:
 
     def included(inner: ChartMap, outer: ChartMap) -> bool:
         for e in outer.inverted:
-            num = RationalExpr(e.num).substitute(inner.subs)
-            if num.is_zero() or not num.is_unit():
-                return False
-            den = RationalExpr(e.den).substitute(inner.subs)
-            if den.is_zero() or not den.is_unit():
-                return False
+            for part in (e.num, e.den):
+                r = part.substitute(inner.subs)
+                if r.is_zero() or not r.is_unit():
+                    return False
         return True
 
     return included(c1, c2) and included(c2, c1)
@@ -333,7 +329,7 @@ def charts_adjacent(c1: ChartMap, c2: ChartMap) -> bool:
                         continue
                     # normalised core: monomial factor and scalar stripped,
                     # so associates compare equal
-                    part = poly_gcd(part, LaurentPoly.zero(part.ring))
+                    part = poly_gcd(part, LaurentPoly.zero())
                     if part in seen:
                         continue
                     seen.add(part)
@@ -345,7 +341,7 @@ def charts_adjacent(c1: ChartMap, c2: ChartMap) -> bool:
     return one_core(c1, c2) and one_core(c2, c1)
 
 
-def chart_parametrize(weave: Weave, param_names=None, ring=QQ) -> ChartMap:
+def chart_parametrize(weave: Weave) -> ChartMap:
     """Invert the downward propagation of a weave whose bottom is a reduced
     word for w0 (all bottom values are then forced to vanish), producing the
     toric chart parametrization of the top variables.
@@ -366,16 +362,13 @@ def chart_parametrize(weave: Weave, param_names=None, ring=QQ) -> ChartMap:
 
     three_idx = [k for k, ev in enumerate(weave.events) if ev.kind == "three"]
     cup_idx = [k for k, ev in enumerate(weave.events) if ev.kind == "cup"]
-    if param_names is None:
-        if weave.opened_crossings is not None:
-            param_names = {
-                k: f"s{c}" for k, c in zip(three_idx, weave.opened_crossings)
-            }
-        else:
-            param_names = {k: f"t{j + 1}" for j, k in enumerate(three_idx)}
+    if weave.opened_crossings is not None:
+        unit_names = {k: f"s{c}" for k, c in zip(three_idx, weave.opened_crossings)}
+    else:
+        unit_names = {k: f"t{j + 1}" for j, k in enumerate(three_idx)}
     affine_names = {k: f"a{j + 1}" for j, k in enumerate(cup_idx)}
 
-    zero = RationalExpr.const(0, ring)
+    zero = RationalExpr.const(0)
     letters = list(bottom)
     values = [zero] * len(letters)
     unit_params, affine_params = [], []
@@ -383,15 +376,15 @@ def chart_parametrize(weave: Weave, param_names=None, ring=QQ) -> ChartMap:
         ev = weave.events[k]
         p = ev.pos
         if ev.kind == "three":
-            t = RationalExpr.variable(var_id(param_names[k]), ring)
-            unit_params.append(var_id(param_names[k]))
+            t = RationalExpr.variable(var_id(unit_names[k]))
+            unit_params.append(var_id(unit_names[k]))
             factor = trivalent_factor(n, letters[p], t)
             _, values[:p] = slide_left(factor, letters[:p], values[:p], back=True)
             values[p : p + 1] = [t, values[p] - t.inverse()]
             letters[p : p + 1] = [letters[p], letters[p]]
         elif ev.kind == "cup":
             letter = slices[k][p]
-            a = RationalExpr.variable(var_id(affine_names[k]), ring)
+            a = RationalExpr.variable(var_id(affine_names[k]))
             affine_params.append(var_id(affine_names[k]))
             factor = cup_factor(n, letter, a)
             _, values[:p] = slide_left(factor, letters[:p], values[:p], back=True)
@@ -405,7 +398,7 @@ def chart_parametrize(weave: Weave, param_names=None, ring=QQ) -> ChartMap:
     unit_params.reverse()
     affine_params.reverse()
     subs = dict(zip(weave.top.variables, values))
-    prop = propagate_down(weave, ring)
+    prop = propagate_down(weave)
     return ChartMap(
         top=weave.top,
         unit_params=unit_params,
@@ -421,21 +414,16 @@ def chart_parametrize(weave: Weave, param_names=None, ring=QQ) -> ChartMap:
 
 def chart_satisfies_equations(chart: ChartMap, presentation) -> bool:
     """Substituted top values must satisfy every variety equation identically."""
-    subs = {v: e for v, e in chart.subs.items()}
-    for eq in presentation.equations:
-        val = RationalExpr(eq).substitute(subs)
-        if not val.is_zero():
-            return False
-    return True
+    return all(eq.substitute(chart.subs).is_zero() for eq in presentation.equations)
 
 
 # ---------------------------------------------------------------------------
 # rational maps of Demazure weaves
 
 
-def rational_map(weave: Weave, ring=QQ):
+def rational_map(weave: Weave):
     """The tuple of bottom values as rational functions of the top variables."""
-    prop = propagate_down(weave, ring)
+    prop = propagate_down(weave)
     return tuple(prop.values)
 
 
@@ -464,7 +452,7 @@ def _opening_slides(n: int, i: int, t: RationalExpr, letters, values, p: int, ba
     return head + tail[::-1], low.transpose()
 
 
-def open_crossing(word: BraidWord, pos: int, ring=QQ):
+def open_crossing(word: BraidWord, pos: int):
     """One opening step on the coordinates (z of ``word``, lower-triangular c).
 
     The word is the beta-part; the presentation in the background is
@@ -482,18 +470,18 @@ def open_crossing(word: BraidWord, pos: int, ring=QQ):
     invertible.
     """
     n = word.n
-    zvals = [RationalExpr.variable(v, ring) for v in word.variables]
+    zvals = word.var_exprs()
 
     # c coordinates as a symbolic lower uni-triangular matrix
-    one, zero = RationalExpr.const(1, ring), RationalExpr.const(0, ring)
+    one, zero = RationalExpr.const(1), RationalExpr.const(0)
     rows = [[one if r == c else zero for c in range(n)] for r in range(n)]
     cvars = {}
     for a in range(2, n + 1):
         for b in range(1, a):
             vid = var_id(f"c{a}{b}")
             cvars[(a, b)] = vid
-            rows[a - 1][b - 1] = RationalExpr.variable(vid, ring)
-    lower = MatrixExpr(rows, ring)
+            rows[a - 1][b - 1] = RationalExpr.variable(vid)
+    lower = MatrixExpr(rows)
 
     new_letters = word.letters[:pos] + word.letters[pos + 1 :]
     new_vars = word.variables[:pos] + word.variables[pos + 1 :]
@@ -511,7 +499,7 @@ def open_crossing(word: BraidWord, pos: int, ring=QQ):
     return word2, subs, word.variables[pos]
 
 
-def ldu_chart(beta: BraidWord, order, ring=QQ) -> ChartMap:
+def ldu_chart(beta: BraidWord, order) -> ChartMap:
     """The toric chart of X0(beta Delta; w0) from opening the crossings of
     beta in the given order (1-based indices into beta), built by running the
     factor-and-slide openings backwards from the base point.
@@ -529,10 +517,10 @@ def ldu_chart(beta: BraidWord, order, ring=QQ) -> ChartMap:
     letters: list[int] = []
     crossings: list[int] = []  # original crossing index per remaining letter
     values: list[RationalExpr] = []
-    lower = MatrixExpr.identity(n, ring)
+    lower = MatrixExpr.identity(n)
 
     for r in reversed(order):
-        t = RationalExpr.variable(var_id(f"s{r}"), ring)
+        t = RationalExpr.variable(var_id(f"s{r}"))
         # position where crossing r sits once restored: the letters of beta
         # that are currently present keep their original relative order
         p = sum(1 for c in crossings if c < r)
@@ -549,12 +537,12 @@ def ldu_chart(beta: BraidWord, order, ring=QQ) -> ChartMap:
         raise PatternMismatch("restored letters differ from beta")
     bd = append_half_twist(beta)
     delta_vars = bd.variables[len(beta) :]
-    usubs = solve_delta_lower(n, delta_vars, lower, ring)
+    usubs = solve_delta_lower(n, delta_vars, lower)
 
     subs = dict(zip(beta.variables, values))
     subs.update(usubs)
 
-    values = beta.var_exprs(ring)
+    values = beta.var_exprs()
     inverted = []
     for r in order:
         p = crossings.index(r)
@@ -573,12 +561,12 @@ def ldu_chart(beta: BraidWord, order, ring=QQ) -> ChartMap:
     )
 
 
-def solve_delta_lower(n: int, delta_vars, target: MatrixExpr, ring=QQ):
+def solve_delta_lower(n: int, delta_vars, target: MatrixExpr):
     """Solve B_Delta(u) . w0 = target (lower uni-triangular) for the u values
     by greedy triangular elimination; returns dict var id -> RationalExpr."""
     from .variety import delta_lower_factor
 
-    sym = delta_lower_factor(n, delta_vars, ring)
+    sym = delta_lower_factor(n, delta_vars)
     remaining = dict.fromkeys(delta_vars)
     solved: dict[int, RationalExpr] = {}
     entries = [
@@ -595,8 +583,8 @@ def solve_delta_lower(n: int, delta_vars, target: MatrixExpr, ring=QQ):
             v = vs[0]
             # linear in v with unit coefficient?
             coeff = e.derivative(v)
-            if not coeff.variables() and coeff == RationalExpr.const(1, ring):
-                rest = e - RationalExpr.variable(v, ring)
+            if not coeff.variables() and coeff == RationalExpr.const(1):
+                rest = e - RationalExpr.variable(v)
                 if v in rest.variables():
                     continue
                 solved[v] = target[a - 1, b - 1] - rest.substitute(solved)

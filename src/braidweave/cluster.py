@@ -441,12 +441,11 @@ def normalized_chart(beta: BraidWord, order, weave: Weave | None = None) -> Norm
         if len(picks) != 1:
             raise NotPolynomial(f"no unique normalizing monomial for crossing {r}")
         m, c = picks[0]
-        cf = c if not isinstance(c, Fraction) else c
-        if cf not in (1, -1):
+        if c not in (1, -1):
             raise NotPolynomial(f"normalizing coefficient {c} is not a unit")
         for v, e in m:
             expo[i][col[v]] = e
-        signs[r] = int(cf)
+        signs[r] = int(c)
     inv = _integer_inverse(expo)
     # s_j = tau_j * prod_r S_r^(inv[j][r])
     mapping: dict[int, RationalExpr] = {}

@@ -16,14 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import (
-    QQ,
-    RationalExpr,
-    RingError,
-    TwoForm,
-    var_id,
-    wedge_trace,
-)
+from .ring import RationalExpr, RingError, TwoForm, var_id, wedge_trace
 from .braid import (
     BraidWord,
     append_half_twist,
@@ -34,15 +27,15 @@ from .braid import (
 )
 
 
-def omega_word(word: BraidWord, ring=QQ) -> TwoForm:
+def omega_word(word: BraidWord) -> TwoForm:
     """(B_{i_1}|B_{i_2}) + (B_{i_1}B_{i_2}|B_{i_3}) + ... for the word."""
     total = TwoForm.zero()
     if len(word) < 2:
         return total
-    prefix = elementary_braid_matrix(word.n, word.letters[0], word.var_exprs(ring)[0], ring)
-    values = word.var_exprs(ring)
+    values = word.var_exprs()
+    prefix = elementary_braid_matrix(word.n, word.letters[0], values[0])
     for k in range(1, len(word)):
-        factor = elementary_braid_matrix(word.n, word.letters[k], values[k], ring)
+        factor = elementary_braid_matrix(word.n, word.letters[k], values[k])
         total = total + wedge_trace(prefix, factor)
         prefix = prefix * factor
     return total
@@ -117,7 +110,7 @@ def chart_form_matrix(beta: BraidWord, order) -> TwoFormMatrix:
     return TwoFormMatrix([var_id(f"s{r}") for r in order], order, entries)
 
 
-def pulled_back_form_matrix(beta: BraidWord, order, check_constant=True):
+def pulled_back_form_matrix(beta: BraidWord, order):
     """Oracle: pull omega of beta Delta^2 back through the chart
     parametrization and read off the dlog-coefficient matrix.
 
@@ -150,7 +143,7 @@ def pulled_back_form_matrix(beta: BraidWord, order, check_constant=True):
     acc: dict[tuple[int, int], RationalExpr] = {}
     zero = RationalExpr.const(0)
     for (v, w), c in omega.coeffs.items():
-        c_sub = RationalExpr(c.num).substitute(subs) / RationalExpr(c.den).substitute(subs)
+        c_sub = c.substitute(subs)
         for p in new_vars:
             dv = diff[v][p]
             if dv.is_zero():
@@ -177,7 +170,7 @@ def pulled_back_form_matrix(beta: BraidWord, order, check_constant=True):
             raise RingError("form does not vanish on affine directions")
         a, b = index[p], index[q]
         val = c * sparams[a] * sparams[b]
-        if check_constant and val.variables():
+        if val.variables():
             raise RingError(
                 f"coefficient of ds_{a} ds_{b} is not constant: {val.render()}"
             )

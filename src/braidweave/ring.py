@@ -1,19 +1,20 @@
 """Exact arithmetic kernel: Laurent polynomials, rational functions, matrices, forms.
 
-Coefficients live either in Q (exact ``Fraction`` values) or in a prime field
-F_q.  Everything downstream of this module is built from four value types:
+Coefficients live in Q only, as exact ``Fraction`` values; values are reduced
+mod a prime q only when they are evaluated at a point (``eval_int(point, q)``).
+Everything downstream of this module is built from four value types:
 
 - ``LaurentPoly``: multivariate Laurent polynomial, stored as a map from
   monomials (sorted tuples of ``(var_id, exponent)`` with nonzero exponents)
   to nonzero coefficients.
 - ``RationalExpr``: quotient of two Laurent polynomials in canonical form.
   Canonical means: the denominator is an honest polynomial, not divisible by
-  any variable, primitive with positive leading coefficient over Q (monic
-  over F_q), and coprime to the polynomial part of the numerator.  Any Laurent
-  monomial factor is carried by the numerator.  Equality of rational functions
-  is therefore structural equality of the canonical form.  Arithmetic on
-  canonical operands cancels only through gcds of the operands' parts
-  (Henrici's method); the full gcd runs in the general constructor alone.
+  any variable, primitive with positive leading coefficient, and coprime to
+  the polynomial part of the numerator.  Any Laurent monomial factor is
+  carried by the numerator.  Equality of rational functions is therefore
+  structural equality of the canonical form.  Arithmetic on canonical
+  operands cancels only through gcds of the operands' parts (Henrici's
+  method); the full gcd runs in the general constructor alone.
 - ``MatrixExpr``: square matrix of ``RationalExpr``; inversion is only allowed
   when the determinant is a unit (scalar times a Laurent monomial).
 - ``OneForm`` / ``TwoForm``: differential forms with ``RationalExpr``
@@ -36,10 +37,6 @@ class RingError(Exception):
     pass
 
 
-class MixedRings(RingError):
-    pass
-
-
 class ZeroDenominator(RingError):
     pass
 
@@ -57,89 +54,16 @@ class NonUnitDiagonal(RingError):
 
 
 # ---------------------------------------------------------------------------
-# coefficient rings
+# coefficients
 
 
-class RationalField:
-    """The field Q; coefficients are Fractions."""
-
-    characteristic = 0
-
-    def coerce(self, c):
-        if isinstance(c, Fraction):
-            return c
-        if isinstance(c, int):
-            return Fraction(c)
-        raise TypeError(f"cannot coerce {c!r} into Q")
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in Q")
-        return 1 / a
-
-    def __repr__(self):
-        return "QQ"
-
-
-class PrimeField:
-    """The field F_q for a prime q; coefficients are ints in [0, q)."""
-
-    def __init__(self, q: int):
-        if q < 2 or any(q % p == 0 for p in range(2, int(q**0.5) + 1)):
-            raise ValueError(f"{q} is not prime")
-        self.q = q
-        self.characteristic = q
-
-    def coerce(self, c):
-        if isinstance(c, int):
-            return c % self.q
-        if isinstance(c, Fraction):
-            den = c.denominator % self.q
-            if den == 0:
-                raise ZeroDivisionError(f"denominator divisible by {self.q}")
-            return c.numerator * pow(den, -1, self.q) % self.q
-        raise TypeError(f"cannot coerce {c!r} into F_{self.q}")
-
-    def add(self, a, b):
-        return (a + b) % self.q
-
-    def mul(self, a, b):
-        return (a * b) % self.q
-
-    def neg(self, a):
-        return -a % self.q
-
-    def inv(self, a):
-        if a % self.q == 0:
-            raise ZeroDivisionError(f"inverse of 0 in F_{self.q}")
-        return pow(a, -1, self.q)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.q == self.q
-
-    def __hash__(self):
-        return hash(("PrimeField", self.q))
-
-    def __repr__(self):
-        return f"GF({self.q})"
-
-
-QQ = RationalField()
-
-
-def _same_ring(a, b):
-    if a.ring is not b.ring and a.ring != b.ring:
-        raise MixedRings(f"{a.ring!r} vs {b.ring!r}")
-    return a.ring
+def _coerce(c):
+    """A coefficient as a Fraction; ints are converted, anything else refused."""
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, int):
+        return Fraction(c)
+    raise TypeError(f"cannot coerce {c!r} into Q")
 
 
 # ---------------------------------------------------------------------------
@@ -215,28 +139,25 @@ class LaurentPoly:
     as immutable.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms, ring=QQ):
-        self.ring = ring
+    def __init__(self, terms):
         self.terms = {m: c for m, c in terms.items() if c != 0}
 
     # construction -----------------------------------------------------
 
     @classmethod
-    def zero(cls, ring=QQ):
-        return cls({}, ring)
+    def zero(cls):
+        return cls({})
 
     @classmethod
-    def const(cls, c, ring=QQ):
-        c = ring.coerce(c)
-        return cls({(): c} if c != 0 else {}, ring)
+    def const(cls, c):
+        c = _coerce(c)
+        return cls({(): c} if c != 0 else {})
 
     @classmethod
-    def variable(cls, vid, ring=QQ, power=1):
-        if power == 0:
-            return cls.const(1, ring)
-        return cls({((vid, power),): ring.coerce(1)}, ring)
+    def variable(cls, vid):
+        return cls({((vid, 1),): Fraction(1)})
 
     # predicates ---------------------------------------------------------
 
@@ -250,7 +171,7 @@ class LaurentPoly:
         return len(self.terms) == 1
 
     def constant_value(self):
-        return self.terms.get((), self.ring.coerce(0))
+        return self.terms.get((), Fraction(0))
 
     def variables(self):
         out = set()
@@ -261,53 +182,47 @@ class LaurentPoly:
     # arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        ring = _same_ring(self, other)
         d = dict(self.terms)
         for m, c in other.terms.items():
-            s = ring.add(d.get(m, 0), c)
+            s = d.get(m, 0) + c
             if s != 0:
                 d[m] = s
             elif m in d:
                 del d[m]
-        return LaurentPoly(d, ring)
+        return LaurentPoly(d)
 
     def __neg__(self):
-        ring = self.ring
-        return LaurentPoly({m: ring.neg(c) for m, c in self.terms.items()}, ring)
+        return LaurentPoly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        ring = _same_ring(self, other)
         d = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                s = ring.add(d.get(m, 0), ring.mul(c1, c2))
+                s = d.get(m, 0) + c1 * c2
                 if s != 0:
                     d[m] = s
                 elif m in d:
                     del d[m]
-        return LaurentPoly(d, ring)
+        return LaurentPoly(d)
 
     def scale(self, c):
-        c = self.ring.coerce(c)
+        c = _coerce(c)
         if c == 0:
-            return LaurentPoly.zero(self.ring)
-        return LaurentPoly({m: self.ring.mul(cc, c) for m, cc in self.terms.items()}, self.ring)
+            return LaurentPoly.zero()
+        return LaurentPoly({m: cc * c for m, cc in self.terms.items()})
 
     def mul_monomial(self, mono, coeff=1):
-        coeff = self.ring.coerce(coeff)
-        return LaurentPoly(
-            {mono_mul(m, mono): self.ring.mul(c, coeff) for m, c in self.terms.items()},
-            self.ring,
-        )
+        coeff = _coerce(coeff)
+        return LaurentPoly({mono_mul(m, mono): c * coeff for m, c in self.terms.items()})
 
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power of a polynomial; use RationalExpr")
-        out = LaurentPoly.const(1, self.ring)
+        out = LaurentPoly.const(1)
         base = self
         while k:
             if k & 1:
@@ -317,11 +232,7 @@ class LaurentPoly:
         return out
 
     def __eq__(self, other):
-        return (
-            isinstance(other, LaurentPoly)
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
+        return isinstance(other, LaurentPoly) and self.terms == other.terms
 
     def __hash__(self):
         return hash((id(type(self)), frozenset(self.terms.items())))
@@ -329,19 +240,18 @@ class LaurentPoly:
     # calculus -----------------------------------------------------------
 
     def derivative(self, vid):
-        ring = self.ring
         d = {}
         for m, c in self.terms.items():
             e = dict(m).get(vid, 0)
             if e == 0:
                 continue
             m2 = mono_mul(m, ((vid, -1),))
-            s = ring.add(d.get(m2, 0), ring.mul(c, ring.coerce(e)))
+            s = d.get(m2, 0) + c * e
             if s != 0:
                 d[m2] = s
             elif m2 in d:
                 del d[m2]
-        return LaurentPoly(d, ring)
+        return LaurentPoly(d)
 
     # structure ----------------------------------------------------------
 
@@ -368,7 +278,7 @@ class LaurentPoly:
 
     def substitute(self, bindings):
         """Substitute RationalExpr values for variables; returns RationalExpr."""
-        num = RationalExpr.const(0, self.ring)
+        num = RationalExpr.const(0)
         cache: dict[tuple[int, int], RationalExpr] = {}
 
         def power(v, e):
@@ -378,38 +288,39 @@ class LaurentPoly:
                 if e < 0:
                     base = base.inverse()
                     e = -e
-                out = RationalExpr.const(1, self.ring)
+                out = RationalExpr.const(1)
                 for _ in range(e):
                     out = out * base
                 cache[key] = out
             return cache[key]
 
         for m, c in self.terms.items():
-            term = RationalExpr.const(c, self.ring)
+            term = RationalExpr.const(c)
             rest = []
             for v, e in m:
                 if v in bindings:
                     term = term * power(v, e)
                 else:
                     rest.append((v, e))
-            term = term * RationalExpr(
-                LaurentPoly({tuple(rest): self.ring.coerce(1)}, self.ring)
-            )
+            term = term * RationalExpr(LaurentPoly({tuple(rest): Fraction(1)}))
             num = num + term
         return num
 
     def eval_int(self, point, q=None):
-        """Evaluate at values ``point`` (dict vid -> int), mod q if given.
+        """Evaluate at values ``point`` (dict vid -> int), mod the prime q if given.
 
-        Returns None when a negative power of 0 is hit.  Without q the result
-        is a Fraction.
+        Returns None where the value is undefined: when a negative power of 0
+        is hit, or, mod q, when q divides a coefficient's denominator.  Without
+        q the result is a Fraction.
         """
         total = 0
         for m, c in self.terms.items():
             if q is None:
                 t = Fraction(c)
+            elif c.denominator % q == 0:
+                return None
             else:
-                t = c if isinstance(c, int) else c.numerator * pow(c.denominator, -1, q)
+                t = c.numerator * pow(c.denominator, -1, q)
             for v, e in m:
                 x = point[v] if q is None else point[v] % q
                 if e < 0:
@@ -429,9 +340,7 @@ class LaurentPoly:
         items = sorted(self.terms.items(), key=lambda mc: mono_key(mc[0]))
         out = []
         for m, c in items:
-            neg = (isinstance(c, Fraction) and c < 0) or (
-                isinstance(c, int) and self.ring.characteristic == 0 and c < 0
-            )
+            neg = c < 0
             mag = -c if neg else c
             if m == ():
                 body = str(mag)
@@ -460,29 +369,28 @@ def _as_univar(p: LaurentPoly, v):
         d = dict(m)
         e = d.pop(v, 0)
         coeffs.setdefault(e, {})[tuple(sorted(d.items()))] = c
-    return {e: LaurentPoly(t, p.ring) for e, t in coeffs.items()}
+    return {e: LaurentPoly(t) for e, t in coeffs.items()}
 
 
-def _from_univar(coeffs, v, ring):
+def _from_univar(coeffs, v):
     d = {}
     for e, p in coeffs.items():
         for m, c in p.terms.items():
             mm = mono_mul(m, ((v, e),)) if e else m
-            d[mm] = ring.add(d.get(mm, 0), c)
-    return LaurentPoly(d, ring)
+            d[mm] = d.get(mm, 0) + c
+    return LaurentPoly(d)
 
 
 def poly_exact_div(a: LaurentPoly, b: LaurentPoly):
     """Exact division a / b in the Laurent ring (monomials are units), or
     None if the polynomial core of b does not divide that of a."""
-    ring = _same_ring(a, b)
     if b.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if a.is_zero():
-        return LaurentPoly.zero(ring)
+        return LaurentPoly.zero()
     if b.is_monomial():
         (mb, cb), = b.terms.items()
-        return a.mul_monomial(mono_inv(mb), ring.inv(cb))
+        return a.mul_monomial(mono_inv(mb), 1 / cb)
     a_shift = {v: e for v, e in a.min_exponents().items() if e < 0}
     b_shift = {v: e for v, e in b.min_exponents().items() if e < 0}
     if a_shift or b_shift:
@@ -492,10 +400,10 @@ def poly_exact_div(a: LaurentPoly, b: LaurentPoly):
         if q is None:
             return None
         return q.mul_monomial(mono_mul(mono_inv(ma), mb2))
-    q = LaurentPoly.zero(ring)
+    q = LaurentPoly.zero()
     r = a
     mb, cb = b.leading()
-    cb_inv = ring.inv(cb)
+    cb_inv = 1 / cb
     while not r.is_zero():
         mr, cr = r.leading()
         dq = dict(mr)
@@ -506,17 +414,16 @@ def poly_exact_div(a: LaurentPoly, b: LaurentPoly):
             # leading term of r to stay divisible by the leading term of b
             return None
         mono = tuple(sorted((v, e) for v, e in dq.items() if e))
-        t = LaurentPoly({mono: ring.mul(cr, cb_inv)}, ring)
+        t = LaurentPoly({mono: cr * cb_inv})
         q = q + t
         r = r - t * b
     return q
 
 
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Gcd over a field up to units, normalized: positive leading coefficient
-    and primitive over Q, monic over F_q.  Laurent monomial factors are units
-    and are stripped.  Primitive Euclid; inputs are small."""
-    ring = _same_ring(a, b)
+    """Gcd over Q up to units, normalized: primitive with positive leading
+    coefficient.  Laurent monomial factors are units and are stripped.
+    Primitive Euclid; inputs are small."""
     a, _ = a.monomial_normalized()
     b, _ = b.monomial_normalized()
     if a.is_zero():
@@ -524,10 +431,10 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     if b.is_zero():
         return _normalize_gcd(a)
     if a.is_constant() or b.is_constant():
-        return LaurentPoly.const(1, ring)
+        return LaurentPoly.const(1)
     vs = a.variables() & b.variables()
     if not vs:
-        return LaurentPoly.const(1, ring)
+        return LaurentPoly.const(1)
     v = min(vs)
 
     def content_and_primitive(p):
@@ -536,7 +443,7 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         for c in coeffs.values():
             g = c if g is None else poly_gcd(g, c)
             if g.is_constant():
-                g = LaurentPoly.const(1, ring)
+                g = LaurentPoly.const(1)
                 break
         prim = poly_exact_div(p, g)
         return g, prim
@@ -552,7 +459,7 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         if max(fu) < max(gu):
             f, g = g, f
             fu, gu = gu, fu
-        r = _pseudo_rem(fu, gu, v, ring)
+        r = _pseudo_rem(fu, gu, v)
         if r.is_zero():
             _, gprim = content_and_primitive(g)
             return _normalize_gcd(cont * gprim)
@@ -562,12 +469,12 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         f, g = g, r
 
 
-def _pseudo_rem(fu, gu, v, ring):
+def _pseudo_rem(fu, gu, v):
     """Pseudo-remainder of univariate views fu, gu in variable v."""
     df, dg = max(fu), max(gu)
     lg = gu[dg]
-    f = _from_univar(fu, v, ring)
-    g = _from_univar(gu, v, ring)
+    f = _from_univar(fu, v)
+    g = _from_univar(gu, v)
     r = f
     dr = df
     while not r.is_zero():
@@ -585,18 +492,15 @@ def _normalize_gcd(p: LaurentPoly) -> LaurentPoly:
         return p
     p, _ = p.monomial_normalized()  # monomial factors are units
     _, c = p.leading()
-    ring = p.ring
-    if ring.characteristic == 0:
-        den_lcm = 1
-        num_gcd = 0
-        for coeff in p.terms.values():
-            den_lcm = den_lcm * coeff.denominator // _int_gcd(den_lcm, coeff.denominator)
-            num_gcd = _int_gcd(num_gcd, abs(coeff.numerator))
-        scale = Fraction(den_lcm, num_gcd or 1)
-        if c < 0:
-            scale = -scale
-        return p.scale(scale)
-    return p.scale(ring.inv(c))
+    den_lcm = 1
+    num_gcd = 0
+    for coeff in p.terms.values():
+        den_lcm = den_lcm * coeff.denominator // _int_gcd(den_lcm, coeff.denominator)
+        num_gcd = _int_gcd(num_gcd, abs(coeff.numerator))
+    scale = Fraction(den_lcm, num_gcd or 1)
+    if c < 0:
+        scale = -scale
+    return p.scale(scale)
 
 
 def _int_gcd(a, b):
@@ -616,26 +520,21 @@ class RationalExpr:
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None):
         if den is None:
-            den = LaurentPoly.const(1, num.ring)
-        _same_ring(num, den)
+            den = LaurentPoly.const(1)
         if den.is_zero():
             raise ZeroDenominator("zero denominator")
         self.num, self.den = _normal_form(*_cancel(num, den))
 
-    @property
-    def ring(self):
-        return self.num.ring
-
     # construction -------------------------------------------------------
 
     @classmethod
-    def const(cls, c, ring=QQ):
-        return cls(LaurentPoly.const(c, ring))
+    def const(cls, c):
+        return cls(LaurentPoly.const(c))
 
     @classmethod
-    def variable(cls, name_or_id, ring=QQ, power=1):
+    def variable(cls, name_or_id):
         vid = var_id(name_or_id) if isinstance(name_or_id, str) else name_or_id
-        return cls(LaurentPoly.variable(vid, ring, power))
+        return cls(LaurentPoly.variable(vid))
 
     # predicates ---------------------------------------------------------
 
@@ -707,7 +606,7 @@ class RationalExpr:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        out = RationalExpr.const(1, self.ring)
+        out = RationalExpr.const(1)
         for _ in range(k):
             out = out * self
         return out
@@ -716,7 +615,7 @@ class RationalExpr:
         if isinstance(other, RationalExpr):
             return other
         if isinstance(other, (int, Fraction)):
-            return RationalExpr.const(other, self.ring)
+            return RationalExpr.const(other)
         if isinstance(other, LaurentPoly):
             return RationalExpr(other)
         raise TypeError(f"cannot combine RationalExpr with {other!r}")
@@ -745,7 +644,7 @@ class RationalExpr:
             return self
         bindings = {
             (var_id(k) if isinstance(k, str) else k): (
-                v if isinstance(v, RationalExpr) else RationalExpr.const(v, self.ring)
+                v if isinstance(v, RationalExpr) else RationalExpr.const(v)
             )
             for k, v in bindings.items()
         }
@@ -756,6 +655,7 @@ class RationalExpr:
         return num / den
 
     def eval_int(self, point, q=None):
+        """As ``LaurentPoly.eval_int``; None also where the denominator vanishes."""
         nv = self.num.eval_int(point, q)
         dv = self.den.eval_int(point, q)
         if nv is None or dv is None:
@@ -799,24 +699,19 @@ def _reduced(num: LaurentPoly, den: LaurentPoly) -> RationalExpr:
 
 def _normal_form(num: LaurentPoly, den: LaurentPoly):
     """Move the Laurent monomial factor of den into num and scale den to a
-    primitive polynomial with positive leading coefficient (monic over F_q).
-    The polynomial cores of num and den must be coprime."""
-    ring = num.ring
+    primitive polynomial with positive leading coefficient.  The polynomial
+    cores of num and den must be coprime."""
     if num.is_zero():
-        return num, LaurentPoly.const(1, ring)
+        return num, LaurentPoly.const(1)
     den, den_mono = den.monomial_normalized()
-    if ring.characteristic == 0:
-        den_lcm, num_gcd = 1, 0
-        for c in den.terms.values():
-            den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
-            num_gcd = _int_gcd(num_gcd, abs(c.numerator))
-        scale = Fraction(den_lcm, num_gcd or 1)
-        _, lead = den.leading()
-        if lead < 0:
-            scale = -scale
-    else:
-        _, lead = den.leading()
-        scale = ring.inv(lead)
+    den_lcm, num_gcd = 1, 0
+    for c in den.terms.values():
+        den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
+        num_gcd = _int_gcd(num_gcd, abs(c.numerator))
+    scale = Fraction(den_lcm, num_gcd or 1)
+    _, lead = den.leading()
+    if lead < 0:
+        scale = -scale
     if den_mono:
         num = num.mul_monomial(mono_inv(den_mono), scale)
     elif scale != 1:
@@ -828,23 +723,12 @@ def _normal_form(num: LaurentPoly, den: LaurentPoly):
 
 # convenience constructors used throughout the package
 
-def poly(name: str, ring=QQ) -> RationalExpr:
-    return RationalExpr.variable(name, ring)
+def poly(name: str) -> RationalExpr:
+    return RationalExpr.variable(name)
 
 
-def const(c, ring=QQ) -> RationalExpr:
-    return RationalExpr.const(c, ring)
-
-
-def poly_arith(op: str, a: RationalExpr, b: RationalExpr) -> RationalExpr:
-    _same_ring(a.num, b.num)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
+def const(c) -> RationalExpr:
+    return RationalExpr.const(c)
 
 
 def substitute(expr: RationalExpr, bindings) -> RationalExpr:
@@ -874,20 +758,19 @@ def dlog(expr: RationalExpr) -> "OneForm":
 class MatrixExpr:
     """Square matrix of RationalExpr values."""
 
-    __slots__ = ("n", "rows", "ring")
+    __slots__ = ("n", "rows")
 
-    def __init__(self, rows, ring=None):
+    def __init__(self, rows):
         self.rows = [list(r) for r in rows]
         self.n = len(self.rows)
         for r in self.rows:
             if len(r) != self.n:
                 raise ValueError("matrix must be square")
-        self.ring = ring if ring is not None else (self.rows[0][0].ring if self.n else QQ)
 
     @classmethod
-    def identity(cls, n, ring=QQ):
-        one, zero = RationalExpr.const(1, ring), RationalExpr.const(0, ring)
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)], ring)
+    def identity(cls, n):
+        one, zero = RationalExpr.const(1), RationalExpr.const(0)
+        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -902,11 +785,9 @@ class MatrixExpr:
 
     def __mul__(self, other):
         if isinstance(other, RationalExpr):
-            return MatrixExpr(
-                [[e * other for e in row] for row in self.rows], self.ring
-            )
+            return MatrixExpr([[e * other for e in row] for row in self.rows])
         n = self.n
-        zero = RationalExpr.const(0, self.ring)
+        zero = RationalExpr.const(0)
         out = []
         for i in range(n):
             row = []
@@ -918,12 +799,12 @@ class MatrixExpr:
                         acc = acc + a * b
                 row.append(acc)
             out.append(row)
-        return MatrixExpr(out, self.ring)
+        return MatrixExpr(out)
 
     def det(self) -> RationalExpr:
         n = self.n
         if n == 0:
-            return RationalExpr.const(1, self.ring)
+            return RationalExpr.const(1)
         if n == 1:
             return self.rows[0][0]
         if n == 2:
@@ -931,14 +812,13 @@ class MatrixExpr:
             c, d = self.rows[1]
             return a * d - b * c
         # Laplace expansion along the first row; matrices here are small (n <= 5)
-        total = RationalExpr.const(0, self.ring)
+        total = RationalExpr.const(0)
         for j in range(n):
             e = self.rows[0][j]
             if e.is_zero():
                 continue
             minor = MatrixExpr(
-                [[self.rows[i][k] for k in range(n) if k != j] for i in range(1, n)],
-                self.ring,
+                [[self.rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
             )
             term = e * minor.det()
             total = total + term if j % 2 == 0 else total - term
@@ -952,10 +832,7 @@ class MatrixExpr:
         # Gauss-Jordan with exact arithmetic
         aug = [
             [self.rows[i][j] for j in range(n)]
-            + [
-                RationalExpr.const(1 if i == j else 0, self.ring)
-                for j in range(n)
-            ]
+            + [RationalExpr.const(1 if i == j else 0) for j in range(n)]
             for i in range(n)
         ]
         for col in range(n):
@@ -967,17 +844,13 @@ class MatrixExpr:
                 if r != col and not aug[r][col].is_zero():
                     f = aug[r][col]
                     aug[r] = [er - f * ec for er, ec in zip(aug[r], aug[col])]
-        return MatrixExpr([row[n:] for row in aug], self.ring)
+        return MatrixExpr([row[n:] for row in aug])
 
     def transpose(self):
-        return MatrixExpr(
-            [[self.rows[j][i] for j in range(self.n)] for i in range(self.n)], self.ring
-        )
+        return MatrixExpr([[self.rows[j][i] for j in range(self.n)] for i in range(self.n)])
 
     def substitute(self, bindings):
-        return MatrixExpr(
-            [[e.substitute(bindings) for e in row] for row in self.rows], self.ring
-        )
+        return MatrixExpr([[e.substitute(bindings) for e in row] for row in self.rows])
 
     def is_upper_triangular(self):
         return all(
@@ -997,7 +870,7 @@ class MatrixExpr:
         return out
 
     def trace(self):
-        t = RationalExpr.const(0, self.ring)
+        t = RationalExpr.const(0)
         for i in range(self.n):
             t = t + self.rows[i][i]
         return t
@@ -1103,9 +976,7 @@ def mat_dlog_left(f: MatrixExpr):
     finv = f.inverse()
     out = {}
     for v in sorted(f.variables()):
-        df = MatrixExpr(
-            [[e.derivative(v) for e in row] for row in f.rows], f.ring
-        )
+        df = MatrixExpr([[e.derivative(v) for e in row] for row in f.rows])
         out[v] = finv * df
     return out
 
@@ -1115,9 +986,7 @@ def mat_dlog_right(g: MatrixExpr):
     ginv = g.inverse()
     out = {}
     for v in sorted(g.variables()):
-        dg = MatrixExpr(
-            [[e.derivative(v) for e in row] for row in g.rows], g.ring
-        )
+        dg = MatrixExpr([[e.derivative(v) for e in row] for row in g.rows])
         out[v] = dg * ginv
     return out
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ring import (
-    QQ,
     LaurentPoly,
     MatrixExpr,
     NonUnitDiagonal,
@@ -68,13 +67,13 @@ def _polynomial_entry(m: MatrixExpr, i: int, j: int) -> LaurentPoly:
     return entry.num
 
 
-def variety_equations(word: BraidWord, perm=None, ring=QQ) -> VarietyPresentation:
+def variety_equations(word: BraidWord, perm=None) -> VarietyPresentation:
     """Defining equations of the locus where B_word(z) . P_perm is upper
     triangular.  Identically-zero entries are dropped but their positions
     are recorded (the honest complete-intersection count needs them)."""
     if perm is None:
         perm = identity_perm(word.n)
-    m = braid_matrix(word, ring=ring)
+    m = braid_matrix(word)
     eqs, zeros, positions = [], [], []
     for a, b in below_diagonal_positions(word.n):
         p = _polynomial_entry(m, a - 1, perm[b - 1])
@@ -106,20 +105,20 @@ def variety_dimension(word: BraidWord, perm=None):
     return len(word) - n * (n - 1) // 2
 
 
-def delta_lower_factor(n: int, variables, ring=QQ) -> MatrixExpr:
+def delta_lower_factor(n: int, variables) -> MatrixExpr:
     """B_Delta(u) . w0 as a matrix: lower uni-triangular with polynomial
     entries in the Delta variables."""
     word = BraidWord(n, half_twist_letters(n), tuple(variables))
-    m = braid_matrix(word, ring=ring) * perm_matrix(longest_perm(n), ring)
+    m = braid_matrix(word) * perm_matrix(longest_perm(n))
     if not m.is_lower_triangular():
         raise RingError("B_Delta . w0 is not lower triangular")
     return m
 
 
-def delta_upper_factor(n: int, variables, ring=QQ) -> MatrixExpr:
+def delta_upper_factor(n: int, variables) -> MatrixExpr:
     """w0 . B_Delta(w): upper uni-triangular with polynomial entries."""
     word = BraidWord(n, half_twist_letters(n), tuple(variables))
-    m = perm_matrix(longest_perm(n), ring) * braid_matrix(word, ring=ring)
+    m = perm_matrix(longest_perm(n)) * braid_matrix(word)
     if not m.is_upper_triangular():
         raise RingError("w0 . B_Delta is not upper triangular")
     return m
@@ -159,9 +158,7 @@ def split_full_twist(word: BraidWord):
     return full, residual, list(free_vars)
 
 
-def augmentation_equations(
-    word: BraidWord, marked, prescribed=None, ring=QQ
-) -> VarietyPresentation:
+def augmentation_equations(word: BraidWord, marked, prescribed=None) -> VarietyPresentation:
     """Equations for the augmentation variety with marked strands.
 
     ``B_word(z) . L(c) . diag(t)`` must be upper triangular with the
@@ -173,27 +170,25 @@ def augmentation_equations(
     if not marked <= set(range(1, n + 1)):
         raise ValueError("marked strands must lie in 1..n")
     cvars = {}
-    one, zero = RationalExpr.const(1, ring), RationalExpr.const(0, ring)
+    one, zero = RationalExpr.const(1), RationalExpr.const(0)
     rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for a in range(2, n + 1):
         for b in range(1, a):
             vid = var_id(f"c{a}{b}")
             cvars[(a, b)] = vid
-            rows[a - 1][b - 1] = RationalExpr.variable(vid, ring)
-    lower = MatrixExpr(rows, ring)
+            rows[a - 1][b - 1] = RationalExpr.variable(vid)
+    lower = MatrixExpr(rows)
     tvars = []
     diag = []
     for i in range(1, n + 1):
         if i in marked:
             vid = var_id(f"t{i}")
             tvars.append(vid)
-            diag.append(RationalExpr.variable(vid, ring))
+            diag.append(RationalExpr.variable(vid))
         else:
             diag.append(one)
-    dmat = MatrixExpr(
-        [[diag[i] if i == j else zero for j in range(n)] for i in range(n)], ring
-    )
-    m = braid_matrix(word, ring=ring) * lower * dmat
+    dmat = MatrixExpr([[diag[i] if i == j else zero for j in range(n)] for i in range(n)])
+    m = braid_matrix(word) * lower * dmat
 
     eqs, zeros, positions = [], [], []
     for a, b in below_diagonal_positions(n):
@@ -208,12 +203,12 @@ def augmentation_equations(
         prescribed = {}
     for i in range(1, n + 1):
         if i not in marked:
-            target = RationalExpr.const(prescribed.get(i, 1), ring)
+            target = RationalExpr.const(prescribed.get(i, 1))
             p = (m[i - 1, i - 1] - target).num
             if not p.is_zero():
                 eqs.append(p)
                 positions.append((i, i))
-    ineqs = [LaurentPoly.variable(v, ring) for v in tvars]
+    ineqs = [LaurentPoly.variable(v) for v in tvars]
     variables = word.variables + tuple(cvars.values()) + tuple(tvars)
     return VarietyPresentation(
         n=n,

@@ -248,7 +248,7 @@ def _moves_to_events(path, offset: int):
 # builders
 
 
-def weave_from_opening_order(beta: BraidWord, order, half_twist_var_prefix="z") -> Weave:
+def weave_from_opening_order(beta: BraidWord, order) -> Weave:
     """The Demazure weave from beta Delta to Delta realizing the given
     opening order (1-based crossing indices of beta).
 
@@ -262,7 +262,7 @@ def weave_from_opening_order(beta: BraidWord, order, half_twist_var_prefix="z") 
     delta = half_twist_letters(n)
     rdelta = delta[::-1]
     m = len(delta)
-    word = append_half_twist(beta, prefix=half_twist_var_prefix)
+    word = append_half_twist(beta)
     letters = list(word.letters)
     remaining = list(range(1, len(beta) + 1))
     events: list[WeaveEvent] = []
@@ -725,7 +725,12 @@ def equivalence_orbit(weave: Weave, cap: int = 250):
     return list(seen.values())
 
 
-def mutation_graph(beta: BraidWord, max_len_2=8, max_len_3=5) -> MutationGraph:
+# longest words whose mutation graphs are built: every opening order is tried
+MUTATION_GRAPH_MAX_LEN_2 = 8  # two strands
+MUTATION_GRAPH_MAX_LEN_3 = 5  # three or more strands
+
+
+def mutation_graph(beta: BraidWord) -> MutationGraph:
     """Vertices: classes of Demazure weaves beta Delta -> Delta (class proxy:
     equality of the charts as subsets; for n = 2 this is the binary-tree
     shape).  Edges: single mutations, decided for n >= 3 by exact chart
@@ -735,7 +740,7 @@ def mutation_graph(beta: BraidWord, max_len_2=8, max_len_3=5) -> MutationGraph:
 
     n = beta.n
     l = len(beta)
-    limit = max_len_2 if n == 2 else max_len_3
+    limit = MUTATION_GRAPH_MAX_LEN_2 if n == 2 else MUTATION_GRAPH_MAX_LEN_3
     if l > limit:
         raise BudgetExceeded(f"mutation graph bound exceeded for n={n}: l={l} letters, over the limit of {limit}")
     if n == 2:

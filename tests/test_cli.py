@@ -1,6 +1,12 @@
 """Command-line interface: outputs, formats, exit codes."""
 import io
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
+import braidweave
 from braidweave.cli import main
 from braidweave.weave import parse_weave
 
@@ -197,3 +203,73 @@ def test_seven_strand_mellit_chart():
     code, text = run(["chart", "--braid", "B7: 1 2 3", "--mellit"])
     assert code == 0
     assert text.splitlines()[-3:] == ["invert: z1", "invert: z2", "invert: z3"]
+
+
+GOLDEN = Path(__file__).parent / "golden" / "cli.txt"
+
+# the README commands (except ``weave``, which needs an input file) and a few
+# longer words; DOT paths are relative, so they land in the run's directory
+GOLDEN_COMMANDS = [
+    ["matrix", "--braid", "B2: 1"],
+    ["variety", "--braid", "B2: 1 1 1 1 1", "--pi", "id"],
+    ["demazure", "--braid", "B3: 1 2 1 2"],
+    ["weights", "--braid", "B2: 1 1 1 1"],
+    ["mellit", "--braid", "B3: 1 2 1"],
+    ["chart", "--braid", "B3: 1 2 1", "--mellit"],
+    ["chart", "--braid", "B2: 1 1 1", "--order", "3 1 2"],
+    ["form", "--braid", "B2: 1 1 1"],
+    ["count", "--braid", "B2: 1 1 1", "--q", "2"],
+    ["count", "--braid", "B2: 1 1 1", "--strata"],
+    ["cluster", "--braid", "B2: 1 1 1 1 1 1 1", "--order", "7 1 4 3 2 6 5", "--dot", "quiver.dot"],
+    ["mutation-graph", "--braid", "B2: 1 1 1", "--dot", "graph.dot"],
+    ["weights", "--braid", "B3: 2 1 2 1", "--side", "right"],
+    ["form", "--braid", "B3: 1 2 1 2 1", "--order", "3 1 5 2 4"],
+    ["count", "--braid", "B4: 1 2 3 1 2 3 1 2", "--strata"],
+    ["chart", "--braid", "B3: 1 2 1 1 1 1 2", "--mellit"],
+    ["mutation-graph", "--braid", "B4: 2 2 2"],
+    ["chart", "--braid", "B2: 1 1", "--order", "1 x"],
+]
+
+
+def _fresh_process_record(argv, cwd):
+    """Stdout, stderr, exit code and DOT file of one ``braidweave`` run in its
+    own interpreter, as one text block headed by the command line.
+
+    A fresh process matters: variable ids are interned per process, so the
+    render order of an in-process run can depend on what ran before it.
+    """
+    src = os.path.dirname(os.path.dirname(braidweave.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "braidweave.cli", *argv],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
+    )
+    header = " ".join(a if re.fullmatch(r"[\w.-]+", a) else repr(a) for a in argv)
+    block = f"$ braidweave {header}\nexit {proc.returncode}\n"
+    block += f"--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}"
+    if "--dot" in argv:
+        dot = Path(cwd) / argv[argv.index("--dot") + 1]
+        block += f"--- {dot.name}\n{dot.read_text()}"
+    return block
+
+
+def _golden_blocks(text):
+    return re.split(r"(?m)^(?=\$ braidweave )", text)[1:]
+
+
+def test_fresh_process_output_is_golden(tmp_path):
+    expected = _golden_blocks(GOLDEN.read_text())
+    assert len(expected) == len(GOLDEN_COMMANDS)
+    for argv, want in zip(GOLDEN_COMMANDS, expected):
+        assert _fresh_process_record(argv, tmp_path) == want
+
+
+if __name__ == "__main__":
+    # rewrite the golden file from the current tree:
+    #   PYTHONPATH=src python tests/test_cli.py
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text("".join(_fresh_process_record(a, tmp) for a in GOLDEN_COMMANDS))
