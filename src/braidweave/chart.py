@@ -29,6 +29,7 @@ L^T through the reversed word, transposed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 from .ring import (
     LaurentPoly,
@@ -294,6 +295,10 @@ def charts_equal_as_subsets(c1: ChartMap, c2: ChartMap) -> bool:
     return included(c1, c2) and included(c2, c1)
 
 
+class NotExchangeBinomial(Exception):
+    """Two charts differ in one polynomial that is not a primitive binomial."""
+
+
 def _common_core(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
     """A polynomial f with a and b both units times powers of f, or None
     when the gcd-free basis of {a, b} has two coprime elements."""
@@ -308,12 +313,35 @@ def _common_core(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
     return None if f is None else _common_core(f, poly_exact_div(b, g))
 
 
+def _certify(core: LaurentPoly, inner: ChartMap, outer: ChartMap) -> None:
+    """Check that the single core of a chart pair is an exchange binomial
+    c1*m1 + c2*m2 whose exponent difference m1/m2 is primitive (its entries
+    have gcd 1).  A unimodular change of torus coordinates turns it into
+    1 + y, up to a unit, so it is irreducible and the two tori differ in
+    exactly one hypersurface."""
+    if len(core.terms) == 2:
+        a, b = (dict(m) for m in core.terms)
+        if gcd(*(a.get(v, 0) - b.get(v, 0) for v in a.keys() | b.keys())) == 1:
+            return
+
+    def label(c):
+        if c.opened_crossings is not None:
+            return "order " + " ".join(map(str, c.opened_crossings))
+        return "inverted [" + ", ".join(e.render() for e in c.inverted) + "]"
+
+    raise NotExchangeBinomial(
+        f"charts ({label(inner)}) and ({label(outer)}) differ in {core.render()}, "
+        "which is not a primitive binomial"
+    )
+
+
 def charts_adjacent(c1: ChartMap, c2: ChartMap) -> bool:
     """Exact test that two toric charts of the same variety are one mutation
     apart: each chart's defining non-vanishing conditions, pulled back
     through the other's parametrization, must be units times powers of one
-    and the same non-monomial polynomial (the exchange binomial), so the two
-    tori differ in a single cluster variable."""
+    and the same non-monomial polynomial, so the two tori differ in a single
+    cluster variable.  That polynomial must be the exchange binomial
+    (``_certify``); any other single core raises ``NotExchangeBinomial``."""
     if c1.top.letters != c2.top.letters:
         return False
 
@@ -336,7 +364,10 @@ def charts_adjacent(c1: ChartMap, c2: ChartMap) -> bool:
                     core = part if core is None else _common_core(core, part)
                     if core is None:  # a second coprime core
                         return False
-        return core is not None
+        if core is None:
+            return False
+        _certify(core, inner, outer)
+        return True
 
     return one_core(c1, c2) and one_core(c2, c1)
 

@@ -8,6 +8,7 @@ the canonical renderings; DOT files are written on request.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -151,7 +152,10 @@ def cmd_mutation_graph(args, out):
         out.write(f"dot written: {args.dot}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every invocation shares it."""
     p = argparse.ArgumentParser(
         prog="braidweave",
         description="Exact computations with braid varieties and weave diagrams",
@@ -232,6 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 DOMAIN_ERRORS = (
     ring.RingError,
     braid.BraidError,
+    chart.NotExchangeBinomial,
     weave.BudgetExceeded,
     weave.InvalidLabels,
     variety.EliminationFailed,

@@ -1,12 +1,16 @@
 """Exact arithmetic kernel: Laurent polynomials, rational functions, matrices, forms.
 
-Coefficients live in Q only, as exact ``Fraction`` values; values are reduced
-mod a prime q only when they are evaluated at a point (``eval_int(point, q)``).
-Everything downstream of this module is built from four value types:
+Coefficients live in Q only, as an ``int`` when integral and a ``Fraction``
+otherwise; values are reduced mod a prime q only when they are evaluated at a
+point (``eval_int(point, q)``).  Everything downstream of this module is built
+from four value types:
 
-- ``LaurentPoly``: multivariate Laurent polynomial, stored as a map from
-  monomials (sorted tuples of ``(var_id, exponent)`` with nonzero exponents)
-  to nonzero coefficients.
+- ``LaurentPoly``: multivariate Laurent polynomial, a map from monomials to
+  nonzero coefficients.  A monomial is one int packing the signed exponent of
+  variable id v into the ``EXP_BITS``-wide field at bit ``EXP_BITS * v``, so a
+  product of monomials is ``+`` and an inverse is unary ``-``.  It is decoded
+  into a ``(var_id, exponent)`` listing only to render, to take the lex
+  leading term and to view a polynomial in one variable.
 - ``RationalExpr``: quotient of two Laurent polynomials in canonical form.
   Canonical means: the denominator is an honest polynomial, not divisible by
   any variable, primitive with positive leading coefficient, and coprime to
@@ -20,6 +24,11 @@ Everything downstream of this module is built from four value types:
 - ``OneForm`` / ``TwoForm``: differential forms with ``RationalExpr``
   coefficients, keyed by variable ids resp. ordered pairs of them.
 
+Gcds clear denominators and run GCDHEU (Char, Geddes and Gonnet 1989): the
+main variable is set to an integer, the image gcd is found recursively, lifted
+back x-adically and checked by exact division.  After ``HEU_GCD_POINTS``
+failed points the primitive polynomial remainder sequence decides.
+
 Variables are interned integers; the registry maps ids to display names.
 Rendering is deterministic: monomials are ordered by total absolute degree,
 then lexicographically by exponent vector.  This rendering is the golden-file
@@ -30,7 +39,11 @@ All values are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import threading
+from collections.abc import Mapping
 from fractions import Fraction
+from itertools import accumulate, repeat
+from math import gcd, isqrt, lcm
+from operator import mul
 
 
 class RingError(Exception):
@@ -54,34 +67,39 @@ class NonUnitDiagonal(RingError):
 
 
 # ---------------------------------------------------------------------------
-# coefficients
+# coefficients (int or Fraction) and monomials (packed ints)
 
 
 def _coerce(c):
-    """A coefficient as a Fraction; ints are converted, anything else refused."""
+    """A coefficient: an int when integral, else a Fraction; anything else is
+    refused."""
     if isinstance(c, Fraction):
-        return c
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError(f"cannot coerce {c!r} into Q")
 
 
-# ---------------------------------------------------------------------------
-# variable registry
+EXP_BITS = 32
+_FIELD = 1 << EXP_BITS
+_HALF = _FIELD >> 1
 
 _registry_lock = threading.Lock()
 _name_to_id: dict[str, int] = {}
 _id_to_name: list[str] = []
+_SIGNS = 0  # the top bit of every registered variable's field
 
 
 def var_id(name: str) -> int:
     """Intern a variable name, returning its integer id (ids order printing)."""
+    global _SIGNS
     with _registry_lock:
         vid = _name_to_id.get(name)
         if vid is None:
             vid = len(_id_to_name)
             _name_to_id[name] = vid
             _id_to_name.append(name)
+            _SIGNS |= _HALF << (EXP_BITS * vid)
         return vid
 
 
@@ -89,60 +107,88 @@ def var_name(vid: int) -> str:
     return _id_to_name[vid]
 
 
-# ---------------------------------------------------------------------------
-# monomials: sorted tuples of (var_id, exp), exp != 0
+def mono_pack(listing) -> int:
+    """The packed monomial of ``(var_id, exponent)`` pairs."""
+    m = 0
+    for v, e in listing:
+        if not -_HALF < e < _HALF:
+            raise RingError(f"exponent {e} does not fit in {EXP_BITS} bits")
+        m += e << (EXP_BITS * v)
+    return m
 
 
-def mono_mul(m1, m2):
-    d = dict(m1)
-    for v, e in m2:
-        e2 = d.get(v, 0) + e
-        if e2:
-            d[v] = e2
-        else:
-            del d[v]
-    return tuple(sorted(d.items()))
+def mono_decode(m: int):
+    """The sorted ``(var_id, exponent)`` listing of a packed monomial."""
+    out = []
+    while m:
+        shift = ((m & -m).bit_length() - 1) // EXP_BITS * EXP_BITS
+        e = (m >> shift) & (_FIELD - 1)
+        if e >= _HALF:
+            e -= _FIELD
+        out.append((shift // EXP_BITS, e))
+        m -= e << shift
+    return tuple(out)
 
 
-def mono_inv(m):
-    return tuple((v, -e) for v, e in m)
+def _mono_exp(m: int, v: int) -> int:
+    """The exponent of variable v in the packed monomial m."""
+    shift = EXP_BITS * v
+    e = ((m + (1 << shift >> 1)) >> shift) & (_FIELD - 1)
+    return e - _FIELD if e >= _HALF else e
 
 
-def mono_key(m):
-    """Display sort key: total absolute degree, then the exponent listing."""
-    return (sum(abs(e) for _, e in m), m)
+def _is_polynomial_mono(m: int) -> bool:
+    """True when no exponent of m is negative."""
+    return m >= 0 and not m & _SIGNS
 
 
-_LEX_SENTINEL = (1 << 60, 0)
+def _lex_key(m: int):
+    """Lex order key, smaller for larger monomials with nonnegative exponents."""
+    return tuple((v, -e) for v, e in mono_decode(m)) + ((1 << 60, 0),)
 
 
-def mono_lex_key(m):
-    """Key for a true lexicographic monomial order (valid for division):
-    smaller key = larger monomial.  Only meaningful for nonnegative exponents."""
-    return tuple((v, -e) for v, e in m) + (_LEX_SENTINEL,)
+def _mono_str(listing):
+    return "*".join(var_name(v) if e == 1 else f"{var_name(v)}^{e}" for v, e in listing)
 
 
-def _mono_str(m):
-    parts = []
-    for v, e in m:
-        if e == 1:
-            parts.append(var_name(v))
-        else:
-            parts.append(f"{var_name(v)}^{e}")
-    return "*".join(parts)
+class _Terms(Mapping):
+    """Read-only view of a term dict keyed by ``(var_id, exponent)`` listings."""
+
+    __slots__ = ("_d",)
+
+    def __init__(self, d):
+        self._d = d
+
+    def __len__(self):
+        return len(self._d)
+
+    def __iter__(self):
+        return map(mono_decode, self._d)
+
+    def __getitem__(self, listing):
+        return self._d[mono_pack(listing)]
 
 
 class LaurentPoly:
     """Multivariate Laurent polynomial with exact coefficients.
 
-    ``terms`` maps monomials to nonzero coefficients.  Instances are treated
-    as immutable.
+    ``_terms`` maps packed monomials to nonzero coefficients; ``terms`` is
+    the same map keyed by ``(var_id, exponent)`` listings.  Instances are
+    treated as immutable.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)
 
     def __init__(self, terms):
-        self.terms = {m: c for m, c in terms.items() if c != 0}
+        """``terms`` maps packed monomials to coefficients; zero coefficients
+        are dropped and integral Fractions become ints."""
+        self._terms = {
+            m: c if type(c) is int else _coerce(c) for m, c in terms.items() if c
+        }
+
+    @property
+    def terms(self):
+        return _Terms(self._terms)
 
     # construction -----------------------------------------------------
 
@@ -152,76 +198,73 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, c):
-        c = _coerce(c)
-        return cls({(): c} if c != 0 else {})
+        return cls({0: _coerce(c)})
 
     @classmethod
     def variable(cls, vid):
-        return cls({((vid, 1),): Fraction(1)})
+        return cls({1 << (EXP_BITS * vid): 1})
 
     # predicates ---------------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self._terms
 
     def is_constant(self):
-        return not self.terms or self.terms.keys() == {()}
+        t = self._terms
+        return not t or (len(t) == 1 and 0 in t)
 
     def is_monomial(self):
-        return len(self.terms) == 1
+        return len(self._terms) == 1
 
     def constant_value(self):
-        return self.terms.get((), Fraction(0))
+        return self._terms.get(0, 0)
 
     def variables(self):
-        out = set()
-        for m in self.terms:
-            out.update(v for v, _ in m)
-        return out
+        return {v for m in self._terms for v, _ in mono_decode(m)}
 
     # arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        d = dict(self.terms)
-        for m, c in other.terms.items():
-            s = d.get(m, 0) + c
-            if s != 0:
-                d[m] = s
-            elif m in d:
-                del d[m]
+        d = dict(self._terms)
+        get = d.get
+        for m, c in other._terms.items():
+            d[m] = get(m, 0) + c
         return LaurentPoly(d)
 
     def __neg__(self):
-        return LaurentPoly({m: -c for m, c in self.terms.items()})
+        return LaurentPoly({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         d = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = d.get(m, 0) + c1 * c2
-                if s != 0:
-                    d[m] = s
-                elif m in d:
-                    del d[m]
+        get = d.get
+        right = other._terms.items()
+        for m1, c1 in self._terms.items():
+            for m2, c2 in right:
+                m = m1 + m2
+                d[m] = get(m, 0) + c1 * c2
         return LaurentPoly(d)
 
     def scale(self, c):
         c = _coerce(c)
-        if c == 0:
-            return LaurentPoly.zero()
-        return LaurentPoly({m: cc * c for m, cc in self.terms.items()})
+        return LaurentPoly({m: cc * c for m, cc in self._terms.items()} if c else {})
 
     def mul_monomial(self, mono, coeff=1):
+        """Multiply by ``coeff`` times a monomial, packed or given as a
+        ``(var_id, exponent)`` listing."""
+        if not isinstance(mono, int):
+            mono = mono_pack(mono)
         coeff = _coerce(coeff)
-        return LaurentPoly({mono_mul(m, mono): c * coeff for m, c in self.terms.items()})
+        return LaurentPoly({m + mono: c * coeff for m, c in self._terms.items()})
 
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power of a polynomial; use RationalExpr")
+        top = max((abs(e) for m in self._terms for _, e in mono_decode(m)), default=0)
+        if top * k >= _HALF:
+            raise RingError(f"exponents of a {k}-th power do not fit in {EXP_BITS} bits")
         out = LaurentPoly.const(1)
         base = self
         while k:
@@ -232,79 +275,79 @@ class LaurentPoly:
         return out
 
     def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self.terms == other.terms
+        return isinstance(other, LaurentPoly) and self._terms == other._terms
 
     def __hash__(self):
-        return hash((id(type(self)), frozenset(self.terms.items())))
+        return hash((id(type(self)), frozenset(self._terms.items())))
 
     # calculus -----------------------------------------------------------
 
     def derivative(self, vid):
-        d = {}
-        for m, c in self.terms.items():
-            e = dict(m).get(vid, 0)
-            if e == 0:
-                continue
-            m2 = mono_mul(m, ((vid, -1),))
-            s = d.get(m2, 0) + c * e
-            if s != 0:
-                d[m2] = s
-            elif m2 in d:
-                del d[m2]
-        return LaurentPoly(d)
+        unit = 1 << (EXP_BITS * vid)
+        return LaurentPoly({m - unit: c * _mono_exp(m, vid) for m, c in self._terms.items()})
 
     # structure ----------------------------------------------------------
 
     def min_exponents(self):
         """Per-variable minimum exponent (0 when a term omits the variable)."""
-        mins: dict[int, int] = {}
-        for v in self.variables():
-            lo = min(dict(m).get(v, 0) for m in self.terms)
-            mins[v] = lo
-        return mins
+        listings = [dict(mono_decode(m)) for m in self._terms]
+        return {v: min(d.get(v, 0) for d in listings) for v in set().union(*listings)}
 
     def monomial_normalized(self):
         """Return (poly, mono) with poly = self * mono^-1 a true polynomial
-        not divisible by any variable."""
-        shift = tuple(sorted((v, e) for v, e in self.min_exponents().items() if e != 0))
-        if not shift:
-            return self, ()
-        return self.mul_monomial(mono_inv(shift)), shift
+        not divisible by any variable; mono is packed."""
+        t = self._terms
+        if len(t) == 1:
+            (m, c), = t.items()
+            return (LaurentPoly({0: c}), m) if m else (self, 0)
+        if 0 in t and all(_is_polynomial_mono(m) for m in t):
+            return self, 0
+        shift = mono_pack((v, e) for v, e in self.min_exponents().items() if e)
+        return (self.mul_monomial(-shift), shift) if shift else (self, 0)
 
     def leading(self):
-        """Leading (monomial, coeff) in the lex monomial order."""
-        m = min(self.terms, key=mono_lex_key)
-        return m, self.terms[m]
+        """Leading (packed monomial, coeff) in the lex monomial order."""
+        t = self._terms
+        m = min(t, key=_lex_key) if len(t) > 1 else next(iter(t))
+        return m, t[m]
 
     def substitute(self, bindings):
-        """Substitute RationalExpr values for variables; returns RationalExpr."""
-        num = RationalExpr.const(0)
-        cache: dict[tuple[int, int], RationalExpr] = {}
+        """Substitute RationalExpr values for variables; returns RationalExpr.
 
-        def power(v, e):
-            key = (v, e)
-            if key not in cache:
-                base = bindings[v]
-                if e < 0:
-                    base = base.inverse()
-                    e = -e
-                out = RationalExpr.const(1)
-                for _ in range(e):
-                    out = out * base
-                cache[key] = out
-            return cache[key]
-
-        for m, c in self.terms.items():
-            term = RationalExpr.const(c)
-            rest = []
-            for v, e in m:
-                if v in bindings:
-                    term = term * power(v, e)
-                else:
-                    rest.append((v, e))
-            term = term * RationalExpr(LaurentPoly({tuple(rest): Fraction(1)}))
-            num = num + term
-        return num
+        With A_v and B_v the largest positive and negative exponents of a bound
+        variable v, a term with exponent e of v takes num_v^(B_v + e) *
+        den_v^(A_v - e): the terms are summed as polynomials over the common
+        denominator prod_v num_v^B_v * den_v^A_v, then cancelled base by base."""
+        split, hi, lo = [], {}, {}
+        for m, c in self._terms.items():
+            bound = {v: e for v, e in mono_decode(m) if v in bindings}
+            for v, e in bound.items():
+                m -= e << (EXP_BITS * v)
+                hi[v], lo[v] = max(hi.get(v, 0), e), max(lo.get(v, 0), -e)
+            split.append((LaurentPoly({m: c}), bound))
+        factors = []  # (v, offset, [base^0, base^1, ...]) for num_v and den_v != 1
+        for v in hi:
+            b = bindings[v]
+            if b.is_zero() and lo[v]:
+                raise ZeroDenominator("negative power of a variable bound to 0")
+            for base, offset in ((b.num, lo[v]), (b.den, -hi[v])):
+                if base != _ONE:
+                    pw = accumulate(repeat(base, hi[v] + lo[v]), mul, initial=_ONE)
+                    factors.append((v, offset, list(pw)))
+        acc: dict = {}
+        for p, bound in split:
+            for v, offset, pw in factors:
+                if k := offset + bound.get(v, 0):
+                    p = p * pw[abs(k)]
+            for m, c in p._terms.items():
+                acc[m] = acc.get(m, 0) + c
+        num, den = LaurentPoly(acc), _ONE
+        # one gcd per base power: num keeps no factor that a base leaves in den
+        for _, offset, pw in factors:
+            for _ in range(abs(offset)):
+                g = _ONE if pw[1].is_monomial() else poly_gcd(num, pw[1])
+                num, den = poly_exact_div(num, g), den * poly_exact_div(pw[1], g)
+        return _reduced(num, den)
 
     def eval_int(self, point, q=None):
         """Evaluate at values ``point`` (dict vid -> int), mod the prime q if given.
@@ -314,48 +357,40 @@ class LaurentPoly:
         q the result is a Fraction.
         """
         total = 0
-        for m, c in self.terms.items():
-            if q is None:
-                t = Fraction(c)
-            elif c.denominator % q == 0:
+        for m, c in self._terms.items():
+            if q is not None and c.denominator % q == 0:
                 return None
-            else:
-                t = c.numerator * pow(c.denominator, -1, q)
-            for v, e in m:
+            t = Fraction(c) if q is None else c.numerator * pow(c.denominator, -1, q)
+            for v, e in mono_decode(m):
                 x = point[v] if q is None else point[v] % q
-                if e < 0:
-                    if x == 0:
-                        return None
-                    x = Fraction(1, x) if q is None else pow(x, -1, q)
-                    e = -e
-                t *= pow(x, e, q) if q is not None else x**e
+                if e < 0 and x == 0:
+                    return None
+                t *= Fraction(x) ** e if q is None else pow(x, e, q)
             total += t
         return total % q if q is not None else total
 
     # rendering ----------------------------------------------------------
 
     def render(self):
-        if not self.terms:
+        if not self._terms:
             return "0"
-        items = sorted(self.terms.items(), key=lambda mc: mono_key(mc[0]))
+        items = sorted(
+            ((mono_decode(m), c) for m, c in self._terms.items()),
+            key=lambda mc: (sum(abs(e) for _, e in mc[0]), mc[0]),
+        )
         out = []
         for m, c in items:
-            neg = c < 0
-            mag = -c if neg else c
-            if m == ():
-                body = str(mag)
-            elif mag == 1:
-                body = _mono_str(m)
-            else:
-                body = f"{mag}*{_mono_str(m)}"
-            if not out:
-                out.append(f"-{body}" if neg else body)
-            else:
-                out.append(f"- {body}" if neg else f"+ {body}")
+            mag = abs(c)
+            body = _mono_str(m) if m and mag == 1 else f"{mag}*{_mono_str(m)}" if m else str(mag)
+            sign = ("- " if c < 0 else "+ ") if out else ("-" if c < 0 else "")
+            out.append(sign + body)
         return " ".join(out)
 
     def __repr__(self):
         return f"LaurentPoly({self.render()})"
+
+
+_ONE = LaurentPoly.const(1)
 
 
 # ---------------------------------------------------------------------------
@@ -365,20 +400,34 @@ class LaurentPoly:
 def _as_univar(p: LaurentPoly, v):
     """View p as a univariate polynomial in v: dict exp -> LaurentPoly coeff."""
     coeffs: dict[int, dict] = {}
-    for m, c in p.terms.items():
-        d = dict(m)
-        e = d.pop(v, 0)
-        coeffs.setdefault(e, {})[tuple(sorted(d.items()))] = c
+    for m, c in p._terms.items():
+        e = _mono_exp(m, v)
+        coeffs.setdefault(e, {})[m - (e << (EXP_BITS * v))] = c
     return {e: LaurentPoly(t) for e, t in coeffs.items()}
 
 
-def _from_univar(coeffs, v):
-    d = {}
-    for e, p in coeffs.items():
-        for m, c in p.terms.items():
-            mm = mono_mul(m, ((v, e),)) if e else m
-            d[mm] = d.get(mm, 0) + c
-    return LaurentPoly(d)
+def _divide(a: dict, b: dict):
+    """The quotient a / b of term dicts with nonnegative exponents, or None
+    when b does not divide a.  Packed monomials with nonnegative exponents are
+    ordered by their int value, which is lex with the largest variable id
+    first, a monomial order."""
+    mb = max(b)
+    inv = _coerce(Fraction(1) / b[mb])
+    r, q = dict(a), {}
+    while r:
+        mr = max(r)
+        d = mr - mb
+        if not _is_polynomial_mono(d):
+            return None
+        c = q[d] = r[mr] * inv
+        for m, cc in b.items():
+            k = m + d
+            s = r.get(k, 0) - c * cc
+            if s:
+                r[k] = s
+            else:
+                del r[k]
+    return q
 
 
 def poly_exact_div(a: LaurentPoly, b: LaurentPoly):
@@ -389,124 +438,137 @@ def poly_exact_div(a: LaurentPoly, b: LaurentPoly):
     if a.is_zero():
         return LaurentPoly.zero()
     if b.is_monomial():
-        (mb, cb), = b.terms.items()
-        return a.mul_monomial(mono_inv(mb), 1 / cb)
-    a_shift = {v: e for v, e in a.min_exponents().items() if e < 0}
-    b_shift = {v: e for v, e in b.min_exponents().items() if e < 0}
-    if a_shift or b_shift:
-        ma = tuple(sorted((v, -e) for v, e in a_shift.items()))
-        mb2 = tuple(sorted((v, -e) for v, e in b_shift.items()))
-        q = poly_exact_div(a.mul_monomial(ma), b.mul_monomial(mb2))
-        if q is None:
-            return None
-        return q.mul_monomial(mono_mul(mono_inv(ma), mb2))
-    q = LaurentPoly.zero()
-    r = a
-    mb, cb = b.leading()
-    cb_inv = 1 / cb
-    while not r.is_zero():
-        mr, cr = r.leading()
-        dq = dict(mr)
-        for v, e in dict(mb).items():
-            dq[v] = dq.get(v, 0) - e
-        if any(e < 0 for e in dq.values()):
-            # with a proper monomial order, exact divisibility forces the
-            # leading term of r to stay divisible by the leading term of b
-            return None
-        mono = tuple(sorted((v, e) for v, e in dq.items() if e))
-        t = LaurentPoly({mono: cr * cb_inv})
-        q = q + t
-        r = r - t * b
-    return q
+        (mb, cb), = b._terms.items()
+        return a.mul_monomial(-mb, Fraction(1) / cb)
+    a, ma = a.monomial_normalized()
+    b, mb = b.monomial_normalized()
+    q = _divide(a._terms, b._terms)
+    return None if q is None else LaurentPoly(q).mul_monomial(ma - mb)
+
+
+HEU_GCD_POINTS = 6
+
+
+def _heu_gcd(f: dict, g: dict):
+    """GCDHEU on nonzero integer polynomials with nonnegative exponents, as
+    term dicts: a gcd of f and g over Z, or None when ``HEU_GCD_POINTS``
+    evaluation points fail.  The main variable is the largest variable id.
+    Every point x is at least 2*min(|f|, |g|) + 2, so a lifted image that
+    divides f and g is the gcd (Geddes, Czapor and Labahn, Theorem 7.7)."""
+    top = max(max(f), max(g))
+    if not top:
+        return {0: gcd(f[0], g[0])}
+    shift = (top.bit_length() - 1) // EXP_BITS * EXP_BITS
+    cont = gcd(*f.values(), *g.values())
+    f, g = ({m: c // cont for m, c in p.items()} for p in (f, g))
+    fn, gn = max(map(abs, f.values())), max(map(abs, g.values()))
+    x = max(2 * min(fn, gn) + 29, 2 * min(fn // abs(f[max(f)]), gn // abs(g[max(g)])) + 4)
+    for _ in range(HEU_GCD_POINTS):
+        ff, gg = _evaluate(f, shift, x), _evaluate(g, shift, x)
+        if ff and gg:
+            image = _heu_gcd(ff, gg)
+            if image is None:
+                return None
+            h = _lift(image, x, shift)
+            content = gcd(*h.values())
+            h = {m: c // content for m, c in h.items()}
+            if _divide(f, h) is not None and _divide(g, h) is not None:
+                return {m: c * cont for m, c in h.items()}
+        x = 73794 * x * isqrt(isqrt(x)) // 27011
+    return None
+
+
+def _evaluate(f: dict, shift: int, x: int) -> dict:
+    """f with the variable of the top field at ``shift`` set to x."""
+    out: dict[int, int] = {}
+    for m, c in f.items():
+        e = m >> shift
+        rest = m - (e << shift)
+        out[rest] = out.get(rest, 0) + c * x**e
+    return {m: c for m, c in out.items() if c}
+
+
+def _lift(image: dict, x: int, shift: int) -> dict:
+    """The polynomial whose value at x is ``image``, read off the symmetric
+    base-x digits of each coefficient."""
+    out, half = {}, (x - 1) // 2
+    for m, c in image.items():
+        i = 0
+        while c:
+            r = (c + half) % x - half  # in (-x/2, x/2]
+            if r:
+                out[m + (i << shift)] = r
+            c = (c - r) // x
+            i += 1
+    return out
 
 
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Gcd over Q up to units, normalized: primitive with positive leading
     coefficient.  Laurent monomial factors are units and are stripped.
-    Primitive Euclid; inputs are small."""
+    GCDHEU first; primitive Euclid when it fails."""
     a, _ = a.monomial_normalized()
     b, _ = b.monomial_normalized()
-    if a.is_zero():
-        return _normalize_gcd(b)
-    if b.is_zero():
-        return _normalize_gcd(a)
+    if a.is_zero() or b.is_zero():
+        return _normalize_gcd(a + b)
     if a.is_constant() or b.is_constant():
         return LaurentPoly.const(1)
+    a, b = (p.scale(lcm(*(c.denominator for c in p._terms.values()))) for p in (a, b))
+    h = _heu_gcd(a._terms, b._terms)
+    return _normalize_gcd(LaurentPoly(h) if h else _prs_gcd(a, b))
+
+
+def _prs_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """Gcd of true polynomials by the primitive polynomial remainder sequence
+    in their smallest common variable v; contents in v recurse to poly_gcd."""
     vs = a.variables() & b.variables()
     if not vs:
-        return LaurentPoly.const(1)
+        return _ONE
     v = min(vs)
 
-    def content_and_primitive(p):
-        coeffs = _as_univar(p, v)
+    def split(p):  # (content, primitive part) of p as a polynomial in v
         g = None
-        for c in coeffs.values():
+        for c in _as_univar(p, v).values():
             g = c if g is None else poly_gcd(g, c)
             if g.is_constant():
-                g = LaurentPoly.const(1)
-                break
-        prim = poly_exact_div(p, g)
-        return g, prim
+                return _ONE, p
+        return g, poly_exact_div(p, g)
 
-    ca, pa = content_and_primitive(a)
-    cb, pb = content_and_primitive(b)
-    cont = poly_gcd(ca, cb)
+    def degree(p):
+        return max(_mono_exp(m, v) for m in p._terms)
 
-    # primitive Euclid in the main variable with pseudo-remainders
-    f, g = pa, pb
+    (ca, f), (cb, g) = split(a), split(b)
     while True:
-        fu, gu = _as_univar(f, v), _as_univar(g, v)
-        if max(fu) < max(gu):
+        if degree(f) < degree(g):
             f, g = g, f
-            fu, gu = gu, fu
-        r = _pseudo_rem(fu, gu, v)
-        if r.is_zero():
-            _, gprim = content_and_primitive(g)
-            return _normalize_gcd(cont * gprim)
-        if not r.variables() or v not in r.variables():
-            return _normalize_gcd(cont)
-        _, r = content_and_primitive(r)
-        f, g = g, r
+        # pseudo-remainder of f by g
+        gu = _as_univar(g, v)
+        dg = max(gu)
+        while not f.is_zero() and degree(f) >= dg:
+            fu = _as_univar(f, v)
+            df = max(fu)
+            f = f * gu[dg] - g * fu[df].mul_monomial((df - dg) << (EXP_BITS * v))
+        if f.is_zero():
+            return poly_gcd(ca, cb) * split(g)[1]
+        if degree(f) == 0:
+            return poly_gcd(ca, cb)
+        f, g = g, split(f)[1]
 
 
-def _pseudo_rem(fu, gu, v):
-    """Pseudo-remainder of univariate views fu, gu in variable v."""
-    df, dg = max(fu), max(gu)
-    lg = gu[dg]
-    f = _from_univar(fu, v)
-    g = _from_univar(gu, v)
-    r = f
-    dr = df
-    while not r.is_zero():
-        ru = _as_univar(r, v)
-        dr = max(ru)
-        if dr < dg:
-            break
-        lead = ru[dr]
-        r = r * lg - g * lead.mul_monomial(((v, dr - dg),) if dr > dg else ())
-    return r
+def _primitive_scale(p: LaurentPoly):
+    """The scalar s with s*p an integer polynomial whose coefficients are
+    coprime and whose lex leading coefficient is positive."""
+    cs = p._terms.values()
+    den, num = lcm(*(c.denominator for c in cs)), gcd(*(c.numerator for c in cs))
+    s = den if num == 1 else Fraction(den, num)
+    return -s if p.leading()[1] < 0 else s
 
 
 def _normalize_gcd(p: LaurentPoly) -> LaurentPoly:
     if p.is_zero():
         return p
     p, _ = p.monomial_normalized()  # monomial factors are units
-    _, c = p.leading()
-    den_lcm = 1
-    num_gcd = 0
-    for coeff in p.terms.values():
-        den_lcm = den_lcm * coeff.denominator // _int_gcd(den_lcm, coeff.denominator)
-        num_gcd = _int_gcd(num_gcd, abs(coeff.numerator))
-    scale = Fraction(den_lcm, num_gcd or 1)
-    if c < 0:
-        scale = -scale
-    return p.scale(scale)
-
-
-def _int_gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    return p.scale(_primitive_scale(p))
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +581,7 @@ class RationalExpr:
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None):
-        if den is None:
-            den = LaurentPoly.const(1)
+        den = _ONE if den is None else den
         if den.is_zero():
             raise ZeroDenominator("zero denominator")
         self.num, self.den = _normal_form(*_cancel(num, den))
@@ -529,12 +590,12 @@ class RationalExpr:
 
     @classmethod
     def const(cls, c):
-        return cls(LaurentPoly.const(c))
+        return _make(LaurentPoly.const(c), _ONE)
 
     @classmethod
     def variable(cls, name_or_id):
         vid = var_id(name_or_id) if isinstance(name_or_id, str) else name_or_id
-        return cls(LaurentPoly.variable(vid))
+        return _make(LaurentPoly.variable(vid), _ONE)
 
     # predicates ---------------------------------------------------------
 
@@ -571,13 +632,10 @@ class RationalExpr:
         num, g = _cancel(n1 * d2 + n2 * d1, g)
         return _reduced(num, g * d1 * d2)
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __neg__(self):
-        out = object.__new__(RationalExpr)
-        out.num, out.den = -self.num, self.den
-        return out
+        return _make(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -589,8 +647,7 @@ class RationalExpr:
         n2, d1 = _cancel(other.num, self.den)
         return _reduced(n1 * n2, d1 * d2)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -606,10 +663,8 @@ class RationalExpr:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        out = RationalExpr.const(1)
-        for _ in range(k):
-            out = out * self
-        return out
+        # the cores of num and den stay coprime, and den**k stays normalised
+        return _make(self.num**k, self.den**k)
 
     def _coerce(self, other):
         if isinstance(other, RationalExpr):
@@ -623,11 +678,7 @@ class RationalExpr:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, LaurentPoly)):
             other = self._coerce(other)
-        return (
-            isinstance(other, RationalExpr)
-            and self.num == other.num
-            and self.den == other.den
-        )
+        return isinstance(other, RationalExpr) and (self.num, self.den) == (other.num, other.den)
 
     def __hash__(self):
         return hash((self.num, self.den))
@@ -643,10 +694,7 @@ class RationalExpr:
         if not bindings:
             return self
         bindings = {
-            (var_id(k) if isinstance(k, str) else k): (
-                v if isinstance(v, RationalExpr) else RationalExpr.const(v)
-            )
-            for k, v in bindings.items()
+            (var_id(k) if isinstance(k, str) else k): self._coerce(v) for k, v in bindings.items()
         }
         num = self.num.substitute(bindings)
         den = self.den.substitute(bindings)
@@ -656,17 +704,10 @@ class RationalExpr:
 
     def eval_int(self, point, q=None):
         """As ``LaurentPoly.eval_int``; None also where the denominator vanishes."""
-        nv = self.num.eval_int(point, q)
-        dv = self.den.eval_int(point, q)
-        if nv is None or dv is None:
+        nv, dv = self.num.eval_int(point, q), self.den.eval_int(point, q)
+        if nv is None or dv is None or (dv if q is None else dv % q) == 0:
             return None
-        if q is not None:
-            if dv % q == 0:
-                return None
-            return nv * pow(dv, -1, q) % q
-        if dv == 0:
-            return None
-        return Fraction(nv) / Fraction(dv)
+        return Fraction(nv) / Fraction(dv) if q is None else nv * pow(dv, -1, q) % q
 
     # rendering ----------------------------------------------------------
 
@@ -689,12 +730,17 @@ def _cancel(num: LaurentPoly, den: LaurentPoly):
     return poly_exact_div(num, g), poly_exact_div(den, g)
 
 
+def _make(num: LaurentPoly, den: LaurentPoly) -> RationalExpr:
+    """The RationalExpr with the given parts, which must already be canonical."""
+    out = object.__new__(RationalExpr)
+    out.num, out.den = num, den
+    return out
+
+
 def _reduced(num: LaurentPoly, den: LaurentPoly) -> RationalExpr:
     """The RationalExpr num/den when the polynomial cores of num and den are
     already coprime: only the monomial and scalar normalisation run."""
-    out = object.__new__(RationalExpr)
-    out.num, out.den = _normal_form(num, den)
-    return out
+    return _make(*_normal_form(num, den))
 
 
 def _normal_form(num: LaurentPoly, den: LaurentPoly):
@@ -702,18 +748,11 @@ def _normal_form(num: LaurentPoly, den: LaurentPoly):
     primitive polynomial with positive leading coefficient.  The polynomial
     cores of num and den must be coprime."""
     if num.is_zero():
-        return num, LaurentPoly.const(1)
+        return num, _ONE
     den, den_mono = den.monomial_normalized()
-    den_lcm, num_gcd = 1, 0
-    for c in den.terms.values():
-        den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
-        num_gcd = _int_gcd(num_gcd, abs(c.numerator))
-    scale = Fraction(den_lcm, num_gcd or 1)
-    _, lead = den.leading()
-    if lead < 0:
-        scale = -scale
+    scale = _primitive_scale(den)
     if den_mono:
-        num = num.mul_monomial(mono_inv(den_mono), scale)
+        num = num.mul_monomial(-den_mono, scale)
     elif scale != 1:
         num = num.scale(scale)
     if scale != 1:
@@ -786,20 +825,16 @@ class MatrixExpr:
     def __mul__(self, other):
         if isinstance(other, RationalExpr):
             return MatrixExpr([[e * other for e in row] for row in self.rows])
-        n = self.n
-        zero = RationalExpr.const(0)
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = zero
-                for k in range(n):
-                    a, b = self.rows[i][k], other.rows[k][j]
-                    if not (a.is_zero() or b.is_zero()):
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return MatrixExpr(out)
+
+        def dot(row, col):
+            acc = RationalExpr.const(0)
+            for a, b in zip(row, col):
+                if not (a.is_zero() or b.is_zero()):
+                    acc = acc + a * b
+            return acc
+
+        cols = list(zip(*other.rows))
+        return MatrixExpr([[dot(row, col) for col in cols] for row in self.rows])
 
     def det(self) -> RationalExpr:
         n = self.n
@@ -863,17 +898,10 @@ class MatrixExpr:
         )
 
     def variables(self):
-        out = set()
-        for row in self.rows:
-            for e in row:
-                out |= e.variables()
-        return out
+        return set().union(*(e.variables() for row in self.rows for e in row))
 
     def trace(self):
-        t = RationalExpr.const(0)
-        for i in range(self.n):
-            t = t + self.rows[i][i]
-        return t
+        return sum((self.rows[i][i] for i in range(self.n)), RationalExpr.const(0))
 
     def render(self):
         return "\n".join(
@@ -895,18 +923,6 @@ class OneForm:
 
     def __init__(self, coeffs):
         self.coeffs = {v: c for v, c in coeffs.items() if not c.is_zero()}
-
-    def __add__(self, other):
-        d = dict(self.coeffs)
-        for v, c in other.coeffs.items():
-            d[v] = d[v] + c if v in d else c
-        return OneForm(d)
-
-    def __eq__(self, other):
-        return isinstance(other, OneForm) and self.coeffs == other.coeffs
-
-    def is_zero(self):
-        return not self.coeffs
 
     def render(self):
         if not self.coeffs:
@@ -971,35 +987,19 @@ class TwoForm:
         return f"TwoForm({self.render()})"
 
 
-def mat_dlog_left(f: MatrixExpr):
-    """The matrix-valued 1-form f^-1 df, as a dict var -> MatrixExpr."""
-    finv = f.inverse()
-    out = {}
-    for v in sorted(f.variables()):
-        df = MatrixExpr([[e.derivative(v) for e in row] for row in f.rows])
-        out[v] = finv * df
-    return out
-
-
-def mat_dlog_right(g: MatrixExpr):
-    """The matrix-valued 1-form dg g^-1, as a dict var -> MatrixExpr."""
-    ginv = g.inverse()
-    out = {}
-    for v in sorted(g.variables()):
-        dg = MatrixExpr([[e.derivative(v) for e in row] for row in g.rows])
-        out[v] = dg * ginv
-    return out
-
-
 def wedge_trace(f: MatrixExpr, g: MatrixExpr) -> TwoForm:
     """Tr(f^-1 df ∧ dg g^-1), the pairing whose telescoping sums build the
     tautological 2-form on a braid matrix product."""
-    theta = mat_dlog_left(f)
-    theta_r = mat_dlog_right(g)
+
+    def d(m, v):
+        return MatrixExpr([[e.derivative(v) for e in row] for row in m.rows])
+
+    finv, ginv = f.inverse(), g.inverse()
+    right = {w: d(g, w) * ginv for w in sorted(g.variables())}
     out = TwoForm.zero()
-    for v, mv in theta.items():
-        for w, mw in theta_r.items():
-            if v == w:
-                continue
-            out = out + TwoForm.term(v, w, (mv * mw).trace())
+    for v in sorted(f.variables()):
+        left = finv * d(f, v)
+        for w, mw in right.items():
+            if v != w:
+                out = out + TwoForm.term(v, w, (left * mw).trace())
     return out

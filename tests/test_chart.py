@@ -17,6 +17,7 @@ from braidweave.braid import (
 )
 from braidweave.chart import (
     ChartMap,
+    NotExchangeBinomial,
     chart_parametrize,
     chart_satisfies_equations,
     charts_adjacent,
@@ -560,8 +561,12 @@ def test_charts_adjacent_core_basis():
     # associates (scalar and monomial multiples) and powers of one core merge
     c2 = _identity_chart(top, [z2, (2 + 2 * z1 * z2) ** 2 / z1, f**3 * z2])
     assert charts_adjacent(c1, c2) and charts_adjacent(c2, c1)
-    # nothing is factored: a product of two coprime polynomials is one part
-    assert charts_adjacent(c1, _identity_chart(top, [z1, (1 + z1) * (1 + z2)]))
+    # a single core that is not a primitive binomial is an error, never an
+    # edge: a product of two coprime polynomials, and a binomial whose
+    # exponent difference is not primitive (1 + (z1*z2)^2 splits over C)
+    for bad in ((1 + z1) * (1 + z2), 1 + z1**2 * z2**2):
+        with pytest.raises(NotExchangeBinomial, match=r"inverted \[z1, 1 \+ z1\*z2\]"):
+            charts_adjacent(c1, _identity_chart(top, [z1, bad]))
     # two coprime parts
     c3 = _identity_chart(top, [z1, 1 + z1, 1 + z2])
     assert not charts_adjacent(c1, c3)
@@ -603,3 +608,30 @@ def test_charts_adjacent_stops_at_a_second_core(monkeypatch):
         merges.clear()
         assert not charts_adjacent(charts[i], charts[j])
         assert merges and merges[-1] is None
+
+
+def test_certified_exchange_binomials_are_irreducible(monkeypatch):
+    # every core that charts_adjacent certifies on the mutation graphs of
+    # three words is irreducible over Q, by sympy's factorisation
+    sympy = pytest.importorskip("sympy")
+    from braidweave import chart, cli
+    from braidweave.weave import mutation_graph
+
+    assert issubclass(NotExchangeBinomial, cli.DOMAIN_ERRORS)
+    cores = []
+    certify = chart._certify
+
+    def spy(core, inner, outer):
+        certify(core, inner, outer)
+        cores.append(core)
+
+    monkeypatch.setattr(chart, "_certify", spy)
+    edges = sum(
+        len(mutation_graph(parse_braid(text)).edges)
+        for text in ("B4: 2 2 2", "B3: 1 2 1 2", "B3: 1 1 1 1")
+    )
+    assert edges == 5 + 5 + 21
+    assert len(cores) >= 2 * edges  # both directions of every edge
+    for core in {c.render() for c in cores}:
+        _, factors = sympy.factor_list(sympy.sympify(core.replace("^", "**")))
+        assert [m for _, m in factors] == [1], core

@@ -231,6 +231,11 @@ GOLDEN_COMMANDS = [
 ]
 
 
+def _block(argv, code, stdout, stderr):
+    header = " ".join(a if re.fullmatch(r"[\w.-]+", a) else repr(a) for a in argv)
+    return f"$ braidweave {header}\nexit {code}\n--- stdout\n{stdout}--- stderr\n{stderr}"
+
+
 def _fresh_process_record(argv, cwd):
     """Stdout, stderr, exit code and DOT file of one ``braidweave`` run in its
     own interpreter, as one text block headed by the command line.
@@ -245,9 +250,7 @@ def _fresh_process_record(argv, cwd):
         [sys.executable, "-m", "braidweave.cli", *argv],
         capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
     )
-    header = " ".join(a if re.fullmatch(r"[\w.-]+", a) else repr(a) for a in argv)
-    block = f"$ braidweave {header}\nexit {proc.returncode}\n"
-    block += f"--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}"
+    block = _block(argv, proc.returncode, proc.stdout, proc.stderr)
     if "--dot" in argv:
         dot = Path(cwd) / argv[argv.index("--dot") + 1]
         block += f"--- {dot.name}\n{dot.read_text()}"
@@ -263,6 +266,28 @@ def test_fresh_process_output_is_golden(tmp_path):
     assert len(expected) == len(GOLDEN_COMMANDS)
     for argv, want in zip(GOLDEN_COMMANDS, expected):
         assert _fresh_process_record(argv, tmp_path) == want
+
+
+def test_one_process_runs_many_invocations(capsys):
+    # the parser is built once per process and reused: a usage error, a
+    # domain error and a normal command, twice over, each give the golden
+    # output and exit code
+    from braidweave import cli
+
+    golden = {b.split("\n", 1)[0]: b for b in _golden_blocks(GOLDEN.read_text())}
+    domain = ["chart", "--braid", "B2: 1 1", "--order", "1 x"]
+    normal = ["demazure", "--braid", "B3: 1 2 1 2"]
+    for _ in range(2):
+        out = io.StringIO()
+        assert cli.run(["variety"], out=out) == 2
+        assert out.getvalue() == ""
+        assert capsys.readouterr().err.startswith("usage: braidweave variety")
+        for argv in (domain, normal):
+            out = io.StringIO()
+            code = cli.run(argv, out=out)
+            block = _block(argv, code, out.getvalue(), capsys.readouterr().err)
+            assert block == golden[block.split("\n", 1)[0]]
+    assert cli.build_parser() is cli.build_parser()
 
 
 if __name__ == "__main__":

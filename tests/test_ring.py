@@ -8,12 +8,15 @@ from fractions import Fraction
 
 import pytest
 
+import ring_oracle
+from braidweave import ring
 from braidweave.ring import (
     DlogOfZero,
     LaurentPoly,
     MatrixExpr,
     NonUnitDeterminant,
     RationalExpr,
+    RingError,
     ZeroDenominator,
     const,
     dlog,
@@ -171,8 +174,13 @@ def test_gcd_common_factor_property():
 
 
 def test_coefficients_are_rationals():
-    assert type(const(3).num.constant_value()) is Fraction
+    # exact rationals: integral values are stored as int, others as Fraction
+    for value in (3, Fraction(6, 3), Fraction(-4, 2)):
+        assert type(const(value).num.constant_value()) is int
+    assert const(Fraction(6, 3)) == const(2)
+    assert type(const(Fraction(1, 2)).num.constant_value()) is Fraction
     assert const(Fraction(1, 2)) * const(2) == const(1)
+    assert type((const(Fraction(1, 2)) * const(2)).num.constant_value()) is int
     for bad in (0.5, "1", None):
         with pytest.raises(TypeError):
             const(bad)
@@ -371,3 +379,97 @@ def test_gcd_aware_arithmetic_matches_sympy_cancel():
                 unit = sympy.cancel(sympy.denom(want) / to_sympy(RationalExpr(got.den)))
                 assert len(sympy.Poly(sympy.numer(unit), *syms).terms()) == 1, (op, a, b)
                 assert len(sympy.Poly(sympy.denom(unit), *syms).terms()) == 1, (op, a, b)
+
+
+# -- the packed-monomial kernel against the tuple-monomial oracles ----------
+
+
+def _random_laurent(rng, vids, terms=4):
+    """A random Laurent polynomial with negative exponents and rational
+    coefficients, built from (var_id, exponent) listings."""
+    out = LaurentPoly.zero()
+    for _ in range(terms):
+        mono = [(v, rng.choice([-2, -1, 1, 2, 3])) for v in sorted(rng.sample(vids, rng.randrange(len(vids) + 1)))]
+        coeff = rng.choice([1, -1, 2, 3, Fraction(1, 2), Fraction(-3, 4)])
+        out = out + LaurentPoly.const(coeff).mul_monomial(mono)
+    return out
+
+
+def test_packed_product_matches_tuple_oracle():
+    rng = random.Random(5)
+    vids = [var_id(v) for v in ("z1", "z2", "z3", "z4")]
+    for _ in range(200):
+        p, q = _random_laurent(rng, vids), _random_laurent(rng, vids, 6)
+        assert dict((p * q).terms.items()) == ring_oracle.mul(dict(p.terms), dict(q.terms))
+
+
+def test_one_pass_substitution_matches_term_oracle():
+    rng = random.Random(6)
+    vids = [var_id(v) for v in ("z1", "z2", "z3", "z4")]
+    for _ in range(60):
+        p = _random_laurent(rng, vids, 5)
+        bindings = {}
+        for v in rng.sample(vids, rng.randrange(1, 4)):
+            num = _random_laurent(rng, vids, 3)
+            if num.is_zero():
+                num = LaurentPoly.const(Fraction(2, 3))
+            kind = rng.choice(["laurent", "rational", "scalar"])
+            if kind == "laurent":
+                bindings[v] = RationalExpr(num)
+            elif kind == "rational":
+                den = LaurentPoly.const(rng.choice([1, 2])) + _random_laurent(rng, vids, 2)
+                bindings[v] = RationalExpr(num) / (RationalExpr(den) if not den.is_zero() else const(3))
+            else:
+                bindings[v] = const(rng.choice([Fraction(1, 3), -2, 5]))
+        got = p.substitute(bindings)
+        want = ring_oracle.substitute(dict(p.terms), bindings)
+        assert (got.num, got.den) == (want.num, want.den), (p, bindings)
+
+
+def test_gcd_fallback_matches_heuristic(monkeypatch):
+    # with no evaluation points the heuristic gives up at once and the
+    # primitive remainder sequence computes the same normalised gcd; the
+    # factors are binomials, since the remainder sequence's coefficients can
+    # swell for seconds on products of trinomials
+    rng = random.Random(7)
+    vids = [var_id(v) for v in ("z1", "z2", "z3")]
+    cases = []
+    for _ in range(25):
+        f, g, h = (_random_laurent(rng, vids, 2) for _ in range(3))
+        if not (f.is_zero() or g.is_zero() or h.is_zero()):
+            cases.append((f * g, f * h, poly_gcd(f * g, f * h)))
+    calls = []
+    prs = ring._prs_gcd
+
+    def spy(a, b):
+        calls.append((a, b))
+        return prs(a, b)
+
+    monkeypatch.setattr(ring, "HEU_GCD_POINTS", 0)
+    monkeypatch.setattr(ring, "_prs_gcd", spy)
+    for a, b, heuristic in cases:
+        assert poly_gcd(a, b) == heuristic
+    assert len(cases) > 15 and calls
+
+
+def test_exponents_that_overflow_a_field_are_refused():
+    # a packed field holds exponents of absolute value below 2^31
+    x = LaurentPoly.variable(var_id("z1"))
+    assert (x**3).terms == {((var_id("z1"), 3),): 1}
+    with pytest.raises(RingError):
+        x ** (1 << 31)
+    with pytest.raises(RingError):
+        (x * x) ** (1 << 30)
+    with pytest.raises(RingError):
+        LaurentPoly.const(1).mul_monomial([(var_id("z2"), -(1 << 31))])
+
+
+def test_general_constructor_on_a_twelve_term_denominator():
+    # the cross product of these two canonical operands has a 12-term
+    # denominator in three variables; the general constructor must reduce
+    # it to the gcd-aware sum
+    a = (z2 - z1 * z3) / (const(1) + z1 * z2) ** 2
+    b = (const(1) + const(3) * z1.inverse() * z2) / ((const(1) + z1) * (const(3) + z3))
+    assert len((a.den * b.den).terms) == 12
+    cross = RationalExpr(a.num * b.den + b.num * a.den, a.den * b.den)
+    assert (cross.num, cross.den) == ((a + b).num, (a + b).den)
