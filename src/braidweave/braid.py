@@ -332,13 +332,23 @@ def elementary_braid_matrix(n: int, i: int, z: RationalExpr) -> MatrixExpr:
     return m
 
 
+def times_letter(rows, i: int, z: RationalExpr) -> None:
+    """Multiply the rows by B_i(z) on the right, in place: column i (1-based)
+    becomes column i+1 and column i+1 becomes column i + z . column i+1.
+    ``count._times_letter`` is the same update in numpy mod q."""
+    for row in rows:
+        x, y = row[i - 1], row[i]
+        row[i - 1], row[i] = y, (x if y.is_zero() else x + z * y)
+
+
 def braid_matrix(word: BraidWord, values=None) -> MatrixExpr:
-    """Product of the elementary matrices over the word's letters."""
+    """Product of the elementary matrices over the word's letters, applied
+    as one column update per letter."""
     if values is None:
         values = word.var_exprs()
     m = MatrixExpr.identity(word.n)
     for i, z in zip(word.letters, values):
-        m = m * elementary_braid_matrix(word.n, i, z)
+        times_letter(m.rows, i, z)
     return m
 
 

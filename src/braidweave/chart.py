@@ -24,7 +24,10 @@ factors that reach the left edge is the accumulated matrix ``U`` with
 through a whole word, and with ``back=True`` recovers the original values
 from the slid ones.  A lower-triangular factor slides right by the same
 code: every B_j is symmetric, so L . B(word) = B(word') . L' is the slide of
-L^T through the reversed word, transposed.
+L^T through the reversed word, transposed.  The same transposed slide, run
+back onto all-zero values through the reversed half twist, solves
+L . B_Delta(u) . w0 = Id for the half-twist values u (``solve_half_twist``),
+which is how the direct route fills in the half-twist block.
 """
 from __future__ import annotations
 
@@ -48,6 +51,7 @@ from .braid import (
     check_opening_order,
     coxeter_letters,
     exchange_index,
+    half_twist_letters,
     longest_perm,
     perm_length,
     stall_index,
@@ -179,7 +183,8 @@ def propagate_down(weave: Weave) -> Propagation:
             factors.append(factor)
         else:
             _braid_step(ev.kind, letters, values, p)
-    bottom = BraidWord(n, tuple(letters), weave.bottom_variables())
+    bottom_ids = tuple(var_id(f"_b{k + 1}") for k in range(len(letters)))
+    bottom = BraidWord(n, tuple(letters), bottom_ids)
     return Propagation(bottom, values, inverted, vanishing, factors)
 
 
@@ -536,19 +541,21 @@ def ldu_chart(beta: BraidWord, order) -> ChartMap:
     factor-and-slide openings backwards from the base point.
 
     Produces the same kind of substitution as the weave route: values for all
-    variables of beta Delta (the half-twist block is reconstituted from the
-    final c matrix by a triangular solve).  The constraint record is the
-    value of each opened letter, in the variables of beta, from the same
-    openings run forwards (no c matrix is needed for it).
+    variables of beta Delta.  Undoing an opening multiplies the inverse of
+    the c matrix by the lower factor that the opening moved into it, and the
+    half-twist values are read off that inverse by one back slide
+    (``solve_half_twist``).  The constraint record is the value of each
+    opened letter, in the variables of beta, from the same openings run
+    forwards (no c matrix is needed for it).
     """
     n = beta.n
     order = check_opening_order(beta, order)
 
-    # state after all openings: empty word, L = Id
+    # state after all openings: empty word, c matrix = Id
     letters: list[int] = []
     crossings: list[int] = []  # original crossing index per remaining letter
     values: list[RationalExpr] = []
-    lower = MatrixExpr.identity(n)
+    lower = MatrixExpr.identity(n)  # inverse of the c matrix
 
     for r in reversed(order):
         t = RationalExpr.variable(var_id(f"s{r}"))
@@ -557,9 +564,7 @@ def ldu_chart(beta: BraidWord, order) -> ChartMap:
         p = sum(1 for c in crossings if c < r)
         i = beta.letters[r - 1]
         values, low = _opening_slides(n, i, t, letters, values, p, back=True)
-        lower = low.inverse() * lower
-        if not lower.is_lower_triangular():
-            raise PatternMismatch("undoing an opening left L not lower triangular")
+        lower = lower * low
         letters.insert(p, i)
         crossings.insert(p, r)
         values.insert(p, t)
@@ -567,11 +572,8 @@ def ldu_chart(beta: BraidWord, order) -> ChartMap:
     if letters != list(beta.letters):
         raise PatternMismatch("restored letters differ from beta")
     bd = append_half_twist(beta)
-    delta_vars = bd.variables[len(beta) :]
-    usubs = solve_delta_lower(n, delta_vars, lower)
-
     subs = dict(zip(beta.variables, values))
-    subs.update(usubs)
+    subs.update(zip(bd.variables[len(beta) :], solve_half_twist(lower)))
 
     values = beta.var_exprs()
     inverted = []
@@ -592,36 +594,24 @@ def ldu_chart(beta: BraidWord, order) -> ChartMap:
     )
 
 
-def solve_delta_lower(n: int, delta_vars, target: MatrixExpr):
-    """Solve B_Delta(u) . w0 = target (lower uni-triangular) for the u values
-    by greedy triangular elimination; returns dict var id -> RationalExpr."""
-    from .variety import delta_lower_factor
+def solve_half_twist(lower: MatrixExpr) -> list[RationalExpr]:
+    """The half-twist values u with lower . B_Delta(u) . w0 = Id, for a lower
+    uni-triangular ``lower``, from one back slide of its transpose through
+    the reversed half twist onto all-zero values.
 
-    sym = delta_lower_factor(n, delta_vars)
-    remaining = dict.fromkeys(delta_vars)
-    solved: dict[int, RationalExpr] = {}
-    entries = [
-        (a, b) for a in range(2, n + 1) for b in range(1, a)
-    ]
-    guard = len(delta_vars) + 1
-    while len(solved) < len(delta_vars) and guard:
-        guard -= 1
-        for a, b in entries:
-            e = sym[a - 1, b - 1].substitute(solved) if solved else sym[a - 1, b - 1]
-            vs = [v for v in e.variables() if v in remaining and v not in solved]
-            if len(vs) != 1:
-                continue
-            v = vs[0]
-            # linear in v with unit coefficient?
-            coeff = e.derivative(v)
-            if not coeff.variables() and coeff == RationalExpr.const(1):
-                rest = e - RationalExpr.variable(v)
-                if v in rest.variables():
-                    continue
-                solved[v] = target[a - 1, b - 1] - rest.substitute(solved)
-    if len(solved) != len(delta_vars):
-        raise PatternMismatch("could not solve the half-twist coordinates")
-    return solved
+    The slide gives B(rev Delta, v) . lower^T = rest . B(rev Delta, 0).
+    Transposed, with every B_i symmetric, B(rev Delta, 0)^T = w0 and u = v
+    reversed: lower . B_Delta(u) . w0 = w0 . rest^T . w0.  The left side is
+    lower and the right side upper uni-triangular, so both are Id; anything
+    else means ``lower`` was not lower uni-triangular.
+    """
+    n = lower.n
+    letters = half_twist_letters(n)[::-1]
+    zeros = [RationalExpr.const(0)] * len(letters)
+    rest, v = slide_left(lower.transpose(), letters, zeros, back=True)
+    if not lower.is_lower_triangular() or rest != MatrixExpr.identity(n):
+        raise PatternMismatch("the c matrix is not lower uni-triangular")
+    return v[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +627,7 @@ def mellit_order(beta: BraidWord):
     n = beta.n
     word = append_half_twist(beta)
     letters = list(word.letters)
-    original = list(range(1, len(word) + 1))
+    original = list(range(1, len(word) + 1))  # index in beta Delta per letter
     m = n * (n - 1) // 2
     order = []
     while len(letters) > m:
@@ -647,7 +637,7 @@ def mellit_order(beta: BraidWord):
         prefix = BraidWord(
             n,
             tuple(letters[:stall]),
-            tuple(var_id(f"_m{k}") for k in range(stall)),
+            tuple(word.variables[j - 1] for j in original[:stall]),
         )
         k = exchange_index(prefix, letters[stall])
         opened = original[k - 1]

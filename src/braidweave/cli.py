@@ -208,12 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--braid": dict(required=True),
             "--q": dict(type=int, default=None),
             "--strata": dict(action="store_true"),
-            "--seed": dict(
-                type=int,
-                default=0,
-                help="accepted for old invocations; changes nothing, since the "
-                "stratification no longer has a search order",
-            ),
         },
     )
     add(

@@ -16,10 +16,9 @@ Sign and pairing conventions below are module constants, fixed once by the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .ring import RationalExpr, var_id
-from .braid import BraidWord, PatternMismatch, elementary_braid_matrix
+from .ring import RationalExpr, gauss_jordan, var_id
+from .braid import BraidWord, PatternMismatch, times_letter
 from .chart import ChartMap, chart_parametrize
 from .weave import Weave
 
@@ -473,20 +472,14 @@ def normalized_chart(beta: BraidWord, order, weave: Weave | None = None) -> Norm
 
 
 def _integer_inverse(mat):
+    """The inverse of a unimodular integer matrix, from the reduction of
+    [mat | Id]: mat is invertible exactly when the pivots are its own
+    columns."""
     size = len(mat)
-    a = [[Fraction(mat[i][j]) for j in range(size)] for i in range(size)]
-    for i in range(size):
-        a[i] += [Fraction(1 if j == i else 0) for j in range(size)]
-    for col in range(size):
-        piv = next(r for r in range(col, size) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        a[col] = [x / a[col][col] for x in a[col]]
-        for r in range(size):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    inv = [[a[i][size + j] for j in range(size)] for i in range(size)]
-    if any(x.denominator != 1 for row in inv for x in row):
+    augmented = [row + [int(i == j) for j in range(size)] for i, row in enumerate(mat)]
+    a, pivots = gauss_jordan(augmented)
+    inv = [row[size:] for row in a]
+    if pivots != list(range(size)) or any(x.denominator != 1 for row in inv for x in row):
         raise NotPolynomial("normalizing exponent matrix is not unimodular")
     return [[int(x) for x in row] for row in inv]
 
@@ -495,16 +488,25 @@ def _integer_inverse(mat):
 # A-coordinates and the 2x2 minors
 
 
-def plucker(word: BraidWord, a: int, b: int) -> RationalExpr:
-    """(2,2)-entry of B_1(z_a) ... B_1(z_{b-2}) for a 2-strand word."""
+def minor_pass(word: BraidWord, a: int) -> list[RationalExpr]:
+    """The minors P_ab = (2,2)-entry of B_1(z_a) ... B_1(z_{b-2}) of a
+    2-strand word for b = a+2, a+3, ... up to the end of the word, from one
+    pass of the second row through the letters."""
     if word.n != 2:
         raise NotTwoStrand("minor coordinates are for 2-strand words")
-    from .ring import MatrixExpr
+    row = [[RationalExpr.const(0), RationalExpr.const(1)]]
+    out = []
+    for v in word.variables[a - 1 :]:
+        times_letter(row, 1, RationalExpr.variable(v))
+        out.append(row[0][1])
+    return out
 
-    m = MatrixExpr.identity(2)
-    for k in range(a, b - 1):
-        m = m * elementary_braid_matrix(2, 1, RationalExpr.variable(word.variables[k - 1]))
-    return m[1, 1]
+
+def plucker(word: BraidWord, a: int, b: int) -> RationalExpr:
+    """(2,2)-entry of B_1(z_a) ... B_1(z_{b-2}) for a 2-strand word, read
+    from ``minor_pass``; 1 for the empty product (b <= a+1)."""
+    minors = minor_pass(word, a)
+    return minors[b - a - 2] if b > a + 1 else RationalExpr.const(1)
 
 
 def gamma_in_s(basis: CycleBasis, order) -> list[dict[int, int]]:
@@ -529,22 +531,24 @@ def a_coordinates(weave: Weave, beta: BraidWord, order):
     nc = normalized_chart(beta, order, weave=weave)
     # inverse chart: the normalized parameters as functions of z.  From
     # S = sign * s^expo and s_r = inverted expression of the r-th opening.
-    s_in_z = {var_id(f"s{r}"): expr for r, expr in zip(order, nc.chart.inverted)}
+    s_in_z = nc.chart.inverted  # in opening order, like the columns of expo
+    normalized = {}
+    for r, exponents in zip(nc.order, nc.expo):
+        sval = RationalExpr.const(nc.signs[r])
+        for s, k in zip(s_in_z, exponents):
+            if k:
+                sval = sval * s**k
+        normalized[r] = sval
     out = []
     bd = nc.chart.top
     minors = {}
-    lmax = len(bd) + 1
-    for a in range(1, lmax + 1):
-        for b in range(a + 2, lmax + 2):
-            minors.setdefault(plucker(bd, a, b).render(), f"P{a}{b}")
+    for a in range(1, len(bd) + 2):
+        for b, minor in enumerate(minor_pass(bd, a), start=a + 2):
+            minors.setdefault(minor.render(), f"P{a}{b}")
     for monomial in gamma_in_s(basis, order):
         val = RationalExpr.const(1)
         for r, e in monomial.items():
-            sval = RationalExpr.const(nc.signs[r])
-            for j, rj in enumerate(nc.order):
-                if nc.expo[nc.order.index(r)][j]:
-                    sval = sval * s_in_z[var_id(f"s{rj}")] ** nc.expo[nc.order.index(r)][j]
-            val = val * sval**e
+            val = val * normalized[r] ** e
         if not val.is_polynomial():
             raise NotPolynomial(f"cycle monomial is not polynomial: {val.render()}")
         out.append((monomial, val, minors.get(val.render())))

@@ -14,9 +14,8 @@ through the chart parametrization) is also provided.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .ring import RationalExpr, RingError, TwoForm, var_id, wedge_trace
+from .ring import RationalExpr, RingError, TwoForm, gauss_jordan, var_id, wedge_trace
 from .braid import (
     BraidWord,
     append_half_twist,
@@ -51,21 +50,7 @@ class TwoFormMatrix:
     entries: list[list[int]]
 
     def rank(self) -> int:
-        m = [[Fraction(x) for x in row] for row in self.entries]
-        size = len(m)
-        rank = 0
-        for col in range(size):
-            piv = next((r for r in range(rank, size) if m[r][col] != 0), None)
-            if piv is None:
-                continue
-            m[rank], m[piv] = m[piv], m[rank]
-            m[rank] = [x / m[rank][col] for x in m[rank]]
-            for r in range(size):
-                if r != rank and m[r][col] != 0:
-                    f = m[r][col]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-            rank += 1
-        return rank
+        return len(gauss_jordan(self.entries)[1])
 
     def pair(self, u, v) -> int:
         """Evaluate the form on two integer vectors in the parameter lattice."""

@@ -912,6 +912,27 @@ class MatrixExpr:
         return f"MatrixExpr(\n{self.render()}\n)"
 
 
+def gauss_jordan(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Exact Gauss-Jordan elimination of a rational matrix: its reduced row
+    echelon form over ``Fraction``s and the pivot column of each nonzero
+    row, so the rank is the number of pivots."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(len(m[0]) if m else 0):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        m[rank] = [x / m[rank][col] for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        pivots.append(col)
+    return m, pivots
+
+
 # ---------------------------------------------------------------------------
 # differential forms
 

@@ -105,16 +105,6 @@ def variety_dimension(word: BraidWord, perm=None):
     return len(word) - n * (n - 1) // 2
 
 
-def delta_lower_factor(n: int, variables) -> MatrixExpr:
-    """B_Delta(u) . w0 as a matrix: lower uni-triangular with polynomial
-    entries in the Delta variables."""
-    word = BraidWord(n, half_twist_letters(n), tuple(variables))
-    m = braid_matrix(word) * perm_matrix(longest_perm(n))
-    if not m.is_lower_triangular():
-        raise RingError("B_Delta . w0 is not lower triangular")
-    return m
-
-
 def delta_upper_factor(n: int, variables) -> MatrixExpr:
     """w0 . B_Delta(w): upper uni-triangular with polynomial entries."""
     word = BraidWord(n, half_twist_letters(n), tuple(variables))

@@ -35,7 +35,6 @@ from .braid import (
     reduced_word,
     stall_index,
 )
-from .ring import var_id
 
 
 class BudgetExceeded(Exception):
@@ -107,9 +106,6 @@ class Weave:
 
     def bottom_letters(self) -> tuple[int, ...]:
         return self.slices()[-1]
-
-    def bottom_variables(self) -> tuple[int, ...]:
-        return tuple(var_id(f"_b{k + 1}") for k in range(len(self.bottom_letters())))
 
     def is_demazure(self) -> bool:
         return all(ev.kind in ("three", "six", "four") for ev in self.events)

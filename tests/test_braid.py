@@ -170,6 +170,23 @@ def test_braid_matrix_at_zero_is_permutation():
         assert m == perm_matrix(coxeter_image(word))
 
 
+def test_braid_matrix_matches_elementary_products():
+    # oracle: MatrixExpr products of the elementary matrices, symbolic and at
+    # random integer values (zeros included, which the column update skips)
+    from braidweave.braid import elementary_braid_matrix
+    from braidweave.ring import MatrixExpr
+
+    rng = random.Random(14)
+    for _ in range(40):
+        n = rng.randrange(2, 6)
+        word = make_word(n, [rng.randrange(1, n) for _ in range(rng.randrange(0, 8))])
+        for values in (word.var_exprs(), [const(rng.randint(-2, 2)) for _ in word.letters]):
+            oracle = MatrixExpr.identity(n)
+            for i, z in zip(word.letters, values):
+                oracle = oracle * elementary_braid_matrix(n, i, z)
+            assert braid_matrix(word, values) == oracle, word.render()
+
+
 def test_half_twist_matrix_shape():
     d = half_twist_word(3)
     m = braid_matrix(d)

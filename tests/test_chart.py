@@ -8,12 +8,15 @@ import sys
 import pytest
 
 from braidweave.braid import (
+    PatternMismatch,
     append_half_twist,
     braid_matrix,
     elementary_braid_matrix,
+    half_twist_letters,
     longest_perm,
     make_word,
     parse_braid,
+    perm_matrix,
 )
 from braidweave.chart import (
     ChartMap,
@@ -29,6 +32,7 @@ from braidweave.chart import (
     propagate_down,
     rational_map,
     slide_left,
+    solve_half_twist,
     check_master_identity,
     cup_factor,
     trivalent_factor,
@@ -325,6 +329,47 @@ def test_mellit_orders():
     chart = chart_parametrize(weave_from_opening_order(beta, mellit_order(beta)))
     pres = variety_equations(append_half_twist(beta), longest_perm(3))
     assert chart_satisfies_equations(chart, pres)
+
+
+def test_mellit_order_interns_no_names():
+    # the exchange index reads beta Delta's own variable ids, so the walk
+    # registers no names (each would widen every later packed monomial)
+    from braidweave import ring
+
+    delta7 = " ".join(map(str, half_twist_letters(7)))
+    for text in ("B4: 3 2 1 3 3 3 1 2", "B7: " + delta7):
+        beta = parse_braid(text)
+        append_half_twist(beta)  # interns the z names of beta Delta
+        before = len(ring._id_to_name)
+        mellit_order(beta)
+        assert len(ring._id_to_name) == before, text
+
+
+def test_solve_half_twist_matches_matrix_products():
+    # oracle: lower . B_Delta(u) . w0 multiplied out with MatrixExpr products
+    rng = random.Random(14)
+    one, zero = const(1), const(0)
+    for n in range(2, 7):
+        delta = half_twist_letters(n)
+        w0 = perm_matrix(longest_perm(n))
+        for symbolic in (True, False, False):
+            rows = [[one if r == c else zero for c in range(n)] for r in range(n)]
+            for r in range(n):
+                for c in range(r):
+                    rows[r][c] = poly(f"c{r + 1}{c + 1}") if symbolic else const(rng.randint(-4, 4))
+            lower = MatrixExpr(rows)
+            u = solve_half_twist(lower)
+            assert len(u) == len(delta)
+            m = lower
+            for i, x in zip(delta, u):
+                m = m * elementary_braid_matrix(n, i, x)
+            assert m * w0 == MatrixExpr.identity(n), (n, symbolic)
+    for bad in (
+        MatrixExpr([[const(2), zero], [poly("c21"), one]]),
+        MatrixExpr([[one, poly("c12")], [poly("c21"), one]]),
+    ):
+        with pytest.raises(PatternMismatch):
+            solve_half_twist(bad)
 
 
 def test_mellit_chart_conditions_for_two_strands():

@@ -145,6 +145,8 @@ def test_usage_and_domain_errors(capsys):
     assert code == 2
     code, _ = run(["variety", "--braid", "B3: 9"])
     assert code == 1
+    code, _ = run(["count", "--braid", "B2: 1 1 1", "--seed", "1"])
+    assert code == 2
     capsys.readouterr()
     code, _ = run(["chart", "--braid", "B2: 1 1"])  # neither order nor mellit
     assert code == 2

@@ -197,6 +197,32 @@ def test_plucker_convention():
     )
 
 
+def test_minors_match_matrix_products():
+    # oracle: the (2,2)-entry of a MatrixExpr product of elementary matrices,
+    # for every a < b on B2: 1^8 (b = a+1 is the empty product)
+    from braidweave.braid import append_half_twist, elementary_braid_matrix
+    from braidweave.ring import MatrixExpr
+
+    beta = make_word(2, [1] * 8)
+    bd = append_half_twist(beta)
+    z = bd.var_exprs()
+    oracle, labels = {}, {}
+    for a in range(1, len(bd) + 2):
+        m = MatrixExpr.identity(2)
+        oracle[a, a + 1] = m[1, 1]
+        for b in range(a + 2, len(bd) + 3):
+            m = m * elementary_braid_matrix(2, 1, z[b - 3])
+            oracle[a, b] = m[1, 1]
+            labels.setdefault(m[1, 1].render(), f"P{a}{b}")
+    for (a, b), minor in oracle.items():
+        assert plucker(bd, a, b) == minor, (a, b)
+    for order in ((8, 1, 7, 2, 6, 3, 5, 4), tuple(range(1, 9))):
+        coords = a_coordinates(weave_from_opening_order(beta, order), beta, order)
+        assert any(label for _, _, label in coords)
+        for _, val, label in coords:
+            assert label == labels.get(val.render()), (order, label)
+
+
 # ---------------------------------------------------------------------------
 # the 3-strand torus link fixture
 
