@@ -38,21 +38,27 @@ class StrataTree:
     def strata(self):
         """Multiset of (a, b) = (cups, trivalent) over the live leaves below
         this node, folded bottom-up with each shared node visited once."""
+        below, todo = {self}, [self]
+        while todo:
+            node = todo.pop()
+            if node.status == "branch":
+                for child in (node.invert_child, node.vanish_child):
+                    if child not in below:
+                        below.add(child)
+                        todo.append(child)
+        # a child's word is shorter than its parent's, so folding by length
+        # folds every child before its parents
         folded: dict[StrataTree, dict[tuple[int, int], int]] = {}
-
-        def fold(node):
-            if node not in folded:
-                out: dict[tuple[int, int], int] = {}
-                if node.status == "leaf":
-                    out[(0, 0)] = 1
-                elif node.status == "branch":
-                    for child, da, db in ((node.invert_child, 0, 1), (node.vanish_child, 1, 0)):
-                        for (a, b), mult in fold(child).items():
-                            out[(a + da, b + db)] = out.get((a + da, b + db), 0) + mult
-                folded[node] = out
-            return folded[node]
-
-        return fold(self)
+        for node in sorted(below, key=lambda node: len(node.letters)):
+            out: dict[tuple[int, int], int] = {}
+            if node.status == "leaf":
+                out[(0, 0)] = 1
+            elif node.status == "branch":
+                for child, da, db in ((node.invert_child, 0, 1), (node.vanish_child, 1, 0)):
+                    for (a, b), mult in folded[child].items():
+                        out[(a + da, b + db)] = out.get((a + da, b + db), 0) + mult
+            folded[node] = out
+        return folded[self]
 
 
 @dataclass
@@ -104,27 +110,31 @@ def stratify(word: BraidWord) -> StrataTree:
     one node, one Demazure check and one rewrite to a doubled letter."""
     n = word.n
     w0 = longest_perm(n)
-    nodes: dict[tuple[int, ...], StrataTree] = {}
-
-    def rec(letters):
-        if letters in nodes:
-            return nodes[letters]
+    root = StrataTree(tuple(word.letters), "")
+    nodes = {root.letters: root}
+    todo = [root]  # nodes made for a word reached, their status not yet set
+    while todo:
+        node = todo.pop()
+        letters = node.letters
         if demazure_letters(n, letters) != w0:
-            node = StrataTree(letters, "dead")
-        else:
-            found = find_doubled_letter(letters, n)
-            if found is None:
-                # reduced with Demazure product w0: a point stratum
-                node = StrataTree(letters, "leaf")
-            else:
-                _, moved, p = found
-                inv = rec(moved[:p] + moved[p + 1 :])
-                van = rec(moved[:p] + moved[p + 2 :])
-                node = StrataTree(letters, "branch", inv, van)
-        nodes[letters] = node
-        return node
-
-    return rec(tuple(word.letters))
+            node.status = "dead"
+            continue
+        found = find_doubled_letter(letters, n)
+        if found is None:
+            # reduced with Demazure product w0: a point stratum
+            node.status = "leaf"
+            continue
+        _, moved, p = found
+        node.status = "branch"
+        kids = []
+        for child in (moved[:p] + moved[p + 1 :], moved[:p] + moved[p + 2 :]):
+            kid = nodes.get(child)
+            if kid is None:
+                kid = nodes[child] = StrataTree(child, "")
+                todo.append(kid)
+            kids.append(kid)
+        node.invert_child, node.vanish_child = kids
+    return root
 
 
 def point_count_polynomial(beta: BraidWord) -> PointCountPolynomial:
@@ -134,9 +144,11 @@ def point_count_polynomial(beta: BraidWord) -> PointCountPolynomial:
     return PointCountPolynomial(len(beta), tree.strata())
 
 
-# Matrices that brute_count holds at its deepest level at once.  A chunk k
-# levels above holds at most _ROWS / q^k, so memory is bounded by about
-# 2 * _ROWS matrices whatever q^l and the budget are.
+# Products of the first l-1 letters that brute_count holds at once.  When
+# q > n(n-1) it holds fewer, so that the points it tests in place at once,
+# q per product, stay within _ROWS * n(n-1), the entries of _ROWS products.
+# A chunk k levels above holds at most 1/q^k as many, so memory is bounded
+# by about twice that whatever q^l and the budget are.
 _ROWS = 2**15
 
 
@@ -146,43 +158,76 @@ def brute_count(word: BraidWord, perm, q: int, budget: int = 10**8) -> int:
     The q^l points form a prefix tree on their digits: the product of the
     first k elementary matrices is computed once per prefix (numpy batched,
     entries kept reduced mod q), and the tree is walked depth first in chunks.
-    Every point is enumerated and checked."""
+    A chunk of m products is one array of shape (n-1, n, m): row 0 is left
+    out, since no vanishing entry lies in it and a right product by B_i(z)
+    acts on each row alone, and the points lie on the last axis.  The q^l
+    final products are never built: the last letter is tested in place on
+    the products of the first l-1 letters, for all q digits at once (in
+    blocks of digits only when q alone passes the chunk size).  Every point
+    is enumerated and checked."""
     letters = word.letters
     l = len(letters)
     if q**l > budget:
         raise BudgetExceeded(f"brute count needs {q}^{l} = {q**l} points, over the budget of {budget}")
     n = word.n
-    vanishing = [(a, perm[b]) for a in range(1, n) for b in range(a)]
+    # entry (a, perm[b]) with b < a, held at row a - 1 of a chunk
+    vanishing = [(a - 1, perm[b]) for a in range(1, n) for b in range(a)]
+    # x + z*y with x, y, z < q is at most q*(q-1)
+    dtype = np.int16 if q * (q - 1) <= np.iinfo(np.int16).max else np.int64
+    tested = _ROWS * (n - 1) * n  # points tested in place at once
+    deepest = max(1, tested // max(q, (n - 1) * n))  # products of l-1 letters at once
+    start = np.eye(n, dtype=dtype)[1:, :, None]
+    if l == 0:
+        return int(all(start[r, c, 0] == 0 for r, c in vanishing))
 
-    def walk(mats, k):
-        """Points whose first k digits have the prefix products mats."""
-        if k == l:
-            ok = np.ones(len(mats), dtype=bool)
-            for a, c in vanishing:
-                ok &= mats[:, a, c] == 0
-            return int(ok.sum())
-        below = q ** (l - k - 1)  # points under each child prefix
-        digit_step = min(q, max(1, _ROWS // below))
-        row_step = max(1, _ROWS // (below * digit_step))
+    def block(d, step):
+        """The digits d, d+1, ... below d + step and q."""
+        return np.arange(d, min(q, d + step), dtype=dtype)
+
+    def last(rows, i, digits):
+        """Points whose first l-1 digits have the prefix products rows and
+        whose last digit z is in digits, for the last letter i: after B_i(z),
+        column i-1 (0-based) holds the old column i, column i holds old
+        column i-1 + z * old column i, and every other column is unchanged."""
+        ok = np.ones(rows.shape[2], dtype=bool)
+        ok_digits = None
+        for r, c in vanishing:
+            if c == i:
+                zero = (rows[r, i - 1] + digits[:, None] * rows[r, i]) % q == 0
+                ok_digits = zero if ok_digits is None else ok_digits & zero
+            else:
+                ok &= rows[r, i if c == i - 1 else c] == 0
+        if ok_digits is None:
+            return len(digits) * int(ok.sum())
+        return int((ok_digits & ok).sum())
+
+    def walk(rows, k):
+        """Points whose first k digits have the prefix products rows."""
+        if k == l - 1:
+            step = max(1, tested // rows.shape[2])
+            return sum(last(rows, letters[k], block(d, step)) for d in range(0, q, step))
+        below = q ** (l - k - 2)  # deepest built products under each child
+        digit_step = min(q, max(1, deepest // below))
+        row_step = max(1, deepest // (below * digit_step))
         total = 0
-        for r in range(0, len(mats), row_step):
+        for r in range(0, rows.shape[2], row_step):
             for d in range(0, q, digit_step):
-                digits = np.arange(d, min(q, d + digit_step))
-                total += walk(_times_letter(mats[r : r + row_step], letters[k], digits, q), k + 1)
+                chunk = _times_letter(rows[:, :, r : r + row_step], letters[k], block(d, digit_step), q)
+                total += walk(chunk, k + 1)
         return total
 
-    return walk(np.eye(n, dtype=np.int64)[None], 0)
+    return walk(start, 0)
 
 
-def _times_letter(mats, i: int, digits, q: int):
-    """Every matrix M times B_i(z) for every digit z: columns i, i+1
-    (1-based) become M_{i+1} and M_i + z M_{i+1} mod q."""
-    out = np.repeat(mats, len(digits), axis=0)
-    z = np.tile(digits, len(mats))[:, None]
-    new = (out[:, :, i - 1] + z * out[:, :, i]) % q
-    out[:, :, i - 1] = out[:, :, i]
-    out[:, :, i] = new
-    return out
+def _times_letter(rows, i: int, digits, q: int):
+    """The products rows (shape (n-1, n, m)) times B_i(z) for every digit z,
+    as shape (n-1, n, len(digits) * m): columns i, i+1 (1-based) become
+    M_{i+1} and M_i + z M_{i+1} mod q."""
+    out = np.empty(rows.shape[:2] + (len(digits), rows.shape[2]), dtype=rows.dtype)
+    out[...] = rows[:, :, None, :]
+    out[:, i - 1] = rows[:, i, None, :]
+    out[:, i] = (rows[:, i - 1, None, :] + digits[:, None] * rows[:, i, None, :]) % q
+    return out.reshape(rows.shape[0], rows.shape[1], -1)
 
 
 def brute_count_presentation(pres, q: int, budget: int = 10**8) -> int:
@@ -201,7 +246,7 @@ def brute_count_presentation(pres, q: int, budget: int = 10**8) -> int:
             x //= q
         if any(eq.eval_int(point, q) != 0 for eq in pres.equations):
             continue
-        if any(ineq.eval_int(point, q) == 0 for ineq in pres.inequations):
+        if any(ineq.eval_int(point, q) in (None, 0) for ineq in pres.inequations):
             continue
         total += 1
     return total

@@ -21,7 +21,8 @@ from braidweave.count import (
     point_count_polynomial,
     stratify,
 )
-from braidweave.variety import variety_equations
+from braidweave.ring import LaurentPoly, mono_pack, var_id
+from braidweave.variety import VarietyPresentation, variety_equations
 from braidweave.weave import BudgetExceeded
 from move_search import search_strata
 
@@ -119,6 +120,45 @@ def test_brute_count_matches_slow_oracle(monkeypatch):
                         assert brute_count(word, w0, q) == expected[perms.index(w0)], (n, letters, q)
 
 
+def test_brute_count_four_strands_every_perm():
+    perms = list(itertools.permutations(range(4)))
+    for l in range(4):
+        for letters in itertools.product(range(1, 4), repeat=l):
+            for q in (2, 3):
+                expected = slow_brute_count(letters, 4, perms, q)
+                assert [brute_count(make_word(4, letters), p, q) for p in perms] == expected, (letters, q)
+
+
+def test_brute_count_empty_and_one_letter_words():
+    # with one letter the last letter, tested in place, is also the first
+    for n in range(1, 6):
+        perms = list(itertools.permutations(range(n)))
+        for letters in [()] + [(i,) for i in range(1, n)]:
+            for q in (2, 3, 5):
+                expected = slow_brute_count(letters, n, perms, q)
+                assert [brute_count(make_word(n, letters), p, q) for p in perms] == expected, (n, letters, q)
+
+
+def test_brute_count_both_sides_of_the_narrow_dtype():
+    # x + z*y reaches q*(q-1): it fits int16 for q = 181, not for q = 191
+    perms = list(itertools.permutations(range(2)))
+    for q in (181, 191):
+        for l in range(3):
+            letters = (1,) * l
+            expected = slow_brute_count(letters, 2, perms, q)
+            assert [brute_count(make_word(2, letters), p, q) for p in perms] == expected, (l, q)
+
+
+def test_brute_count_splits_the_last_digits(monkeypatch):
+    # with one row per chunk, more digits than n(n-1) are tested in blocks
+    monkeypatch.setattr(count, "_ROWS", 1)
+    perms = list(itertools.permutations(range(2)))
+    for l in range(4):
+        for q in (3, 5, 7):
+            expected = slow_brute_count((1,) * l, 2, perms, q)
+            assert [brute_count(make_word(2, (1,) * l), p, q) for p in perms] == expected, (l, q)
+
+
 def test_brute_count_past_the_row_chunk():
     beta = parse_braid("B3: 1 2 1 2 1 2 1")
     gamma = append_half_twist(beta)
@@ -163,9 +203,23 @@ def test_oracle_agreement_sweep():
 
 
 def test_two_strand_strata_closed_form():
-    for l in range(41):
+    # 1200 letters: stratify and strata() walk far past the recursion limit
+    for l in [*range(41), 1200]:
         strata = point_count_polynomial(make_word(2, [1] * l)).strata
         assert strata == {(a, l - 2 * a): math.comb(l - a, a) for a in range(l // 2 + 1)}, l
+
+
+def test_long_word_stratifies_without_deep_recursion():
+    # 1200 letters, more than the default recursion limit of 1000 frames
+    assert stratify(make_word(3, [1, 2] * 600)).status == "branch"
+
+
+def test_undefined_inequation_point_is_not_counted():
+    z1 = var_id("z1")
+    pres = VarietyPresentation(
+        n=1, perm=(0,), variables=(z1,), equations=[], inequations=[LaurentPoly({mono_pack([(z1, -1)]): 1})]
+    )
+    assert [brute_count_presentation(pres, q) for q in (2, 3, 5)] == [1, 2, 4]
 
 
 def test_equal_words_share_one_node():
