@@ -20,22 +20,35 @@ of the diagram, transforming the letters it passes; the product of the
 factors that reach the left edge is the accumulated matrix ``U`` with
 ``B(top) = U . B(bottom)`` after substituting the propagated values.
 
-``slide_left`` is the one slide: it moves an upper-triangular factor left
-through a whole word, and with ``back=True`` recovers the original values
-from the slid ones.  A lower-triangular factor slides right by the same
-code: every B_j is symmetric, so L . B(word) = B(word') . L' is the slide of
-L^T through the reversed word, transposed.  The same transposed slide, run
-back onto all-zero values through the reversed half twist, solves
-L . B_Delta(u) . w0 = Id for the half-twist values u (``solve_half_twist``),
-which is how the direct route fills in the half-twist block.
+The inversion at a trivalent vertex is the only division in the downward
+pass, so every value it meets lies in Q[z^±][1/a_1, ..., 1/a_k] for the
+values a_j inverted so far.  ``propagate_down`` keeps each value as a
+``ring.Localized``: a numerator over signed powers of the bases, the cores
+the inverted numerators leave over the earlier bases, with no gcd in its
+arithmetic.  Canonical ``RationalExpr`` forms are made only where the result
+is read: the ``inverted`` and ``vanishing`` records as they are written, the
+bottom ``values`` and ``left_matrix`` on their first read.
+
+``slide_left`` is the one slide, for either value type: it moves an
+upper-triangular factor left through a whole word, and with ``back=True``
+recovers the original values from the slid ones.  A lower-triangular factor
+slides right by the same code: every B_j is symmetric, so L . B(word) =
+B(word') . L' is the slide of L^T through the reversed word, transposed.
+The same transposed slide, run back onto all-zero values through the
+reversed half twist, solves L . B_Delta(u) . w0 = Id for the half-twist
+values u (``solve_half_twist``), which is how the direct route fills in the
+half-twist block.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 
 from .ring import (
+    Bases,
     LaurentPoly,
+    Localized,
     MatrixExpr,
     RationalExpr,
     poly_exact_div,
@@ -73,7 +86,6 @@ def slide_left(u: MatrixExpr, letters, values, back: bool = False):
     out = MatrixExpr(u.rows)
     rows = out.rows
     values = list(values)
-    zero = RationalExpr.const(0)
     for k in range(len(letters) - 1, -1, -1):
         b = letters[k]
         a = b - 1
@@ -91,47 +103,64 @@ def slide_left(u: MatrixExpr, letters, values, back: bool = False):
             row = rows[r]
             x, y = row[a], row[b]
             row[a], row[b] = (y if x.is_zero() else y - zp * x), x
-        ra[a], ra[b], rb[a], rb[b] = rb[b], zero, zero, ra[a]
+        # rb[a] is the zero below the diagonal; the (a, b) entry vanishes
+        ra[a], ra[b], rb[b] = rb[b], rb[a], ra[a]
     return out, values
 
 
-def trivalent_factor(n: int, letter: int, a: RationalExpr) -> MatrixExpr:
+def _identity(n: int, x) -> MatrixExpr:
+    """The n x n identity with entries of the value type of x."""
+    one, zero = x.const(1), x.const(0)
+    return MatrixExpr([[one if r == c else zero for c in range(n)] for r in range(n)])
+
+
+def trivalent_factor(n: int, letter: int, a) -> MatrixExpr:
     """The upper factor [[-1/a, 1],[0, a]] (block at letter) of a trivalent
     vertex whose left input carries the value a."""
-    m = MatrixExpr.identity(n)
+    m = _identity(n, a)
     i = letter
     rows = m.rows
     rows[i - 1][i - 1] = -a.inverse()
-    rows[i - 1][i] = RationalExpr.const(1)
+    rows[i - 1][i] = a.const(1)
     rows[i][i] = a
     return m
 
 
-def cup_factor(n: int, letter: int, b: RationalExpr) -> MatrixExpr:
+def cup_factor(n: int, letter: int, b) -> MatrixExpr:
     """Id + b E_{i,i+1}: the factor of a cup whose surviving value is b."""
-    m = MatrixExpr.identity(n)
+    m = _identity(n, b)
     m.rows[letter - 1][letter] = b
     return m
 
 
 @dataclass
 class Propagation:
-    """Result of pushing the top variables of a weave down to its bottom."""
+    """Result of pushing the top variables of a weave down to its bottom.
+
+    The records are canonical.  The bottom values and the slid factors stay
+    over the pass's bases until ``values`` or ``left_matrix`` is read."""
 
     bottom: BraidWord
-    values: list[RationalExpr]  # value of each bottom letter, in top variables
     inverted: list[RationalExpr]  # one per trivalent vertex, must not vanish
     vanishing: list[RationalExpr]  # one per cup, must vanish
+    local_values: list[Localized]  # value of each bottom letter
     factors: list[MatrixExpr]  # vertex factors slid to the left edge, top-down
 
-    @property
+    @cached_property
+    def values(self) -> list[RationalExpr]:
+        """The value of each bottom letter, in the top variables."""
+        return [v.rational() for v in self.local_values]
+
+    @cached_property
     def left_matrix(self) -> MatrixExpr:
         """The accumulated factor U with B(top) = U . B(bottom), multiplied
-        out from ``factors`` on each read."""
-        u = MatrixExpr.identity(self.bottom.n)
-        for factor in self.factors:
+        out from ``factors`` over the bases on the first read."""
+        if not self.factors:
+            return MatrixExpr.identity(self.bottom.n)
+        u = self.factors[0]
+        for factor in self.factors[1:]:
             u = u * factor
-        return u
+        return MatrixExpr([[e.rational() for e in row] for row in u.rows])
 
 
 def _braid_step(kind: str, letters, values, p: int):
@@ -154,12 +183,15 @@ def _braid_step(kind: str, letters, values, p: int):
 def propagate_down(weave: Weave) -> Propagation:
     """Compute the bottom letter values of a simplifying weave as rational
     functions of its top variables, the constraint record, and the vertex
-    factors slid to the left edge."""
+    factors slid to the left edge.  Values are kept over the cores of the
+    inverted values (``ring.Localized``), so the pass runs no gcd; the
+    records are made canonical as they are written."""
     if any(ev.kind == "cap" for ev in weave.events):
         raise PatternMismatch("propagation requires a simplifying weave (no caps)")
     n = weave.n
     letters = list(weave.top.letters)
-    values = weave.top.var_exprs()
+    bases = Bases()
+    values = [Localized(LaurentPoly.variable(v), {}, bases, True) for v in weave.top.variables]
     inverted, vanishing, factors = [], [], []
     for ev in weave.events:
         p = ev.pos
@@ -167,7 +199,8 @@ def propagate_down(weave: Weave) -> Propagation:
             a, b = values[p], values[p + 1]
             if a.is_zero():
                 raise PatternMismatch("trivalent vertex with identically zero input")
-            inverted.append(a)
+            a = bases.unit(a)
+            inverted.append(a.rational())
             factor = trivalent_factor(n, letters[p], a)
             factor, values[:p] = slide_left(factor, letters[:p], values[:p])
             values[p : p + 2] = [b + a.inverse()]
@@ -175,7 +208,7 @@ def propagate_down(weave: Weave) -> Propagation:
             factors.append(factor)
         elif ev.kind == "cup":
             a, b = values[p], values[p + 1]
-            vanishing.append(a)
+            vanishing.append(a.rational())
             factor = cup_factor(n, letters[p], b)
             factor, values[:p] = slide_left(factor, letters[:p], values[:p])
             del values[p : p + 2]
@@ -185,7 +218,7 @@ def propagate_down(weave: Weave) -> Propagation:
             _braid_step(ev.kind, letters, values, p)
     bottom_ids = tuple(var_id(f"_b{k + 1}") for k in range(len(letters)))
     bottom = BraidWord(n, tuple(letters), bottom_ids)
-    return Propagation(bottom, values, inverted, vanishing, factors)
+    return Propagation(bottom, inverted, vanishing, values, factors)
 
 
 def check_master_identity(weave: Weave, prop: Propagation) -> bool:

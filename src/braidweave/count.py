@@ -37,28 +37,39 @@ class StrataTree:
 
     def strata(self):
         """Multiset of (a, b) = (cups, trivalent) over the live leaves below
-        this node, folded bottom-up with each shared node visited once."""
-        below, todo = {self}, [self]
+        this node, folded bottom-up with each shared node visited once.
+
+        A path to a leaf drops two letters per cup and one per trivalent
+        vertex, so b follows from a and the leaf length.  A node's multiset
+        is one int whose slot a, len(letters) + 1 bits wide, counts the
+        leaves reached with a cups; fewer than 2^len(letters) paths leave
+        this node, so no slot overflows."""
+        below, todo, leaf_len = {self}, [self], None
         while todo:
             node = todo.pop()
-            if node.status == "branch":
+            if node.status == "leaf":
+                leaf_len = len(node.letters)
+            elif node.status == "branch":
                 for child in (node.invert_child, node.vanish_child):
                     if child not in below:
                         below.add(child)
                         todo.append(child)
+        width = len(self.letters) + 1
         # a child's word is shorter than its parent's, so folding by length
         # folds every child before its parents
-        folded: dict[StrataTree, dict[tuple[int, int], int]] = {}
+        folded: dict[StrataTree, int] = {}
         for node in sorted(below, key=lambda node: len(node.letters)):
-            out: dict[tuple[int, int], int] = {}
-            if node.status == "leaf":
-                out[(0, 0)] = 1
-            elif node.status == "branch":
-                for child, da, db in ((node.invert_child, 0, 1), (node.vanish_child, 1, 0)):
-                    for (a, b), mult in folded[child].items():
-                        out[(a + da, b + db)] = out.get((a + da, b + db), 0) + mult
-            folded[node] = out
-        return folded[self]
+            if node.status == "branch":
+                folded[node] = folded[node.invert_child] + (folded[node.vanish_child] << width)
+            else:
+                folded[node] = int(node.status == "leaf")
+        packed, out, mask, a = folded[self], {}, (1 << width) - 1, 0
+        while packed:
+            if packed & mask:
+                out[(a, len(self.letters) - leaf_len - 2 * a)] = packed & mask
+            packed >>= width
+            a += 1
+        return out
 
 
 @dataclass

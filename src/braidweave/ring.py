@@ -3,7 +3,7 @@
 Coefficients live in Q only, as an ``int`` when integral and a ``Fraction``
 otherwise; values are reduced mod a prime q only when they are evaluated at a
 point (``eval_int(point, q)``).  Everything downstream of this module is built
-from four value types:
+from four value types, and one more serves the downward weave pass:
 
 - ``LaurentPoly``: multivariate Laurent polynomial, a map from monomials to
   nonzero coefficients.  A monomial is one int packing the signed exponent of
@@ -18,11 +18,16 @@ from four value types:
   carried by the numerator.  Equality of rational functions is therefore
   structural equality of the canonical form.  Arithmetic on canonical
   operands cancels only through gcds of the operands' parts (Henrici's
-  method); the full gcd runs in the general constructor alone.
+  method); the gcd of a whole numerator and denominator runs in the general
+  constructor alone.
 - ``MatrixExpr``: square matrix of ``RationalExpr``; inversion is only allowed
   when the determinant is a unit (scalar times a Laurent monomial).
 - ``OneForm`` / ``TwoForm``: differential forms with ``RationalExpr``
   coefficients, keyed by variable ids resp. ordered pairs of them.
+- ``Localized``: a numerator over signed powers of a shared list of
+  ``Bases``, for values whose only divisions are by registered units.  Its
+  arithmetic runs no gcd, only trial divisions by the bases; ``rational()``
+  makes the canonical ``RationalExpr`` with at most one gcd.
 
 Gcds clear denominators and run GCDHEU (Char, Geddes and Gonnet 1989): the
 main variable is set to an integer, the image gcd is found recursively, lifted
@@ -41,6 +46,7 @@ from __future__ import annotations
 import threading
 from collections.abc import Mapping
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import accumulate, repeat
 from math import gcd, isqrt, lcm
 from operator import mul
@@ -63,6 +69,10 @@ class NonUnitDeterminant(RingError):
 
 
 class NonUnitDiagonal(RingError):
+    pass
+
+
+class NonUnitDivisor(RingError):
     pass
 
 
@@ -140,6 +150,27 @@ def _mono_exp(m: int, v: int) -> int:
 def _is_polynomial_mono(m: int) -> bool:
     """True when no exponent of m is negative."""
     return m >= 0 and not m & _SIGNS
+
+
+def _mono_min(monos):
+    """The componentwise minimum of packed monomials, or None when an
+    exponent lies outside [-2^30, 2^30).  Each field is biased by 2^30, so
+    the top bit of every field is free: subtracting from a copy with those
+    bits set leaves, in each field, the top bit set where the running
+    minimum is not below the next monomial, with no borrow between fields."""
+    signs = _SIGNS
+    bias = signs >> 1
+    lo = None
+    for m in monos:
+        u = m + bias
+        if u < 0 or u & signs:
+            return None
+        if lo is None:
+            lo = u
+        else:
+            ge = ((lo | signs) - u) & signs
+            lo ^= (lo ^ u) & ((ge >> (EXP_BITS - 1)) * (_FIELD - 1))
+    return 0 if lo is None else lo - bias
 
 
 def _lex_key(m: int):
@@ -302,7 +333,9 @@ class LaurentPoly:
             return (LaurentPoly({0: c}), m) if m else (self, 0)
         if 0 in t and all(_is_polynomial_mono(m) for m in t):
             return self, 0
-        shift = mono_pack((v, e) for v, e in self.min_exponents().items() if e)
+        shift = _mono_min(t)
+        if shift is None:
+            shift = mono_pack((v, e) for v, e in self.min_exponents().items() if e)
         return (self.mul_monomial(-shift), shift) if shift else (self, 0)
 
     def leading(self):
@@ -410,21 +443,29 @@ def _divide(a: dict, b: dict):
     """The quotient a / b of term dicts with nonnegative exponents, or None
     when b does not divide a.  Packed monomials with nonnegative exponents are
     ordered by their int value, which is lex with the largest variable id
-    first, a monomial order."""
+    first, a monomial order.  The remainder's monomials wait in a max-heap;
+    an entry whose term has cancelled is skipped when it comes up."""
     mb = max(b)
     inv = _coerce(Fraction(1) / b[mb])
     r, q = dict(a), {}
+    heap = [-m for m in r]
+    heapify(heap)
     while r:
-        mr = max(r)
+        mr = -heappop(heap)
+        if mr not in r:
+            continue
         d = mr - mb
         if not _is_polynomial_mono(d):
             return None
         c = q[d] = r[mr] * inv
         for m, cc in b.items():
-            k = m + d
-            s = r.get(k, 0) - c * cc
-            if s:
-                r[k] = s
+            k, t = m + d, c * cc
+            s = r.get(k)
+            if s is None:
+                r[k] = -t
+                heappush(heap, -k)
+            elif s != t:
+                r[k] = s - t
             else:
                 del r[k]
     return q
@@ -760,6 +801,158 @@ def _normal_form(num: LaurentPoly, den: LaurentPoly):
     return num, den
 
 
+# ---------------------------------------------------------------------------
+# values over inverted bases
+
+
+class Bases:
+    """The cores b_0, b_1, ... of the values inverted so far: monomial-free,
+    primitive integer polynomials with positive leading coefficient, each
+    as its cached powers ``powers[j] = [1, b_j, b_j^2, ...]``."""
+
+    __slots__ = ("powers",)
+
+    def __init__(self):
+        self.powers: list[list[LaurentPoly]] = []
+
+    def power(self, j: int, k: int) -> LaurentPoly:
+        pw = self.powers[j]
+        while len(pw) <= k:
+            pw.append(pw[-1] * pw[1])
+        return pw[k]
+
+    def cancel(self, num: LaurentPoly, exps: dict, js, bounded=True):
+        """(num, exps) with num trial-divided by each base j in js as often
+        as it divides, while the exponent of j stays positive if
+        ``bounded``, and the exponents lowered to match."""
+        if bounded:
+            js = [j for j in js if exps.get(j, 0) > 0]
+        if not js or len(num._terms) == 1:
+            return num, exps
+        p, mono = num.monomial_normalized()
+        t, exps = p._terms, dict(exps)
+        for j in js:
+            while len(t) > 1 and not (bounded and exps[j] <= 0):
+                q = _divide(t, self.powers[j][1]._terms)
+                if q is None:
+                    break
+                t, exps[j] = q, exps.get(j, 0) - 1
+        exps = {j: e for j, e in exps.items() if e}
+        if t is p._terms:
+            return num, exps
+        return LaurentPoly({m + mono: c for m, c in t.items()}), exps
+
+    def unit(self, value: "Localized") -> "Localized":
+        """``value`` as a scalar times a Laurent monomial times powers of
+        bases, so that it can be inverted: the core its numerator leaves
+        over the earlier bases becomes a new base."""
+        if value.is_zero():
+            raise ZeroDenominator("inverse of zero")
+        num, exps = self.cancel(value.num, value.exps, range(len(self.powers)), False)
+        core, mono = num.monomial_normalized()
+        c = core.constant_value()
+        if not core.is_constant():
+            s = _primitive_scale(core)
+            self.powers.append([_ONE, core.scale(s)])
+            exps, c = {**exps, len(self.powers) - 1: -1}, 1 / Fraction(s)
+        return Localized(LaurentPoly({mono: c}), exps, self, value.coprime)
+
+
+def _plain(exps: dict) -> bool:
+    """True when no base is in the denominator."""
+    return all(e < 0 for e in exps.values())
+
+
+class Localized:
+    """num / prod_j b_j^exps[j] over shared ``Bases``, with signed exponents:
+    a value of Q[z^±][1/b_0, 1/b_1, ...] whose arithmetic runs no gcd.
+
+    A sum takes the larger exponent of each base and trial-divides by the
+    bases whose exponents tie (Henrici); a product adds exponents and
+    trial-divides each numerator by the other's denominator bases.  Only
+    units, with a monomial ``num``, are divided by.  ``coprime`` says that
+    ``rational`` needs no gcd: it holds without a denominator and survives
+    negation, inversion and sums with a value without a denominator."""
+
+    __slots__ = ("num", "exps", "bases", "coprime")
+
+    def __init__(self, num: LaurentPoly, exps: dict, bases: Bases, coprime: bool):
+        self.num, self.exps, self.bases, self.coprime = num, exps, bases, coprime
+
+    def const(self, c) -> "Localized":
+        return Localized(LaurentPoly.const(c), {}, self.bases, True)
+
+    def is_zero(self):
+        return not self.num._terms
+
+    def __add__(self, other):
+        if not other.num._terms:
+            return self
+        if not self.num._terms:
+            return other
+        (n1, d1), (n2, d2) = (self.num, self.exps), (other.num, other.exps)
+        exps, ties = {}, []
+        for j in d1.keys() | d2.keys():
+            e1, e2 = d1.get(j, 0), d2.get(j, 0)
+            if e1 < e2:
+                n1 = n1 * self.bases.power(j, e2 - e1)
+            elif e2 < e1:
+                n2 = n2 * self.bases.power(j, e1 - e2)
+            elif e1 > 0:
+                ties.append(j)
+            if max(e1, e2):
+                exps[j] = max(e1, e2)
+        num = n1 + n2
+        if not num._terms:
+            return self.const(0)
+        num, exps = self.bases.cancel(num, exps, ties)
+        if _plain(d1) or _plain(d2):
+            coprime = other.coprime if _plain(d1) else self.coprime
+        else:
+            coprime = _plain(exps)
+        return Localized(num, exps, self.bases, coprime)
+
+    def __neg__(self):
+        return Localized(-self.num, self.exps, self.bases, self.coprime)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        (n1, d1), (n2, d2) = (self.num, self.exps), (other.num, other.exps)
+        if not n1._terms or not n2._terms:
+            return self.const(0)
+        if not d2 and len(n2._terms) == 1:
+            return Localized(n1 * n2, d1, self.bases, self.coprime)
+        if not d1 and len(n1._terms) == 1:
+            return Localized(n1 * n2, d2, self.bases, other.coprime)
+        exps = {j: d1.get(j, 0) + d2.get(j, 0) for j in d1.keys() | d2.keys()}
+        n1, exps = self.bases.cancel(n1, exps, [j for j, e in d2.items() if e > 0])
+        n2, exps = self.bases.cancel(n2, exps, [j for j, e in d1.items() if e > 0])
+        exps = {j: e for j, e in exps.items() if e}
+        return Localized(n1 * n2, exps, self.bases, _plain(exps))
+
+    def inverse(self):
+        if len(self.num._terms) != 1:
+            raise NonUnitDivisor(f"{self.rational().render()} is not a unit over its bases")
+        ((m, c),) = self.num._terms.items()
+        exps = {j: -e for j, e in self.exps.items()}
+        return Localized(LaurentPoly({-m: 1 / Fraction(c)}), exps, self.bases, self.coprime)
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def rational(self) -> RationalExpr:
+        """The canonical RationalExpr: one gcd, none when ``coprime``."""
+        num, den = self.num, _ONE
+        for j, e in self.exps.items():
+            if e > 0:
+                den = den * self.bases.power(j, e)
+            else:
+                num = num * self.bases.power(j, -e)
+        return _reduced(num, den) if self.coprime else RationalExpr(num, den)
+
+
 # convenience constructors used throughout the package
 
 def poly(name: str) -> RationalExpr:
@@ -795,7 +988,8 @@ def dlog(expr: RationalExpr) -> "OneForm":
 
 
 class MatrixExpr:
-    """Square matrix of RationalExpr values."""
+    """Square matrix of RationalExpr values (products also take ``Localized``
+    entries, as the downward pass's slid factors have)."""
 
     __slots__ = ("n", "rows")
 
@@ -827,8 +1021,9 @@ class MatrixExpr:
             return MatrixExpr([[e * other for e in row] for row in self.rows])
 
         def dot(row, col):
-            acc = RationalExpr.const(0)
-            for a, b in zip(row, col):
+            # the first product also gives the zero of the entries' type
+            acc = row[0] * col[0]
+            for a, b in zip(row[1:], col[1:]):
                 if not (a.is_zero() or b.is_zero()):
                     acc = acc + a * b
             return acc

@@ -78,29 +78,46 @@ def slow_brute_count(letters, n, perms, q):
     multiply out the elementary matrices B_i(z) (identity but for the block
     [[0, 1], [1, z]] at rows and columns i, i+1) and test, for each perm,
     whether the product times the permutation matrix is upper triangular.
-    Returns the count for each perm."""
+    Returns the count for each perm.
+
+    The products are generic and sparse: a matrix is a list of columns, and
+    column c of x . y sums the columns of x that the nonzero entries of
+    column c of y pick out (a lone 1 picks one column as it is)."""
+
+    def sparse(m):
+        return [[(k, m[k][c]) for k in range(n) if m[k][c]] for c in range(n)]
 
     def mul(x, y):
-        return [[sum(x[r][k] * y[k][c] for k in range(n)) % q for c in range(n)] for r in range(n)]
+        out = []
+        for terms in y:
+            if len(terms) == 1 and terms[0][1] == 1:
+                out.append(x[terms[0][0]])
+                continue
+            acc = [0] * n
+            for k, v in terms:
+                acc = [a + v * b for a, b in zip(acc, x[k])]
+            out.append([a % q for a in acc])
+        return out
 
     def elementary(i, z):
         m = [[int(r == c) for c in range(n)] for r in range(n)]
         m[i - 1][i - 1], m[i - 1][i], m[i][i - 1], m[i][i] = 0, 1, 1, z
-        return m
+        return sparse(m)
 
-    perm_mats = [[[int(r == p[c]) for c in range(n)] for r in range(n)] for p in perms]
+    perm_mats = [sparse([[int(r == p[c]) for c in range(n)] for r in range(n)]) for p in perms]
+    letter_mats = {i: [elementary(i, z) for z in range(q)] for i in set(letters)}
     counts = [0] * len(perms)
 
     def walk(m, k):
         if k == len(letters):
             for j, pm in enumerate(perm_mats):
                 mp = mul(m, pm)
-                counts[j] += all(mp[r][c] == 0 for r in range(n) for c in range(r))
+                counts[j] += all(mp[c][r] == 0 for c in range(n) for r in range(c + 1, n))
             return
-        for z in range(q):
-            walk(mul(m, elementary(letters[k], z)), k + 1)
+        for e in letter_mats[letters[k]]:
+            walk(mul(m, e), k + 1)
 
-    walk([[int(r == c) for c in range(n)] for r in range(n)], 0)
+    walk([[int(r == c) for r in range(n)] for c in range(n)], 0)
     return counts
 
 
@@ -207,6 +224,48 @@ def test_two_strand_strata_closed_form():
     for l in [*range(41), 1200]:
         strata = point_count_polynomial(make_word(2, [1] * l)).strata
         assert strata == {(a, l - 2 * a): math.comb(l - a, a) for a in range(l // 2 + 1)}, l
+
+
+def dict_strata(tree):
+    """Oracle for ``StrataTree.strata``: the same bottom-up fold, with a dict
+    from (a, b) to its multiplicity at every node."""
+    below, todo = {tree}, [tree]
+    while todo:
+        node = todo.pop()
+        if node.status == "branch":
+            for child in (node.invert_child, node.vanish_child):
+                if child not in below:
+                    below.add(child)
+                    todo.append(child)
+    folded = {}
+    for node in sorted(below, key=lambda node: len(node.letters)):
+        out = {}
+        if node.status == "leaf":
+            out[(0, 0)] = 1
+        elif node.status == "branch":
+            for child, da, db in ((node.invert_child, 0, 1), (node.vanish_child, 1, 0)):
+                for (a, b), mult in folded[child].items():
+                    out[(a + da, b + db)] = out.get((a + da, b + db), 0) + mult
+        folded[node] = out
+    return folded[tree]
+
+
+def test_packed_strata_fold_matches_dict_fold():
+    rng = random.Random(7)
+    words = [half_twist_word(3), parse_braid("B3: 1"), parse_braid("B3: 1 2 1 2 1 2 1")]
+    texts = ["", "B2: 1 1", "B2: 1 1 1", "B3: 1 2 1 2", "B4: 2 1 3 2 1", "B4: 1 3 2 2 1 3"]
+    texts += ["B2: " + " ".join(["1"] * k) for k in (1, 5, 13, 40, 120)]
+    texts += ["B3: " + " ".join(["1 2"] * k) for k in (1, 3, 8, 20, 45)]
+    for _ in range(20):
+        n = rng.choice([2, 3, 4])
+        texts.append(f"B{n}: " + " ".join(str(rng.randrange(1, n)) for _ in range(rng.randrange(0, 7))))
+    words += [append_half_twist(parse_braid(t, 2)) for t in texts]
+    for word in words:
+        tree = stratify(word)
+        assert tree.strata() == dict_strata(tree), word
+        if tree.status == "branch":
+            for child in (tree.invert_child, tree.vanish_child):
+                assert child.strata() == dict_strata(child), word
 
 
 def test_long_word_stratifies_without_deep_recursion():

@@ -21,6 +21,7 @@ from braidweave.ring import (
     const,
     dlog,
     differentiate,
+    mono_decode,
     poly,
     poly_exact_div,
     poly_gcd,
@@ -401,6 +402,22 @@ def test_packed_product_matches_tuple_oracle():
     for _ in range(200):
         p, q = _random_laurent(rng, vids), _random_laurent(rng, vids, 6)
         assert dict((p * q).terms.items()) == ring_oracle.mul(dict(p.terms), dict(q.terms))
+
+
+def test_monomial_factor_matches_decoded_minimum():
+    # the biased field-wise minimum against per-variable minima of the
+    # decoded listings, with exponents past its range taking the slow path
+    rng = random.Random(8)
+    vids = [var_id(v) for v in ("z1", "z2", "z3", "z4")]
+    big = [LaurentPoly.variable(vids[0]) ** (2**30), LaurentPoly.const(1).mul_monomial([(vids[1], -(2**30) - 1)])]
+    for k in range(120):
+        p = _random_laurent(rng, vids, rng.randrange(1, 6))
+        if k % 10 == 0:
+            p = p * (LaurentPoly.const(1) + rng.choice(big))
+        core, mono = p.monomial_normalized()
+        shift = [(v, e) for v, e in p.min_exponents().items() if e]
+        assert dict(mono_decode(mono)) == dict(shift)
+        assert core == p.mul_monomial([(v, -e) for v, e in shift])
 
 
 def test_one_pass_substitution_matches_term_oracle():
