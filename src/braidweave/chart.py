@@ -29,7 +29,13 @@ arithmetic.  Canonical ``RationalExpr`` forms are made only where the result
 is read: the ``inverted`` and ``vanishing`` records as they are written, the
 bottom ``values`` and ``left_matrix`` on their first read.
 
-``slide_left`` is the one slide, for either value type: it moves an
+The upward pass of ``chart_parametrize`` and the restoring loop of
+``ldu_chart`` (c matrix and ``solve_half_twist`` included) divide only by unit
+parameters, so they run on bare ``LaurentPoly``; ``subs`` wraps each value as
+a ``RationalExpr`` over 1, already canonical.  The forward loop of ``ldu_chart``
+divides by the opened values and keeps them ``Localized``, as ``propagate_down``.
+
+``slide_left`` is the one slide, for every value type: it moves an
 upper-triangular factor left through a whole word, and with ``back=True``
 recovers the original values from the slid ones.  A lower-triangular factor
 slides right by the same code: every B_j is symmetric, so L . B(word) =
@@ -46,6 +52,8 @@ from functools import cached_property
 from math import gcd
 
 from .ring import (
+    _ONE,
+    _make,
     Bases,
     LaurentPoly,
     Localized,
@@ -437,7 +445,7 @@ def chart_parametrize(weave: Weave) -> ChartMap:
         unit_names = {k: f"t{j + 1}" for j, k in enumerate(three_idx)}
     affine_names = {k: f"a{j + 1}" for j, k in enumerate(cup_idx)}
 
-    zero = RationalExpr.const(0)
+    zero = LaurentPoly.zero()
     letters = list(bottom)
     values = [zero] * len(letters)
     unit_params, affine_params = [], []
@@ -445,7 +453,7 @@ def chart_parametrize(weave: Weave) -> ChartMap:
         ev = weave.events[k]
         p = ev.pos
         if ev.kind == "three":
-            t = RationalExpr.variable(var_id(unit_names[k]))
+            t = LaurentPoly.variable(var_id(unit_names[k]))
             unit_params.append(var_id(unit_names[k]))
             factor = trivalent_factor(n, letters[p], t)
             _, values[:p] = slide_left(factor, letters[:p], values[:p], back=True)
@@ -453,7 +461,7 @@ def chart_parametrize(weave: Weave) -> ChartMap:
             letters[p : p + 1] = [letters[p], letters[p]]
         elif ev.kind == "cup":
             letter = slices[k][p]
-            a = RationalExpr.variable(var_id(affine_names[k]))
+            a = LaurentPoly.variable(var_id(affine_names[k]))
             affine_params.append(var_id(affine_names[k]))
             factor = cup_factor(n, letter, a)
             _, values[:p] = slide_left(factor, letters[:p], values[:p], back=True)
@@ -466,7 +474,7 @@ def chart_parametrize(weave: Weave) -> ChartMap:
         raise PatternMismatch("upward pass did not restore the top word")
     unit_params.reverse()
     affine_params.reverse()
-    subs = dict(zip(weave.top.variables, values))
+    subs = {v: _make(x, _ONE) for v, x in zip(weave.top.variables, values)}
     prop = propagate_down(weave)
     return ChartMap(
         top=weave.top,
@@ -506,7 +514,7 @@ def compare_extended(map1, map2) -> bool:
 # opening crossings directly (factor into U D L and slide outwards)
 
 
-def _opening_slides(n: int, i: int, t: RationalExpr, letters, values, p: int, back: bool = False):
+def _opening_slides(n: int, i: int, t, letters, values, p: int, back: bool = False):
     """Slide the factors of an opened letter B_i(t) = T_i(t) . L_i(t) out of
     the word it sat in at 0-based position p (``letters`` and ``values``
     without it): the trivalent factor T_i = U_i D_i left through letters[:p],
@@ -587,11 +595,11 @@ def ldu_chart(beta: BraidWord, order) -> ChartMap:
     # state after all openings: empty word, c matrix = Id
     letters: list[int] = []
     crossings: list[int] = []  # original crossing index per remaining letter
-    values: list[RationalExpr] = []
-    lower = MatrixExpr.identity(n)  # inverse of the c matrix
+    values: list[LaurentPoly] = []
+    lower = _identity(n, LaurentPoly.zero())  # inverse of the c matrix
 
     for r in reversed(order):
-        t = RationalExpr.variable(var_id(f"s{r}"))
+        t = LaurentPoly.variable(var_id(f"s{r}"))
         # position where crossing r sits once restored: the letters of beta
         # that are currently present keep their original relative order
         p = sum(1 for c in crossings if c < r)
@@ -605,16 +613,17 @@ def ldu_chart(beta: BraidWord, order) -> ChartMap:
     if letters != list(beta.letters):
         raise PatternMismatch("restored letters differ from beta")
     bd = append_half_twist(beta)
-    subs = dict(zip(beta.variables, values))
-    subs.update(zip(bd.variables[len(beta) :], solve_half_twist(lower)))
+    values += solve_half_twist(lower)
+    subs = {v: _make(x, _ONE) for v, x in zip(bd.variables, values)}
 
-    values = beta.var_exprs()
+    bases = Bases()
+    values = [Localized(LaurentPoly.variable(v), {}, bases, True) for v in beta.variables]
     inverted = []
     for r in order:
         p = crossings.index(r)
         del crossings[p], letters[p]
-        t = values.pop(p)
-        inverted.append(t)
+        t = bases.unit(values.pop(p))
+        inverted.append(t.rational())
         values, _ = _opening_slides(n, beta.letters[r - 1], t, letters, values, p)
     return ChartMap(
         top=bd,
@@ -627,7 +636,7 @@ def ldu_chart(beta: BraidWord, order) -> ChartMap:
     )
 
 
-def solve_half_twist(lower: MatrixExpr) -> list[RationalExpr]:
+def solve_half_twist(lower: MatrixExpr) -> list:
     """The half-twist values u with lower . B_Delta(u) . w0 = Id, for a lower
     uni-triangular ``lower``, from one back slide of its transpose through
     the reversed half twist onto all-zero values.
@@ -640,9 +649,9 @@ def solve_half_twist(lower: MatrixExpr) -> list[RationalExpr]:
     """
     n = lower.n
     letters = half_twist_letters(n)[::-1]
-    zeros = [RationalExpr.const(0)] * len(letters)
+    zeros = [lower[0, 0].const(0)] * len(letters)
     rest, v = slide_left(lower.transpose(), letters, zeros, back=True)
-    if not lower.is_lower_triangular() or rest != MatrixExpr.identity(n):
+    if not lower.is_lower_triangular() or rest != _identity(n, lower[0, 0]):
         raise PatternMismatch("the c matrix is not lower uni-triangular")
     return v[::-1]
 

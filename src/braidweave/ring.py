@@ -10,7 +10,9 @@ from four value types, and one more serves the downward weave pass:
   variable id v into the ``EXP_BITS``-wide field at bit ``EXP_BITS * v``, so a
   product of monomials is ``+`` and an inverse is unary ``-``.  It is decoded
   into a ``(var_id, exponent)`` listing only to render, to take the lex
-  leading term and to view a polynomial in one variable.
+  leading term and to view a polynomial in one variable.  A one-term value
+  is a unit: ``inverse()`` and ``/`` by it stay Laurent (coefficients 1 and
+  -1 stay ``int``); any other divisor raises ``NonUnitDivisor``.
 - ``RationalExpr``: quotient of two Laurent polynomials in canonical form.
   Canonical means: the denominator is an honest polynomial, not divisible by
   any variable, primitive with positive leading coefficient, and coprime to
@@ -289,6 +291,16 @@ class LaurentPoly:
             mono = mono_pack(mono)
         coeff = _coerce(coeff)
         return LaurentPoly({m + mono: c * coeff for m, c in self._terms.items()})
+
+    def inverse(self):
+        """1/self for a one-term value; ``NonUnitDivisor`` otherwise."""
+        if len(self._terms) != 1:
+            raise NonUnitDivisor(f"{self.render()} is not a unit")
+        ((m, c),) = self._terms.items()
+        return LaurentPoly({-m: c if c == 1 or c == -1 else 1 / Fraction(c)})
+
+    def __truediv__(self, other):
+        return self * other.inverse()
 
     def __pow__(self, k):
         if k < 0:
@@ -850,12 +862,11 @@ class Bases:
             raise ZeroDenominator("inverse of zero")
         num, exps = self.cancel(value.num, value.exps, range(len(self.powers)), False)
         core, mono = num.monomial_normalized()
-        c = core.constant_value()
         if not core.is_constant():
             s = _primitive_scale(core)
             self.powers.append([_ONE, core.scale(s)])
-            exps, c = {**exps, len(self.powers) - 1: -1}, 1 / Fraction(s)
-        return Localized(LaurentPoly({mono: c}), exps, self, value.coprime)
+            exps, core = {**exps, len(self.powers) - 1: -1}, LaurentPoly.const(s).inverse()
+        return Localized(core.mul_monomial(mono), exps, self, value.coprime)
 
 
 def _plain(exps: dict) -> bool:
@@ -935,9 +946,8 @@ class Localized:
     def inverse(self):
         if len(self.num._terms) != 1:
             raise NonUnitDivisor(f"{self.rational().render()} is not a unit over its bases")
-        ((m, c),) = self.num._terms.items()
         exps = {j: -e for j, e in self.exps.items()}
-        return Localized(LaurentPoly({-m: 1 / Fraction(c)}), exps, self.bases, self.coprime)
+        return Localized(self.num.inverse(), exps, self.bases, self.coprime)
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -988,8 +998,8 @@ def dlog(expr: RationalExpr) -> "OneForm":
 
 
 class MatrixExpr:
-    """Square matrix of RationalExpr values (products also take ``Localized``
-    entries, as the downward pass's slid factors have)."""
+    """Square matrix of RationalExpr values; products also take
+    ``LaurentPoly`` and ``Localized`` entries, as in the chart passes."""
 
     __slots__ = ("n", "rows")
 

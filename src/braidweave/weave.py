@@ -21,6 +21,7 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .braid import (
     BraidWord,
@@ -210,6 +211,7 @@ def _mirror(path, length: int):
     return tuple((length - pos - (2 if kind == "comm" else 3), kind) for pos, kind in path)
 
 
+@lru_cache(maxsize=1024)
 def _through_half_twist(j: int, delta: tuple[int, ...], n: int):
     """Moves taking (j,) + delta to delta + (n - j,), for a reduced word
     delta of w0: rewrite delta to end in n - j (w0 s_{n-j} = s_j w0), after
@@ -217,6 +219,15 @@ def _through_half_twist(j: int, delta: tuple[int, ...], n: int):
     path, y = _to_suffix(delta, n - j)
     shifted = tuple((pos + 1, kind) for pos, kind in path)
     return shifted + _reduced_path((j,) + y[:-1], delta)
+
+
+@lru_cache(maxsize=256)
+def _open_in_half_twist(n: int, j: int):
+    """Moves rewriting the half twist to start with j, and moves taking the
+    block back to the half twist once that j has merged with the one before."""
+    delta = half_twist_letters(n)
+    path, word = _to_suffix(delta[::-1], j)
+    return _mirror(path, len(delta)), _reduced_path(word[::-1], delta)
 
 
 def find_doubled_letter(letters: tuple[int, ...], n: int):
@@ -280,11 +291,11 @@ def weave_from_opening_order(beta: BraidWord, order) -> Weave:
         # move the block left, one letter at a time
         for q in range(d - 1, p, -1):
             apply_path(_through_half_twist(letters[q], delta, n), q)
-        # block now at [p+1, p+1+m); rewrite it to start with the crossing letter
-        apply_path(_mirror(_to_suffix(rdelta, letters[p])[0], m), p + 1)
+        # block now at [p+1, p+1+m): make it start with the letter, merge, undo
+        to_letter, back = _open_in_half_twist(n, letters[p])
+        apply_path(to_letter, p + 1)
         apply_events([WeaveEvent("three", p)])
-        # block now at [p, p+m); rewrite back to the fixed half-twist word
-        apply_path(_reduced_path(tuple(letters[p : p + m]), delta), p)
+        apply_path(back, p)
         # move the block right, back to the end
         remaining.remove(r)
         for q in range(p, len(remaining)):

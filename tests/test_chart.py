@@ -38,6 +38,7 @@ from braidweave.chart import (
     trivalent_factor,
 )
 from braidweave.ring import (
+    LaurentPoly,
     MatrixExpr,
     RationalExpr,
     const,
@@ -367,6 +368,34 @@ def test_solve_half_twist_matches_matrix_products():
     for bad in (
         MatrixExpr([[const(2), zero], [poly("c21"), one]]),
         MatrixExpr([[one, poly("c12")], [poly("c21"), one]]),
+    ):
+        with pytest.raises(PatternMismatch):
+            solve_half_twist(bad)
+
+
+def test_solve_half_twist_on_laurent_matrices():
+    # the direct route passes LaurentPoly matrices: the values equal those
+    # over RationalExpr, and a matrix that is not lower uni-triangular is
+    # refused the same way
+    rng = random.Random(18)
+    for n in range(2, 6):
+        one, zero = LaurentPoly.const(1), LaurentPoly.zero()
+        rows = [[one if r == c else zero for c in range(n)] for r in range(n)]
+        for r in range(n):
+            for c in range(r):
+                x = LaurentPoly.variable(var_id(f"c{r + 1}{c + 1}"))
+                rows[r][c] = x.scale(rng.choice([1, -2, 3])) + LaurentPoly.const(rng.randint(-4, 4))
+        lower = MatrixExpr(rows)
+        want = solve_half_twist(MatrixExpr([[RationalExpr(e) for e in row] for row in rows]))
+        got = solve_half_twist(lower)
+        assert all(type(x) is LaurentPoly for x in got)
+        assert [RationalExpr(x) for x in got] == want
+    c12, c21 = (LaurentPoly.variable(var_id(v)) for v in ("c12", "c21"))
+    one, zero = LaurentPoly.const(1), LaurentPoly.zero()
+    for bad in (
+        MatrixExpr([[LaurentPoly.const(2), zero], [c21, one]]),
+        MatrixExpr([[one, c12], [c21, one]]),
+        MatrixExpr([[one, zero, zero], [c21, LaurentPoly.const(-1), zero], [zero, c12, one]]),
     ):
         with pytest.raises(PatternMismatch):
             solve_half_twist(bad)

@@ -48,9 +48,9 @@ def test_matches_oracle_on_criterion_8_cases():
     assert total == 475
 
 
-def cli_long_weaves():
-    """The weaves behind both cli-long pools: the Mellit order for ``chart``,
-    the given order for ``cluster``."""
+def cli_long_orders():
+    """The words and opening orders behind both cli-long pools: the Mellit
+    order for ``chart``, the given order for ``cluster``."""
     pools = json.loads(CASES.read_text())["cli-long"]
     for case in pools["tuning"] + pools["held-out"]:
         argv = case["argv"]
@@ -59,7 +59,12 @@ def cli_long_weaves():
             order = [int(k) for k in argv[argv.index("--order") + 1].split()]
         else:
             order = mellit_order(beta)
-        yield " ".join(argv), weave_from_opening_order(beta, order)
+        yield " ".join(argv), beta, order
+
+
+def cli_long_weaves():
+    for label, beta, order in cli_long_orders():
+        yield label, weave_from_opening_order(beta, order)
 
 
 @pytest.mark.parametrize("label, weave", list(cli_long_weaves()), ids=lambda x: x if isinstance(x, str) else "")
@@ -67,14 +72,20 @@ def test_matches_oracle_on_cli_long_words(label, weave):
     assert check_master_identity(weave, assert_matches_oracle(weave))
 
 
-def test_matches_oracle_on_random_opening_orders():
-    rng = random.Random(16)
-    for _ in range(150):
+def random_opening_orders(rng, count):
+    """``count`` random words with n <= 5 and length <= 7, each with a random
+    opening order."""
+    for _ in range(count):
         n = rng.randrange(2, 6)
         letters = [rng.randrange(1, n) for _ in range(rng.randrange(1, 8))]
         order = list(range(1, len(letters) + 1))
         rng.shuffle(order)
-        weave = weave_from_opening_order(make_word(n, letters), order)
+        yield make_word(n, letters), order
+
+
+def test_matches_oracle_on_random_opening_orders():
+    for beta, order in random_opening_orders(random.Random(16), 150):
+        weave = weave_from_opening_order(beta, order)
         assert check_master_identity(weave, assert_matches_oracle(weave))
 
 

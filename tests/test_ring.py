@@ -490,3 +490,48 @@ def test_general_constructor_on_a_twelve_term_denominator():
     assert len((a.den * b.den).terms) == 12
     cross = RationalExpr(a.num * b.den + b.num * a.den, a.den * b.den)
     assert (cross.num, cross.den) == ((a + b).num, (a + b).den)
+
+
+# -- division by units on bare Laurent polynomials ---------------------------
+
+
+def test_laurent_unit_division_matches_rational():
+    rng = random.Random(18)
+    vids = [var_id(v) for v in ("z1", "z2", "z3")]
+    for _ in range(200):
+        coeff = rng.choice([1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 7)])
+        unit = _random_laurent(rng, vids, 1).scale(coeff)
+        p = _random_laurent(rng, vids)
+        inv = unit.inverse()
+        assert RationalExpr(inv) == RationalExpr(unit).inverse()
+        assert RationalExpr(p / unit) == RationalExpr(p) / RationalExpr(unit)
+        assert (unit * inv).terms == {(): 1}
+        ((_, c),) = inv._terms.items()
+        if c in (1, -1):
+            assert type(c) is int
+
+
+def test_laurent_division_by_a_non_unit_is_refused():
+    x, y = LaurentPoly.variable(var_id("z1")), LaurentPoly.variable(var_id("z2"))
+    for bad in (x + y, x + LaurentPoly.const(1), LaurentPoly.zero()):
+        with pytest.raises(ring.NonUnitDivisor):
+            bad.inverse()
+        with pytest.raises(ring.NonUnitDivisor):
+            x / bad
+    assert issubclass(ring.NonUnitDivisor, RingError)
+
+
+def test_localized_units_keep_integer_coefficients():
+    # an inverse with coefficient 1 or -1 takes no Fraction round trip, in
+    # Localized.inverse as in Bases.unit
+    bases = ring.Bases()
+    z = ring.Localized(LaurentPoly.variable(var_id("z1")), {}, bases, True)
+    for value in (z, -z, z + z.const(1), -(z + z.const(1)), z * z - z.const(1)):
+        unit = bases.unit(value)
+        for u in (unit, unit.inverse()):
+            ((_, c),) = u.num._terms.items()
+            assert c in (1, -1) and type(c) is int
+        assert (unit.inverse() * unit).rational() == RationalExpr.const(1)
+        assert unit.rational() == value.rational()
+    half = bases.unit(z.const(2) * z + z.const(4)).inverse()
+    assert half.num.terms == {(): Fraction(1, 2)}

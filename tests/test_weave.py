@@ -170,6 +170,27 @@ def test_closed_form_paths_no_longer_than_breadth_first():
                 assert len(path) <= len(shortest), (n, j, src, len(path), len(shortest))
 
 
+def test_cached_paths_give_the_uncached_events(monkeypatch):
+    # every n <= 5 word of length <= 3 in every order
+    from braidweave import weave
+
+    cases = [
+        (make_word(n, letters), order)
+        for n in range(2, 6)
+        for l in range(1, 4)
+        for letters in itertools.product(range(1, n), repeat=l)
+        for order in itertools.permutations(range(1, l + 1))
+    ]
+    cached = [weave_from_opening_order(beta, order).events for beta, order in cases]
+    assert weave._through_half_twist(1, half_twist_letters(4), 4) is weave._through_half_twist(
+        1, half_twist_letters(4), 4
+    )
+    for name in ("_through_half_twist", "_open_in_half_twist"):
+        monkeypatch.setattr(weave, name, getattr(weave, name).__wrapped__)
+    assert [weave_from_opening_order(beta, order).events for beta, order in cases] == cached
+    assert len(cases) == 9 + 58 + 183 + 420
+
+
 def test_fan_triangulation_right_comb():
     beta = parse_braid("B2: 1 1 1")
     tri = fan_triangulation(beta)
