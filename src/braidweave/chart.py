@@ -29,11 +29,13 @@ arithmetic.  Canonical ``RationalExpr`` forms are made only where the result
 is read: the ``inverted`` and ``vanishing`` records as they are written, the
 bottom ``values`` and ``left_matrix`` on their first read.
 
-The upward pass of ``chart_parametrize`` and the restoring loop of
-``ldu_chart`` (c matrix and ``solve_half_twist`` included) divide only by unit
-parameters, so they run on bare ``LaurentPoly``; ``subs`` wraps each value as
-a ``RationalExpr`` over 1, already canonical.  The forward loop of ``ldu_chart``
-divides by the opened values and keeps them ``Localized``, as ``propagate_down``.
+The upward pass of ``chart_parametrize`` and ``ldu_chart``'s restoring loop
+(``_ldu_restore``, c matrix and ``solve_half_twist`` included) divide only by
+unit parameters, so they run on bare ``LaurentPoly``; ``subs`` wraps each value
+as a ``RationalExpr`` over 1, already canonical.  The forward loop
+(``_ldu_record``) divides by the opened values and keeps them ``Localized``, as
+``propagate_down``; ``weave.mutation_graph`` keys every opening order by this
+record alone, so neither a weave nor the half twist is built for it.
 
 ``slide_left`` is the one slide, for every value type: it moves an
 upper-triangular factor left through a whole word, and with ``back=True``
@@ -288,38 +290,11 @@ class ChartMap:
     vanishing: list[RationalExpr] = field(default_factory=list)
     opened_crossings: list[int] | None = None  # 1-based indices into beta
 
-    def substitution_items(self):
-        return [(v, self.subs[v]) for v in self.top.variables]
-
     def render(self) -> str:
-        lines = [
-            f"{var_name(v)} = {e.render()}" for v, e in self.substitution_items()
-        ]
+        lines = [f"{var_name(v)} = {self.subs[v].render()}" for v in self.top.variables]
         lines += [f"invert: {e.render()}" for e in self.inverted]
         lines += [f"vanish: {e.render()}" for e in self.vanishing]
         return "\n".join(lines)
-
-    def invert_key(self) -> frozenset:
-        """Coarse fingerprint of the chart: the set of polynomial cores
-        (numerators with negative exponents cleared, up to sign) of the
-        inverted expressions.  It is not a pre-key: it records the cores,
-        not the group of units they generate, so equal charts can have
-        different keys (on ``B3: 1 2 1`` the orders (1,2,3) and (1,3,2) give
-        ``z2`` against ``z1*z2``).  ``charts_equal_as_subsets`` decides
-        equality."""
-        cores = set()
-        for e in self.inverted:
-            p = e.num
-            shift = tuple(
-                (v, -lo) for v, lo in p.min_exponents().items() if lo < 0
-            )
-            if shift:
-                p = p.mul_monomial(shift)
-            _, lead = p.leading()
-            if lead < 0:
-                p = -p
-            cores.add(p.render())
-        return frozenset(cores)
 
 
 def charts_equal_as_subsets(c1: ChartMap, c2: ChartMap) -> bool:
@@ -576,28 +551,16 @@ def open_crossing(word: BraidWord, pos: int):
     return word2, subs, word.variables[pos]
 
 
-def ldu_chart(beta: BraidWord, order) -> ChartMap:
-    """The toric chart of X0(beta Delta; w0) from opening the crossings of
-    beta in the given order (1-based indices into beta), built by running the
-    factor-and-slide openings backwards from the base point.
-
-    Produces the same kind of substitution as the weave route: values for all
-    variables of beta Delta.  Undoing an opening multiplies the inverse of
-    the c matrix by the lower factor that the opening moved into it, and the
-    half-twist values are read off that inverse by one back slide
-    (``solve_half_twist``).  The constraint record is the value of each
-    opened letter, in the variables of beta, from the same openings run
-    forwards (no c matrix is needed for it).
-    """
+def _ldu_restore(beta: BraidWord, order):
+    """beta's values in the unit parameters s_r, and the lower factor each
+    undone opening moves into the c matrix, in the order undone: the
+    openings run backwards from the base point."""
     n = beta.n
-    order = check_opening_order(beta, order)
-
     # state after all openings: empty word, c matrix = Id
     letters: list[int] = []
     crossings: list[int] = []  # original crossing index per remaining letter
     values: list[LaurentPoly] = []
-    lower = _identity(n, LaurentPoly.zero())  # inverse of the c matrix
-
+    lows = []
     for r in reversed(order):
         t = LaurentPoly.variable(var_id(f"s{r}"))
         # position where crossing r sits once restored: the letters of beta
@@ -605,17 +568,20 @@ def ldu_chart(beta: BraidWord, order) -> ChartMap:
         p = sum(1 for c in crossings if c < r)
         i = beta.letters[r - 1]
         values, low = _opening_slides(n, i, t, letters, values, p, back=True)
-        lower = lower * low
+        lows.append(low)
         letters.insert(p, i)
         crossings.insert(p, r)
         values.insert(p, t)
-
     if letters != list(beta.letters):
         raise PatternMismatch("restored letters differ from beta")
-    bd = append_half_twist(beta)
-    values += solve_half_twist(lower)
-    subs = {v: _make(x, _ONE) for v, x in zip(bd.variables, values)}
+    return values, lows
 
+
+def _ldu_record(beta: BraidWord, order) -> list[RationalExpr]:
+    """The constraint record: the value of each opened letter, in the
+    variables of beta, from the openings run forwards (no c matrix is
+    needed for it)."""
+    n, letters, crossings = beta.n, list(beta.letters), list(range(1, len(beta) + 1))
     bases = Bases()
     values = [Localized(LaurentPoly.variable(v), {}, bases, True) for v in beta.variables]
     inverted = []
@@ -625,13 +591,34 @@ def ldu_chart(beta: BraidWord, order) -> ChartMap:
         t = bases.unit(values.pop(p))
         inverted.append(t.rational())
         values, _ = _opening_slides(n, beta.letters[r - 1], t, letters, values, p)
+    return inverted
+
+
+def ldu_chart(beta: BraidWord, order) -> ChartMap:
+    """The toric chart of X0(beta Delta; w0) from opening the crossings of
+    beta in the given order (1-based indices into beta), built by running the
+    factor-and-slide openings backwards from the base point.
+
+    Produces the same kind of substitution as the weave route: values for all
+    variables of beta Delta.  Undoing an opening multiplies the inverse of
+    the c matrix by the lower factor that the opening moved into it, and the
+    half-twist values are read off that inverse by one back slide
+    (``solve_half_twist``).  The constraint record comes from the same
+    openings run forwards (``_ldu_record``).
+    """
+    order = check_opening_order(beta, order)
+    values, lows = _ldu_restore(beta, order)
+    lower = _identity(beta.n, LaurentPoly.zero())  # inverse of the c matrix
+    for low in lows:
+        lower = lower * low
+    bd = append_half_twist(beta)
+    values += solve_half_twist(lower)
     return ChartMap(
         top=bd,
         unit_params=[var_id(f"s{r}") for r in order],
         affine_params=[],
-        subs=subs,
-        inverted=inverted,
-        vanishing=[],
+        subs={v: _make(x, _ONE) for v, x in zip(bd.variables, values)},
+        inverted=_ldu_record(beta, order),
         opened_crossings=list(order),
     )
 

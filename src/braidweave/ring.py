@@ -624,6 +624,26 @@ def _normalize_gcd(p: LaurentPoly) -> LaurentPoly:
     return p.scale(_primitive_scale(p))
 
 
+def coprime_base(polys) -> list[LaurentPoly]:
+    """A gcd-free basis of polynomials normalised as ``poly_gcd(p, 0)``:
+    pairwise coprime, each input a scalar times a product of their powers.
+    A polynomial p sharing a factor g with a base element b replaces b by g,
+    b/g and p/g; the total degree falls at every split."""
+    base, todo = [], list(dict.fromkeys(polys))
+    while todo:
+        p = todo.pop()
+        if p.is_constant():
+            continue
+        for k, b in enumerate(base):
+            g = poly_gcd(p, b)
+            if not g.is_constant():
+                todo += [g] + [_normalize_gcd(poly_exact_div(x, g)) for x in (p, base.pop(k))]
+                break
+        else:
+            base.append(p)
+    return base
+
+
 # ---------------------------------------------------------------------------
 # rational expressions
 

@@ -36,6 +36,7 @@ from .braid import (
     reduced_word,
     stall_index,
 )
+from .ring import _ONE, LaurentPoly, _divide, _make, coprime_base, mono_decode, poly_gcd
 
 
 class BudgetExceeded(Exception):
@@ -642,7 +643,7 @@ def missing_crossing(weave: Weave) -> int:
 @dataclass
 class MutationGraph:
     beta: BraidWord
-    vertices: list  # class representatives (Weave)
+    vertices: list  # class representatives (opening orders)
     edges: set  # pairs of vertex indices
     proxy: str
 
@@ -734,16 +735,30 @@ def equivalence_orbit(weave: Weave, cap: int = 250):
 
 # longest words whose mutation graphs are built: every opening order is tried
 MUTATION_GRAPH_MAX_LEN_2 = 8  # two strands
-MUTATION_GRAPH_MAX_LEN_3 = 5  # three or more strands
+MUTATION_GRAPH_MAX_LEN_3 = 6  # three or more strands
+
+
+def _record_keys(records) -> list[frozenset]:
+    """The key of each constraint record: the variables of its parts'
+    monomial factors, and the elements of the coprime base of all records'
+    non-monomial parts that divide one of its parts."""
+    parts = dict.fromkeys(p for rec in records for e in rec for p in (e.num, e.den))
+    base = coprime_base(poly_gcd(p, LaurentPoly.zero()) for p in parts if not p.is_monomial())
+    for p in parts:
+        core, mono = p.monomial_normalized()
+        divisors = [] if core.is_constant() else [b for b in base if _divide(core._terms, b._terms) is not None]
+        parts[p] = frozenset([LaurentPoly.variable(v) for v, _ in mono_decode(mono)] + divisors)
+    return [frozenset().union(*(parts[p] for e in rec for p in (e.num, e.den))) for rec in records]
 
 
 def mutation_graph(beta: BraidWord) -> MutationGraph:
-    """Vertices: classes of Demazure weaves beta Delta -> Delta (class proxy:
-    equality of the charts as subsets; for n = 2 this is the binary-tree
-    shape).  Edges: single mutations, decided for n >= 3 by exact chart
-    adjacency (the two tori differ in one exchange binomial)."""
+    """Vertices: classes of Demazure weaves beta Delta -> Delta, each given
+    by its first opening order (class proxy: equality of the charts as
+    subsets; for n = 2 the binary-tree shape).  Edges: single mutations; for
+    n >= 3 the exchange graph: keys of l elements (``_record_keys``) sharing
+    l - 1 found by dict, each edge certified by ``charts_adjacent``."""
     # lazy import; chart depends on weave
-    from .chart import chart_parametrize, charts_adjacent, charts_equal_as_subsets
+    from .chart import ChartMap, _ldu_record, _ldu_restore, charts_adjacent
 
     n = beta.n
     l = len(beta)
@@ -753,30 +768,39 @@ def mutation_graph(beta: BraidWord) -> MutationGraph:
     if n == 2:
         shapes = {}
         for order in all_orders(l):
-            w = weave_from_opening_order(beta, order)
-            shapes.setdefault(_tree_shape(w), w)
+            shapes.setdefault(_tree_shape(weave_from_opening_order(beta, order)), order)
         index = {s: i for i, s in enumerate(shapes)}
-        edges = set()
-        for s in shapes:
-            for s2 in _tree_rotations(s):
-                if s2 in index:
-                    edges.add(tuple(sorted((index[s], index[s2]))))
+        edges = {
+            tuple(sorted((index[s], index[t]))) for s in shapes for t in _tree_rotations(s) if t in index
+        }
         return MutationGraph(beta, list(shapes.values()), edges, "binary-tree shape")
 
-    class_charts: list = []
-    class_weaves: list[Weave] = []
-    for order in all_orders(l):
-        w = weave_from_opening_order(beta, order)
-        c = chart_parametrize(w)
-        if not any(charts_equal_as_subsets(c, rep) for rep in class_charts):
-            class_charts.append(c)
-            class_weaves.append(w)
-    edges = {
-        (i, j)
-        for i, j in itertools.combinations(range(len(class_charts)), 2)
-        if charts_adjacent(class_charts[i], class_charts[j])
-    }
-    return MutationGraph(beta, class_weaves, edges, "chart-subset equality")
+    orders = list(all_orders(l))
+    records = [_ldu_record(beta, order) for order in orders]
+    classes = {}  # key -> (first order, its record)
+    for order, record, key in zip(orders, records, _record_keys(records)):
+        if len(key) != l:
+            text = " ".join(map(str, order))
+            raise PatternMismatch(f"{beta.render()}: the key of order {text} has {len(key)} elements, not {l}")
+        classes.setdefault(key, (order, record))
+    buckets = {}  # key less one element -> classes
+    for i, key in enumerate(classes):
+        for x in key:
+            buckets.setdefault(key - {x}, []).append(i)
+    edges = {e for bucket in buckets.values() for e in itertools.combinations(bucket, 2)}
+    reps, charts = list(classes.values()), {}
+    for i in {i for e in edges for i in e}:
+        order, record = reps[i]
+        subs = {v: _make(x, _ONE) for v, x in zip(beta.variables, _ldu_restore(beta, order)[0])}
+        charts[i] = ChartMap(beta, [], [], subs, inverted=record, opened_crossings=list(order))
+    for i, j in sorted(edges):
+        if not charts_adjacent(charts[i], charts[j]):
+            a, b = (" ".join(map(str, reps[k][0])) for k in (i, j))
+            raise PatternMismatch(
+                f"{beta.render()}: the keys of orders {a} and {b} differ in one element, "
+                "but their charts are not adjacent"
+            )
+    return MutationGraph(beta, [order for order, _ in reps], edges, "chart-subset equality")
 
 
 # ---------------------------------------------------------------------------

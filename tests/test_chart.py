@@ -406,8 +406,8 @@ def test_mellit_chart_conditions_for_two_strands():
     beta = parse_braid("B2: 1 1")
     order = mellit_order(beta)
     chart = chart_parametrize(weave_from_opening_order(beta, order))
-    cores = chart.invert_key()
-    assert cores == frozenset({"z1", "1 + z1*z2"})
+    records = [line for line in chart.render().splitlines() if line.startswith("invert: ")]
+    assert records == ["invert: z1", "invert: z1^-1 + z2"]
 
 
 def test_two_strand_mellit_chart_of_length_ten():
@@ -584,15 +584,20 @@ def test_charts_equal_as_subsets():
     assert not charts_equal_as_subsets(c1, c3)
 
 
-def test_invert_key_is_not_a_pre_key():
-    # equal charts whose inverted cores generate the same units but differ
-    # as sets: bucketing mutation_graph by invert_key would split this class
+def test_record_key_merges_equal_charts():
+    # equal charts whose records differ as sets of cores (z2 against z1*z2):
+    # the key, over the coprime base of all records, puts them in one class
+    from braidweave.chart import _ldu_record
+    from braidweave.weave import _record_keys, all_orders
+
     beta = parse_braid("B3: 1 2 1")
     c1 = chart_parametrize(weave_from_opening_order(beta, (1, 2, 3)))
     c2 = chart_parametrize(weave_from_opening_order(beta, (1, 3, 2)))
     assert charts_equal_as_subsets(c1, c2)
-    assert sorted(c1.invert_key()) == ["-z2 + z1*z3", "z1", "z2"]
-    assert sorted(c2.invert_key()) == ["-z2 + z1*z3", "z1", "z1*z2"]
+    orders = list(all_orders(3))
+    keys = dict(zip(orders, _record_keys([_ldu_record(beta, o) for o in orders])))
+    assert keys[(1, 2, 3)] == keys[(1, 3, 2)]
+    assert sorted(p.render() for p in keys[(1, 2, 3)]) == ["-z2 + z1*z3", "z1", "z2"]
 
 
 @pytest.mark.parametrize("l, n_edges", [(2, 1), (3, 5), (4, 21), (5, 84)])
@@ -661,8 +666,9 @@ def test_charts_adjacent_stops_at_a_second_core(monkeypatch):
     from braidweave import chart
     from braidweave.weave import mutation_graph
 
-    g = mutation_graph(parse_braid("B4: 2 2 2"))
-    charts = [chart_parametrize(w) for w in g.vertices]
+    beta = parse_braid("B4: 2 2 2")
+    g = mutation_graph(beta)
+    charts = [chart_parametrize(weave_from_opening_order(beta, o)) for o in g.vertices]
     merges = []
     merge = chart._common_core
 

@@ -174,6 +174,21 @@ def test_gcd_common_factor_property():
         assert poly_exact_div(g, poly_gcd(g, c.num)) is not None
 
 
+def test_coprime_base_refines_shared_factors():
+    # inputs sharing factors in every pattern: a power, a product of two
+    # base elements, an input equal to a base element, a repeated input
+    f, g, h, k = (e.num for e in (1 + z1 * z2, 2 + z1 - z3, 1 + z2 * z3, 3 * z1 + z2))
+    inputs = [f * g, f**2, g * h, h, f * g, k]
+    base = ring.coprime_base(poly_gcd(p, LaurentPoly.zero()) for p in inputs)
+    expected = {poly_gcd(p, LaurentPoly.zero()) for p in (f, g, h, k)}
+    assert len(base) == 4 and set(base) == expected
+    for p in inputs:
+        for b in base:
+            while poly_exact_div(p, b) is not None:
+                p = poly_exact_div(p, b)
+        assert p.is_constant()
+
+
 def test_coefficients_are_rationals():
     # exact rationals: integral values are stored as int, others as Fraction
     for value in (3, Fraction(6, 3), Fraction(-4, 2)):
