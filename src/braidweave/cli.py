@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 
 from . import braid, chart, cluster, count, form, ring, torus, variety, weave
@@ -98,13 +97,49 @@ def cmd_form(args, out):
     out.write(m.render() + "\n")
 
 
+def _integer_root(q: int, k: int) -> int:
+    """The largest r with r**k <= q, for q >= 1 (Newton's method from above)."""
+    r = 1 << -(-q.bit_length() // k)
+    while (s := ((k - 1) * r + q // r ** (k - 1)) // k) < r:
+        r = s
+    return r
+
+
 def _is_prime_power(q: int) -> bool:
+    """Whether q = p^k for a prime p: each exact integer root of q is put
+    to a Miller-Rabin test with the first 13 primes as bases.  That test is
+    exact below 3 317 044 064 679 887 385 961 981 (Sorenson and Webster,
+    Math. Comp. 2017); a larger q is refused."""
+    bound = 3317044064679887385961981
+    if q >= bound:
+        raise weave.BudgetExceeded(f"--q {q} is over the bound {bound} of the prime-power test")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+    def is_prime(p):
+        if any(p % a == 0 for a in bases):
+            return p in bases
+        d, s = p - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        for a in bases:
+            x = pow(a, d, p)
+            if x == 1:
+                continue
+            for _ in range(s):  # x runs through a^(d 2^j), j < s
+                if x == p - 1:
+                    break
+                x = x * x % p
+            else:
+                return False
+        return True
+
     if q < 2:
         return False
-    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-    while q % p == 0:
-        q //= p
-    return q == 1
+    for k in range(1, q.bit_length()):
+        p = _integer_root(q, k)
+        if p ** k == q and is_prime(p):
+            return True
+    return False
 
 
 def cmd_count(args, out):

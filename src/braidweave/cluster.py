@@ -320,8 +320,6 @@ class CycleBasis:
 
     vertices: list[int]  # event indices, top-down; basis omits the last one
     ending: dict[int, int]  # basis vertex -> vertex its cycle ends at
-    is_right_child: dict[int, bool]
-    above: dict[int, list[int]]  # basis vertex -> opened crossings above it
     intersections: list[list[int]]
     svectors: list[list[int]]  # each cycle as an exponent vector over s_1..s_l
 
@@ -365,9 +363,6 @@ def i_cycle_basis(weave: Weave) -> CycleBasis:
         raise NotTwoStrand("cycle basis needs an opening-order weave")
     ending = {v: parent[v] for v in basis}
     is_right = {v: side[v] == "R" for v in basis}
-    above = {
-        v: [c for c in leaves[v][:-1]] for v in basis
-    }
     # intersection form: +-1 when one cycle ends at the other's vertex or the
     # two cycles end at the same vertex, signs by the left/right edge rule
     size = len(basis)
@@ -391,10 +386,10 @@ def i_cycle_basis(weave: Weave) -> CycleBasis:
     svec = []
     for v in basis:
         vec = [0] * l
-        for c in above[v]:
+        for c in leaves[v][:-1]:  # the opened crossings above v
             vec[c - 1] = 1
         svec.append(vec)
-    return CycleBasis(basis, ending, is_right, above, inter, svec)
+    return CycleBasis(basis, ending, inter, svec)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +408,6 @@ class NormalizedChart:
     subs: dict[int, RationalExpr]
     expo: list[list[int]]
     signs: dict[int, int]
-    param_ids: list[int]  # var ids S{r} in opening-order listing
 
 
 def normalized_chart(beta: BraidWord, order, weave: Weave | None = None) -> NormalizedChart:
@@ -468,7 +462,7 @@ def normalized_chart(beta: BraidWord, order, weave: Weave | None = None) -> Norm
         if val != RationalExpr.variable(param_ids[i]):
             raise NotPolynomial("sign bookkeeping failed in normalization")
     subs = {v: e.substitute(mapping) for v, e in chart.subs.items()}
-    return NormalizedChart(chart, rows, subs, expo, signs, param_ids)
+    return NormalizedChart(chart, rows, subs, expo, signs)
 
 
 def _integer_inverse(mat):

@@ -45,8 +45,6 @@ class TwoFormMatrix:
     """Constant antisymmetric integer matrix of a chart 2-form in dlog
     coordinates of the unit parameters (opened crossings, in opening order)."""
 
-    params: list[int]  # var ids s{r}, in opening order
-    order: list[int]  # the opening order itself
     entries: list[list[int]]
 
     def rank(self) -> int:
@@ -92,7 +90,7 @@ def chart_form_matrix(beta: BraidWord, order) -> TwoFormMatrix:
             dot = sum(x * y for x, y in zip(eps[a], eps[b]))
             entries[a][b] = dot
             entries[b][a] = -dot
-    return TwoFormMatrix([var_id(f"s{r}") for r in order], order, entries)
+    return TwoFormMatrix(entries)
 
 
 def pulled_back_form_matrix(beta: BraidWord, order):
@@ -164,7 +162,7 @@ def pulled_back_form_matrix(beta: BraidWord, order):
             raise RingError(f"coefficient of ds_{a} ds_{b} is not an integer: {fr}")
         entries[a][b] = int(fr)
         entries[b][a] = -int(fr)
-    return TwoFormMatrix(params, list(order), entries)
+    return TwoFormMatrix(entries)
 
 
 def quotient_rank_check(m: TwoFormMatrix, beta: BraidWord) -> bool:

@@ -45,8 +45,6 @@ class VarietyPresentation:
     variables: tuple[int, ...]
     equations: list[LaurentPoly]
     inequations: list[LaurentPoly] = field(default_factory=list)
-    zero_positions: list[tuple[int, int]] = field(default_factory=list)
-    positions: list[tuple[int, int]] = field(default_factory=list)
 
     def render(self) -> str:
         return "\n".join(e.render() for e in self.equations)
@@ -69,26 +67,16 @@ def _polynomial_entry(m: MatrixExpr, i: int, j: int) -> LaurentPoly:
 
 def variety_equations(word: BraidWord, perm=None) -> VarietyPresentation:
     """Defining equations of the locus where B_word(z) . P_perm is upper
-    triangular.  Identically-zero entries are dropped but their positions
-    are recorded (the honest complete-intersection count needs them)."""
+    triangular.  Identically-zero entries are dropped."""
     if perm is None:
         perm = identity_perm(word.n)
     m = braid_matrix(word)
-    eqs, zeros, positions = [], [], []
-    for a, b in below_diagonal_positions(word.n):
-        p = _polynomial_entry(m, a - 1, perm[b - 1])
-        if p.is_zero():
-            zeros.append((a, b))
-        else:
-            eqs.append(p)
-            positions.append((a, b))
+    eqs = [_polynomial_entry(m, a - 1, perm[b - 1]) for a, b in below_diagonal_positions(word.n)]
     return VarietyPresentation(
         n=word.n,
         perm=tuple(perm),
         variables=word.variables,
-        equations=eqs,
-        zero_positions=zeros,
-        positions=positions,
+        equations=[p for p in eqs if not p.is_zero()],
     )
 
 
@@ -180,14 +168,8 @@ def augmentation_equations(word: BraidWord, marked, prescribed=None) -> VarietyP
     dmat = MatrixExpr([[diag[i] if i == j else zero for j in range(n)] for i in range(n)])
     m = braid_matrix(word) * lower * dmat
 
-    eqs, zeros, positions = [], [], []
-    for a, b in below_diagonal_positions(n):
-        p = _polynomial_entry(m, a - 1, b - 1)
-        if p.is_zero():
-            zeros.append((a, b))
-        else:
-            eqs.append(p)
-            positions.append((a, b))
+    eqs = [_polynomial_entry(m, a - 1, b - 1) for a, b in below_diagonal_positions(n)]
+    eqs = [p for p in eqs if not p.is_zero()]
     # prescribed diagonal on unmarked strands (default: normalize to 1)
     if prescribed is None:
         prescribed = {}
@@ -197,7 +179,6 @@ def augmentation_equations(word: BraidWord, marked, prescribed=None) -> VarietyP
             p = (m[i - 1, i - 1] - target).num
             if not p.is_zero():
                 eqs.append(p)
-                positions.append((i, i))
     ineqs = [LaurentPoly.variable(v) for v in tvars]
     variables = word.variables + tuple(cvars.values()) + tuple(tvars)
     return VarietyPresentation(
@@ -206,8 +187,6 @@ def augmentation_equations(word: BraidWord, marked, prescribed=None) -> VarietyP
         variables=variables,
         equations=eqs,
         inequations=ineqs,
-        zero_positions=zeros,
-        positions=positions,
     )
 
 

@@ -642,7 +642,6 @@ def missing_crossing(weave: Weave) -> int:
 
 @dataclass
 class MutationGraph:
-    beta: BraidWord
     vertices: list  # class representatives (opening orders)
     edges: set  # pairs of vertex indices
     proxy: str
@@ -654,41 +653,6 @@ class MutationGraph:
             f"proxy: {self.proxy}",
         ]
         return "\n".join(lines)
-
-
-def _tree_shape(weave: Weave):
-    """Binary-tree shape of a 2-strand Demazure weave (nested merges)."""
-    leaves = list(range(len(weave.top)))
-    items = [("leaf", k) for k in leaves]
-    for ev in weave.events:
-        if ev.kind != "three":
-            raise PatternMismatch("2-strand Demazure weave expected")
-        p = ev.pos
-        items[p : p + 2] = [("node", items[p], items[p + 1])]
-    if len(items) != 1:
-        raise PatternMismatch(f"weave ends in {len(items)} letters, not one")
-    return items[0]
-
-
-def _tree_rotations(shape):
-    """All single (ss)s <-> s(ss) rotations of a binary tree shape."""
-    out = []
-
-    def rec(t, rebuild):
-        if t[0] == "leaf":
-            return
-        _, left, right = t
-        if left[0] == "node":  # (xy)z -> x(yz)
-            _, a, b = left
-            out.append(rebuild(("node", a, ("node", b, right))))
-        if right[0] == "node":  # x(yz) -> (xy)z
-            _, b, c = right
-            out.append(rebuild(("node", ("node", left, b), c)))
-        rec(left, lambda s: rebuild(("node", s, right)))
-        rec(right, lambda s: rebuild(("node", left, s)))
-
-    rec(shape, lambda s: s)
-    return out
 
 
 def all_orders(l: int):
@@ -738,6 +702,24 @@ MUTATION_GRAPH_MAX_LEN_2 = 8  # two strands
 MUTATION_GRAPH_MAX_LEN_3 = 6  # three or more strands
 
 
+def _order_key(order) -> frozenset:
+    """The key of a two-strand opening order, read without its weave: the
+    leaf intervals (a, b) that its l merges create on the l + 1 letters of
+    beta Delta (leaf l is the half twist).  Opening crossing r merges the
+    item at r's position among the crossings still closed with its right
+    neighbour.  The intervals are the triangulation's diagonals plus the
+    root, so they fix the binary-tree shape."""
+    items = [(a, a) for a in range(len(order) + 1)]
+    closed = sorted(order)
+    key = []
+    for r in order:
+        p = closed.index(r)
+        del closed[p]
+        items[p : p + 2] = [(items[p][0], items[p + 1][1])]
+        key.append(items[p])
+    return frozenset(key)
+
+
 def _record_keys(records) -> list[frozenset]:
     """The key of each constraint record: the variables of its parts'
     monomial factors, and the elements of the coprime base of all records'
@@ -753,10 +735,14 @@ def _record_keys(records) -> list[frozenset]:
 
 def mutation_graph(beta: BraidWord) -> MutationGraph:
     """Vertices: classes of Demazure weaves beta Delta -> Delta, each given
-    by its first opening order (class proxy: equality of the charts as
-    subsets; for n = 2 the binary-tree shape).  Edges: single mutations; for
-    n >= 3 the exchange graph: keys of l elements (``_record_keys``) sharing
-    l - 1 found by dict, each edge certified by ``charts_adjacent``."""
+    by its first opening order; edges: single mutations.  This is the
+    exchange graph, built without a weave: every order gets a key of l
+    elements, each distinct key is a vertex, and two keys sharing l - 1
+    elements, found by dict, are an edge.  For n = 2 the key is
+    ``_order_key`` (class proxy: the binary-tree shape).  For n >= 3 it is
+    ``_record_keys`` of the direct route's constraint records (class proxy:
+    equality of the charts as subsets), and ``charts_adjacent`` certifies
+    every edge."""
     # lazy import; chart depends on weave
     from .chart import ChartMap, _ldu_record, _ldu_restore, charts_adjacent
 
@@ -765,42 +751,39 @@ def mutation_graph(beta: BraidWord) -> MutationGraph:
     limit = MUTATION_GRAPH_MAX_LEN_2 if n == 2 else MUTATION_GRAPH_MAX_LEN_3
     if l > limit:
         raise BudgetExceeded(f"mutation graph bound exceeded for n={n}: l={l} letters, over the limit of {limit}")
-    if n == 2:
-        shapes = {}
-        for order in all_orders(l):
-            shapes.setdefault(_tree_shape(weave_from_opening_order(beta, order)), order)
-        index = {s: i for i, s in enumerate(shapes)}
-        edges = {
-            tuple(sorted((index[s], index[t]))) for s in shapes for t in _tree_rotations(s) if t in index
-        }
-        return MutationGraph(beta, list(shapes.values()), edges, "binary-tree shape")
-
     orders = list(all_orders(l))
-    records = [_ldu_record(beta, order) for order in orders]
-    classes = {}  # key -> (first order, its record)
-    for order, record, key in zip(orders, records, _record_keys(records)):
+    if n == 2:
+        keys = [_order_key(order) for order in orders]
+    else:
+        records = [_ldu_record(beta, order) for order in orders]
+        keys = _record_keys(records)
+    classes = {}  # key -> index of its first order
+    for k, (order, key) in enumerate(zip(orders, keys)):
         if len(key) != l:
             text = " ".join(map(str, order))
             raise PatternMismatch(f"{beta.render()}: the key of order {text} has {len(key)} elements, not {l}")
-        classes.setdefault(key, (order, record))
+        classes.setdefault(key, k)
     buckets = {}  # key less one element -> classes
     for i, key in enumerate(classes):
         for x in key:
             buckets.setdefault(key - {x}, []).append(i)
     edges = {e for bucket in buckets.values() for e in itertools.combinations(bucket, 2)}
-    reps, charts = list(classes.values()), {}
+    firsts = list(classes.values())
+    reps = [orders[k] for k in firsts]
+    if n == 2:
+        return MutationGraph(reps, edges, "binary-tree shape")
+    charts = {}
     for i in {i for e in edges for i in e}:
-        order, record = reps[i]
-        subs = {v: _make(x, _ONE) for v, x in zip(beta.variables, _ldu_restore(beta, order)[0])}
-        charts[i] = ChartMap(beta, [], [], subs, inverted=record, opened_crossings=list(order))
+        subs = {v: _make(x, _ONE) for v, x in zip(beta.variables, _ldu_restore(beta, reps[i])[0])}
+        charts[i] = ChartMap(beta, [], [], subs, inverted=records[firsts[i]], opened_crossings=list(reps[i]))
     for i, j in sorted(edges):
         if not charts_adjacent(charts[i], charts[j]):
-            a, b = (" ".join(map(str, reps[k][0])) for k in (i, j))
+            a, b = (" ".join(map(str, reps[k])) for k in (i, j))
             raise PatternMismatch(
                 f"{beta.render()}: the keys of orders {a} and {b} differ in one element, "
                 "but their charts are not adjacent"
             )
-    return MutationGraph(beta, [order for order, _ in reps], edges, "chart-subset equality")
+    return MutationGraph(reps, edges, "chart-subset equality")
 
 
 # ---------------------------------------------------------------------------

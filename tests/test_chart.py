@@ -48,7 +48,7 @@ from braidweave.ring import (
 )
 from braidweave.variety import variety_equations
 from braidweave.weave import Weave, WeaveEvent, weave_from_opening_order
-from braidweave.weave import _tree_rotations, _tree_shape
+from mutation_oracle import tree_rotations, tree_shape
 
 
 def test_slide_left_formula():
@@ -496,36 +496,33 @@ def test_chart_properties_on_random_words():
 
 
 def test_open_crossing_round_trip_f7():
+    # opening z2 in B3: 1 2 1 at F_7 points: B_word(z) L(c) equals
+    # U B_word'(z') L(c') with U upper triangular, and the opened value comes
+    # back from U's diagonal: the factor D = diag(-1/z, z) at strands 2, 3,
+    # slid left through the letter 1, puts -1/z on strand 1
     rng = random.Random(5)
     beta = parse_braid("B3: 1 2 1")
-    pos = 1
-    word2, subs, unit = open_crossing(beta, pos)
+    word2, subs, unit = open_crossing(beta, 1)
     assert var_name(unit) == "z2"
-    cvars = [var_id(f"c{a}{b}") for a in range(2, 4) for b in range(1, a)]
+    cvars = {(a, b): var_id(f"c{a}{b}") for a in range(2, 4) for b in range(1, a)}
+    lower = MatrixExpr(
+        [[RationalExpr.variable(cvars[a, b]) if a > b else const(int(a == b)) for b in (1, 2, 3)] for a in (1, 2, 3)]
+    )
+    before = braid_matrix(beta) * lower
+    after_inverse = (braid_matrix(word2) * lower).inverse()
     tested = 0
-    for _ in range(300):
-        if tested >= 10:
-            break
-        pt = {v: rng.randrange(7) for v in list(beta.variables) + cvars}
-        if pt[unit] % 7 == 0:
-            continue
-        img = {}
-        ok = True
-        for nv, e in subs.items():
-            val = e.eval_int(pt, 7)
-            if val is None:
-                ok = False
-                break
-            img[nv] = val
-        if not ok:
+    while tested < 10:
+        pt = {v: rng.randrange(7) for v in list(beta.variables) + list(cvars.values())}
+        z = pt[unit]
+        img = {nv: e.eval_int(pt, 7) for nv, e in subs.items()}
+        if z == 0 or None in img.values():
             continue
         tested += 1
-        # reconstruct the opened variable from the inverse unit and check that
-        # the remaining z-values determine the original ones by re-opening
-        word2b, subs2, unit2 = open_crossing(beta, pos)
-        img2 = {nv: e.eval_int(pt, 7) for nv, e in subs2.items()}
-        assert img2 == img
-    assert tested == 10
+        m = [[before[i, j].eval_int(pt, 7) for j in range(3)] for i in range(3)]
+        m2 = [[after_inverse[i, j].eval_int(img, 7) for j in range(3)] for i in range(3)]
+        u = [[sum(m[i][k] * m2[k][j] for k in range(3)) % 7 for j in range(3)] for i in range(3)]
+        assert all(u[i][j] == 0 for i in range(3) for j in range(i)), u
+        assert [u[i][i] for i in range(3)] == [-pow(z, -1, 7) % 7, 1, z]
 
 
 def test_chart_overlap_consistency_f7():
@@ -609,13 +606,13 @@ def test_charts_adjacent_matches_tree_rotations(l, n_edges):
     charts = {}
     for order in itertools.permutations(range(1, l + 1)):
         w = weave_from_opening_order(beta, order)
-        shape = _tree_shape(w)
+        shape = tree_shape(w)
         if shape not in charts:
             charts[shape] = chart_parametrize(w)
     shapes = list(charts)
     index = {s: i for i, s in enumerate(shapes)}
     rotations = {
-        tuple(sorted((index[s], index[t]))) for s in shapes for t in _tree_rotations(s)
+        tuple(sorted((index[s], index[t]))) for s in shapes for t in tree_rotations(s)
     }
     adjacent = {
         (i, j)

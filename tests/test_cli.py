@@ -68,6 +68,23 @@ def test_count_q_must_be_a_prime_power(capsys):
     assert text == "polynomial: (q-1)^3 + 2q(q-1); q=4: 51\n"
 
 
+def test_count_q_check_is_bounded(capsys):
+    # large q: a Mersenne prime, the square of one, and a product of two
+    # primes near 10^9, each far beyond trial division; past the bound of
+    # the Miller-Rabin test, q is refused
+    for q, ok in ((2**61 - 1, True), ((2**31 - 1) ** 2, True), ((10**9 + 7) * (10**9 + 9), False)):
+        code, text = run(["count", "--braid", "B2: 1", "--q", str(q)])
+        err = capsys.readouterr().err
+        if ok:
+            assert (code, text, err) == (0, f"polynomial: (q-1); q={q}: {q - 1}\n", "")
+        else:
+            assert (code, text, err) == (1, "", f"error: --q {q} is not a prime power\n")
+    bound = 3317044064679887385961981
+    code, text = run(["count", "--braid", "B2: 1", "--q", str(bound)])
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err == f"error: --q {bound} is over the bound {bound} of the prime-power test\n"
+
+
 def test_mellit_and_chart():
     code, text = run(["mellit", "--braid", "B3: 1 2 1"])
     assert code == 0 and text == "3 1 2\n"

@@ -1,6 +1,8 @@
-"""Mutation graphs on three or more strands as exchange graphs: one key per
-opening order, edges looked up by key, each edge certified by exact chart
-adjacency; checked against the quadratic search over weave charts."""
+"""Mutation graphs as exchange graphs: one key per opening order, edges
+looked up by key.  On two strands they are checked against the tree
+rotations of the orders' weaves; on three or more strands each edge is
+certified by exact chart adjacency, and they are checked against the
+quadratic search over weave charts."""
 import itertools
 import os
 import subprocess
@@ -40,6 +42,25 @@ def test_mutation_graph_matches_the_quadratic_search(text):
     assert g.edges == edges
     for order, chart in charts.items():
         assert _ldu_record(beta, order) == chart.inverted, order
+
+
+@pytest.mark.parametrize("l", range(1, 8))
+def test_two_strand_graph_matches_the_tree_rotations(l):
+    # the same representative orders and edges as reading every order's
+    # weave as a binary tree and listing the tree rotations
+    beta = make_word(2, [1] * l)
+    g = mutation_graph(beta)
+    assert (g.vertices, g.edges) == mutation_oracle.tree_graph(beta)
+
+
+def test_two_strand_graph_builds_no_weave_and_no_record(monkeypatch):
+    def fail(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr("braidweave.weave.weave_from_opening_order", fail)
+    monkeypatch.setattr("braidweave.chart._ldu_record", fail)
+    g = mutation_graph(make_word(2, [1] * 5))
+    assert (len(g.vertices), len(g.edges), g.proxy) == (42, 84, "binary-tree shape")
 
 
 def test_mutation_graph_limit_for_three_strands():

@@ -226,13 +226,14 @@ def test_checks_survive_optimize():
     code = (
         "from braidweave.braid import PatternMismatch, make_word\n"
         "from braidweave.ring import RingError, TwoForm, const\n"
-        "from braidweave.weave import Weave, WeaveEvent, _tree_shape\n"
+        "from braidweave.chart import chart_parametrize\n"
+        "from braidweave.weave import Weave, WeaveEvent\n"
         "try:\n"
         "    TwoForm({(2, 1): const(1)})\n"
         "except RingError:\n"
         "    print('RingError')\n"
         "try:\n"
-        "    _tree_shape(Weave(2, make_word(2, [1, 1, 1]), (WeaveEvent('three', 0),)))\n"
+        "    chart_parametrize(Weave(2, make_word(2, [1, 1, 1]), (WeaveEvent('three', 0),)))\n"
         "except PatternMismatch:\n"
         "    print('PatternMismatch')\n"
     )

@@ -28,8 +28,9 @@ from braidweave.weave import (
     weave_from_opening_order,
     weave_from_triangulation,
 )
-from braidweave.weave import _mirror, _reduced_path, _through_half_twist, _to_suffix, _tree_shape
+from braidweave.weave import _mirror, _reduced_path, _through_half_twist, _to_suffix
 from move_search import apply_path, is_reduced, shortest_path
+from mutation_oracle import tree_shape
 
 
 def test_validate_examples():
@@ -56,7 +57,7 @@ def test_weave_file_round_trip():
 def test_opening_order_left_comb():
     beta = parse_braid("B2: 1 1 1")
     w = weave_from_opening_order(beta, (1, 2, 3))
-    assert _tree_shape(w) == (
+    assert tree_shape(w) == (
         "node",
         ("node", ("node", ("leaf", 0), ("leaf", 1)), ("leaf", 2)),
         ("leaf", 3),
@@ -196,7 +197,7 @@ def test_fan_triangulation_right_comb():
     tri = fan_triangulation(beta)
     assert tri.total_defect() == 3
     w = weave_from_triangulation(tri, beta)
-    assert _tree_shape(w) == (
+    assert tree_shape(w) == (
         "node",
         ("leaf", 0),
         ("node", ("leaf", 1), ("node", ("leaf", 2), ("leaf", 3))),
@@ -278,7 +279,7 @@ def test_mutate_involution_and_mismatch():
     left = weave_from_opening_order(beta, (1, 2, 3))
     k1, k2 = [k for k, e in enumerate(left.events) if e.kind == "three"][:2]
     m = mutate(left, k1, k2)
-    assert _tree_shape(m) != _tree_shape(left)
+    assert tree_shape(m) != tree_shape(left)
     back = mutate(m, k1, k2)
     assert canonicalize(back).events == canonicalize(left).events
     w = weave_from_opening_order(parse_braid("B2: 1 1 1 1"), (1, 3, 2, 4))
