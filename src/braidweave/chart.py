@@ -37,6 +37,12 @@ as a ``RationalExpr`` over 1, already canonical.  The forward loop
 ``propagate_down``; ``weave.mutation_graph`` keys every opening order by this
 record alone, so neither a weave nor the half twist is built for it.
 
+``ldu_chart`` is the one route for the chart of an opening order: the CLI's
+``chart``, ``cluster.normalized_chart`` and the form oracle all take it, and
+none of them builds a weave for it.  ``chart_parametrize`` charts any
+simplifying weave, cups included; on an opening weave it gives the same chart
+by an independent computation, and criterion 8 compares the two routes.
+
 ``slide_left`` is the one slide, for every value type: it moves an
 upper-triangular factor left through a whole word, and with ``back=True``
 recovers the original values from the slid ones.  A lower-triangular factor

@@ -70,19 +70,16 @@ def cmd_weave(args, out):
         out.write(f"dot written: {args.dot}\n")
 
 
-def _chart_for(args):
-    beta = _parse_braid_arg(args.braid)
-    order = chart.mellit_order(beta) if args.mellit else _parse_order(args.order)
-    w = weave.weave_from_opening_order(beta, order)
-    return beta, order, chart.chart_parametrize(w)
-
-
 def cmd_chart(args, out):
     if not args.mellit and not args.order:
         print("error: chart needs --order or --mellit", file=sys.stderr)
         raise SystemExit(2)
-    _, _, ch = _chart_for(args)
-    out.write(ch.render() + "\n")
+    if args.mellit and args.order is not None:
+        print("error: chart takes --order or --mellit, not both", file=sys.stderr)
+        raise SystemExit(2)
+    beta = _parse_braid_arg(args.braid)
+    order = chart.mellit_order(beta) if args.mellit else _parse_order(args.order)
+    out.write(chart.ldu_chart(beta, order).render() + "\n")
 
 
 def cmd_mellit(args, out):

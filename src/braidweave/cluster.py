@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .ring import RationalExpr, gauss_jordan, var_id
 from .braid import BraidWord, PatternMismatch, times_letter
-from .chart import ChartMap, chart_parametrize
+from .chart import ChartMap, ldu_chart
 from .weave import Weave
 
 
@@ -410,16 +410,12 @@ class NormalizedChart:
     signs: dict[int, int]
 
 
-def normalized_chart(beta: BraidWord, order, weave: Weave | None = None) -> NormalizedChart:
-    """Rewrite the opening-order chart in the parameters S_r defined by the
-    unique monomial of z_r(s) with s_r-exponent one (coefficient +-1)."""
-    from .weave import weave_from_opening_order
-
-    order = list(order)
-    if weave is None:
-        weave = weave_from_opening_order(beta, order)
-    chart = chart_parametrize(weave)
-    rows = order
+def normalized_chart(beta: BraidWord, order) -> NormalizedChart:
+    """Rewrite the chart of the opening order (``ldu_chart``, no weave) in
+    the parameters S_r defined by the unique monomial of z_r(s) with
+    s_r-exponent one (coefficient +-1)."""
+    chart = ldu_chart(beta, order)
+    rows = chart.opened_crossings
     size = len(rows)
     col = {var_id(f"s{r}"): j for j, r in enumerate(rows)}
     expo = [[0] * size for _ in range(size)]
@@ -516,13 +512,14 @@ def a_coordinates(weave: Weave, beta: BraidWord, order):
     """For a 2-strand opening weave: each basis cycle's monomial in the
     normalized parameters, rewritten through the inverse chart map as a
     polynomial in the z variables, with its minor label when one matches.
+    The weave gives only the cycle basis; the chart is ``normalized_chart``'s.
 
     Returns a list of (exponent dict, polynomial RationalExpr, label or None).
     """
     if weave.opened_crossings is None or list(weave.opened_crossings) != list(order):
         raise NotPolynomial("chart order does not match the weave's opening order")
     basis = i_cycle_basis(weave)
-    nc = normalized_chart(beta, order, weave=weave)
+    nc = normalized_chart(beta, order)
     # inverse chart: the normalized parameters as functions of z.  From
     # S = sign * s^expo and s_r = inverted expression of the r-th opening.
     s_in_z = nc.chart.inverted  # in opening order, like the columns of expo

@@ -9,7 +9,7 @@ diagonal factor with entries (-1/z, z) at the strand pair of the opened
 letter, transported by the permutation of the letters to its left at opening
 time; the matrix of coefficients is the pairwise pattern-overlap of these
 diagonal positions.  The expensive oracle (pulling the telescoping form back
-through the chart parametrization) is also provided.
+through the opening-order chart) is also provided.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from .braid import (
     elementary_braid_matrix,
     word_cycle_count,
 )
+from .chart import ldu_chart
 
 
 def omega_word(word: BraidWord) -> TwoForm:
@@ -94,21 +95,16 @@ def chart_form_matrix(beta: BraidWord, order) -> TwoFormMatrix:
 
 
 def pulled_back_form_matrix(beta: BraidWord, order):
-    """Oracle: pull omega of beta Delta^2 back through the chart
-    parametrization and read off the dlog-coefficient matrix.
+    """Oracle: pull omega of beta Delta^2 back through the chart of the
+    opening order (``ldu_chart``) and read off the dlog-coefficient matrix.
 
     The second half twist contributes free affine coordinates; their dz's
     must not survive, and the coefficient of ds_a ^ ds_b must be the constant
     M[a][b] / (s_a s_b).
     """
-    from .chart import chart_parametrize
-    from .weave import weave_from_opening_order
-
     bdd = append_half_twist(append_half_twist(beta))
     omega = omega_word(bdd)
-    weave = weave_from_opening_order(beta, order)
-    chart = chart_parametrize(weave)
-    subs = dict(chart.subs)
+    subs = dict(ldu_chart(beta, order).subs)
     # free coordinates of the second half twist substitute to themselves
     for v in bdd.variables[len(beta) + beta.n * (beta.n - 1) // 2 :]:
         subs[v] = RationalExpr.variable(v)

@@ -168,6 +168,25 @@ def test_usage_and_domain_errors(capsys):
     code, _ = run(["chart", "--braid", "B2: 1 1"])  # neither order nor mellit
     assert code == 2
     assert capsys.readouterr().err == "error: chart needs --order or --mellit\n"
+    # both: the order is refused, not dropped, whether it is valid or not
+    for order in ("1 2", "1 2 3 4"):
+        code, text = run(["chart", "--braid", "B3: 1 2 1 2", "--order", order, "--mellit"])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == "error: chart takes --order or --mellit, not both\n"
+
+
+def test_invalid_orders_are_one_error_line(capsys):
+    # a repeated index, a short order, index 0 and an index past the end
+    argvs = [
+        ["chart", "--braid", "B3: 1 2 1 2", "--order", order]
+        for order in ("1 1 2", "1 2", "0 1 2 3", "1 2 3 5")
+    ]
+    argvs.append(["cluster", "--braid", "B2: 1 1 1", "--order", "1 1 2"])
+    for argv in argvs:
+        code, text = run(argv)
+        assert (code, text) == (1, ""), argv
+        err = capsys.readouterr().err
+        assert err == "error: order must be a permutation of the crossing indices\n", argv
 
 
 def test_bad_input_is_one_error_line(capsys, tmp_path):
@@ -255,6 +274,13 @@ def _block(argv, code, stdout, stderr):
     return f"$ braidweave {header}\nexit {code}\n--- stdout\n{stdout}--- stderr\n{stderr}"
 
 
+def _fresh_env():
+    """The environment of a fresh process that imports this braidweave."""
+    src = os.path.dirname(os.path.dirname(braidweave.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
 def _fresh_process_record(argv, cwd):
     """Stdout, stderr, exit code and DOT file of one ``braidweave`` run in its
     own interpreter, as one text block headed by the command line.
@@ -262,12 +288,9 @@ def _fresh_process_record(argv, cwd):
     A fresh process matters: variable ids are interned per process, so the
     render order of an in-process run can depend on what ran before it.
     """
-    src = os.path.dirname(os.path.dirname(braidweave.__file__))
-    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run(
         [sys.executable, "-m", "braidweave.cli", *argv],
-        capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
+        capture_output=True, text=True, env=_fresh_env(), cwd=cwd, timeout=120,
     )
     block = _block(argv, proc.returncode, proc.stdout, proc.stderr)
     if "--dot" in argv:
@@ -307,6 +330,51 @@ def test_one_process_runs_many_invocations(capsys):
             block = _block(argv, code, out.getvalue(), capsys.readouterr().err)
             assert block == golden[block.split("\n", 1)[0]]
     assert cli.build_parser() is cli.build_parser()
+
+
+# replaces the weave route in every module that binds one of its names
+WEAVE_ROUTE = ("weave_from_opening_order", "chart_parametrize")
+NO_WEAVE = (
+    "from braidweave import chart, cluster, form, weave\n"
+    "def fail(*args):\n"
+    "    raise AssertionError('the weave route was called')\n"
+    "for module in (chart, cluster, form, weave):\n"
+    f"    for name in {WEAVE_ROUTE!r}:\n"
+    "        if hasattr(module, name):\n"
+    "            setattr(module, name, fail)\n"
+)
+
+
+def test_chart_command_builds_no_weave(tmp_path):
+    # one fresh process per command, as for the golden file; --order is given
+    # the Mellit order, so both commands print the golden --mellit chart
+    golden = {b.split("\n", 1)[0]: b for b in _golden_blocks(GOLDEN.read_text())}
+    mellit = ["chart", "--braid", "B3: 1 2 1 1 1 1 2", "--mellit"]
+    want = golden[_block(mellit, 0, "", "").split("\n", 1)[0]]
+    for argv in (mellit, [*mellit[:3], "--order", "3 4 5 1 2 6 7"]):
+        code = NO_WEAVE + f"import sys\nfrom braidweave import cli\nsys.exit(cli.main({argv!r}))\n"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=_fresh_env(), cwd=tmp_path,
+            timeout=120,
+        )
+        assert _block(mellit, proc.returncode, proc.stdout, proc.stderr) == want, argv
+
+
+def test_normalized_chart_and_form_oracle_build_no_weave(monkeypatch):
+    from braidweave import chart, cluster, form, weave
+    from braidweave.braid import parse_braid
+
+    def fail(*args):
+        raise AssertionError("the weave route was called")
+
+    for module in (chart, cluster, form, weave):
+        for name in WEAVE_ROUTE:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fail)
+    nc = cluster.normalized_chart(parse_braid("B2: 1 1 1 1 1"), (4, 3, 2, 1, 5))
+    assert nc.order == [4, 3, 2, 1, 5]
+    beta = parse_braid("B2: 1 1 1")
+    assert form.pulled_back_form_matrix(beta, (3, 1, 2)) == form.chart_form_matrix(beta, (3, 1, 2))
 
 
 if __name__ == "__main__":
