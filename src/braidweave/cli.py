@@ -14,10 +14,6 @@ import sys
 from . import braid, chart, cluster, count, form, ring, torus, variety, weave
 
 
-def _parse_braid_arg(text: str) -> braid.BraidWord:
-    return braid.parse_braid(text)
-
-
 def _parse_order(text: str):
     return [braid.parse_int(t, "crossing index") for t in text.replace(",", " ").split()]
 
@@ -34,24 +30,24 @@ def _parse_pi(text: str, n: int):
 
 
 def cmd_matrix(args, out):
-    word = _parse_braid_arg(args.braid)
+    word = braid.parse_braid(args.braid)
     out.write(braid.braid_matrix(word).render() + "\n")
 
 
 def cmd_variety(args, out):
-    word = _parse_braid_arg(args.braid)
+    word = braid.parse_braid(args.braid)
     pres = variety.variety_equations(word, _parse_pi(args.pi, word.n))
     text = pres.render()
     out.write((text + "\n") if text else "")
 
 
 def cmd_demazure(args, out):
-    word = _parse_braid_arg(args.braid)
+    word = braid.parse_braid(args.braid)
     out.write(braid.render_perm(braid.demazure_product(word)) + "\n")
 
 
 def cmd_weights(args, out):
-    word = _parse_braid_arg(args.braid)
+    word = braid.parse_braid(args.braid)
     wa = torus.action_weights(word, args.side)
     for v in word.variables:
         vec = ",".join(str(x) for x in wa[v])
@@ -77,18 +73,18 @@ def cmd_chart(args, out):
     if args.mellit and args.order is not None:
         print("error: chart takes --order or --mellit, not both", file=sys.stderr)
         raise SystemExit(2)
-    beta = _parse_braid_arg(args.braid)
+    beta = braid.parse_braid(args.braid)
     order = chart.mellit_order(beta) if args.mellit else _parse_order(args.order)
     out.write(chart.ldu_chart(beta, order).render() + "\n")
 
 
 def cmd_mellit(args, out):
-    beta = _parse_braid_arg(args.braid)
+    beta = braid.parse_braid(args.braid)
     out.write(" ".join(str(r) for r in chart.mellit_order(beta)) + "\n")
 
 
 def cmd_form(args, out):
-    beta = _parse_braid_arg(args.braid)
+    beta = braid.parse_braid(args.braid)
     order = _parse_order(args.order) if args.order else list(range(1, len(beta) + 1))
     m = form.chart_form_matrix(beta, order)
     out.write(m.render() + "\n")
@@ -140,7 +136,7 @@ def _is_prime_power(q: int) -> bool:
 
 
 def cmd_count(args, out):
-    beta = _parse_braid_arg(args.braid)
+    beta = braid.parse_braid(args.braid)
     if args.q is not None and not _is_prime_power(args.q):
         print(f"error: --q {args.q} is not a prime power", file=sys.stderr)
         raise SystemExit(1)
@@ -155,11 +151,9 @@ def cmd_count(args, out):
 
 
 def cmd_cluster(args, out):
-    beta = _parse_braid_arg(args.braid)
+    beta = braid.parse_braid(args.braid)
     order = _parse_order(args.order) if args.order else list(range(1, len(beta) + 1))
-    w = weave.weave_from_opening_order(beta, order)
-    coords = cluster.a_coordinates(w, beta, order)
-    basis = cluster.i_cycle_basis(w)
+    coords = cluster.a_coordinates(beta, order)
     for k, (mono, val, label) in enumerate(coords, start=1):
         ms = "*".join(
             (f"s{r}" if e == 1 else f"s{r}^{e}") for r, e in sorted(mono.items())
@@ -169,13 +163,14 @@ def cmd_cluster(args, out):
             line += f" = {label}"
         out.write(line + "\n")
     if args.dot:
+        basis = cluster.i_cycle_basis(beta, order)
         with open(args.dot, "w") as fh:
             fh.write(cluster.quiver_dot(basis.intersections) + "\n")
         out.write(f"dot written: {args.dot}\n")
 
 
 def cmd_mutation_graph(args, out):
-    beta = _parse_braid_arg(args.braid)
+    beta = braid.parse_braid(args.braid)
     graph = weave.mutation_graph(beta)
     out.write(graph.render() + "\n")
     if args.dot:

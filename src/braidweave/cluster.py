@@ -1,5 +1,5 @@
 """Cluster coordinates from weaves: cycle bases and intersection quivers for
-2-strand weaves, path tracing for general Demazure weaves, monomial
+2-strand opening orders, path tracing for general Demazure weaves, monomial
 A-coordinates, and comparisons with the (2,2)-entry minors of partial braid
 matrix products.
 
@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ring import RationalExpr, gauss_jordan, var_id
-from .braid import BraidWord, PatternMismatch, times_letter
+from .braid import BraidWord, PatternMismatch, check_opening_order, times_letter
 from .chart import ChartMap, ldu_chart
-from .weave import Weave
+from .weave import Weave, merge_intervals
 
 
 class NotTwoStrand(Exception):
@@ -127,30 +127,33 @@ class SPath:
     chord: int | None  # top position reached (0-based), None if it exits elsewhere
 
 
+def _upward_walk(graph: EdgeGraph, vertex: int):
+    """The edges of the upward path of a trivalent vertex (see ``SPath``),
+    each with its upper end; the walk stops at a top chord or a cap."""
+    eid = graph.at_slot[(vertex, "in0")]
+    while True:
+        end = graph.top_end[eid]
+        yield eid, end
+        if end[0] == "top":
+            return
+        ev_idx, slot = end
+        kind = graph.weave.events[ev_idx].kind
+        if kind == "three":
+            eid = graph.at_slot[(ev_idx, "in1")]
+        elif kind == "six":
+            eid = graph.at_slot[(ev_idx, f"in{2 - int(slot[-1])}")]
+        else:  # cap: no rule; stop
+            return
+
+
 def s_paths(weave: Weave, graph: EdgeGraph | None = None) -> list[SPath]:
     if graph is None:
         graph = edge_graph(weave)
     out = []
     for k in graph.trivalent:
-        edges = []
-        eid = graph.at_slot[(k, "in0")]
-        chord = None
-        while True:
-            edges.append(eid)
-            end = graph.top_end[eid]
-            if end[0] == "top":
-                chord = end[1]
-                break
-            ev_idx, slot = end
-            kind = weave.events[ev_idx].kind
-            if kind == "three":
-                eid = graph.at_slot[(ev_idx, "in1")]
-            elif kind == "six":
-                j = int(slot[-1])
-                eid = graph.at_slot[(ev_idx, f"in{2 - j}")]
-            else:  # cap: no rule; stop
-                break
-        out.append(SPath(k, edges, chord))
+        walk = list(_upward_walk(graph, k))
+        end = walk[-1][1]
+        out.append(SPath(k, [eid for eid, _ in walk], end[1] if end[0] == "top" else None))
     return out
 
 
@@ -239,23 +242,9 @@ def path_cycle_pairing(graph: EdgeGraph, vertex: int, cycle: WeaveCycle) -> int:
                 total -= 1
     if cycle.kind == "Y":
         h, ycls = _y_center_and_class(graph, cycle)
-        weave = graph.weave
-        eid = graph.at_slot[(vertex, "in0")]
-        while True:
-            end = graph.top_end[eid]
-            if end[0] == "top":
-                break
-            ev_idx, slot = end
-            kind = weave.events[ev_idx].kind
-            if kind == "three":
-                eid = graph.at_slot[(ev_idx, "in1")]
-            elif kind == "six":
-                j = int(slot[-1])
-                if ev_idx == h:
-                    total += PATH_HEX_PAIRING[(j, ycls)]
-                eid = graph.at_slot[(ev_idx, f"in{2 - j}")]
-            else:
-                break
+        for _, (ev_idx, slot) in _upward_walk(graph, vertex):
+            if ev_idx == h:
+                total += PATH_HEX_PAIRING[(int(slot[-1]), ycls)]
     return total
 
 
@@ -314,82 +303,53 @@ def pairing_matrix(weave: Weave, cycles) -> list[list[int]]:
 
 @dataclass
 class CycleBasis:
-    """Short I-cycle basis of a 2-strand Demazure weave (all trivalent
-    vertices except the bottom one), with ending vertices and the
-    intersection form."""
+    """Short I-cycle basis of a 2-strand Demazure weave from an opening
+    order (all trivalent vertices except the bottom one), with ending
+    vertices and the intersection form, read from ``merge_intervals``.
+    Vertex v is opening step v, which is event v of the opening weave: on
+    two strands that weave has one trivalent event per opened crossing and
+    no other event."""
 
-    vertices: list[int]  # event indices, top-down; basis omits the last one
+    vertices: list[int]  # step indices, top-down; basis omits the last one
     ending: dict[int, int]  # basis vertex -> vertex its cycle ends at
     intersections: list[list[int]]
     svectors: list[list[int]]  # each cycle as an exponent vector over s_1..s_l
 
 
-def tree_structure(weave: Weave):
-    """Nested-merge structure of a 2-strand Demazure weave ending in one edge.
-
-    Returns (parent, side, leaves) keyed by event index: parent[v] is the
-    event whose merge consumes v's output edge, side[v] is "L"/"R", and
-    leaves[v] the top positions below v (1-based)."""
-    if weave.n != 2 or not weave.is_demazure():
+def i_cycle_basis(beta: BraidWord, order) -> CycleBasis:
+    """The cycle basis of the opening order's Demazure weave, built without
+    the weave.  The merge that consumes step v is the first later step whose
+    leaf interval contains v's; v is its right child when the two intervals
+    share their right end.  The cycle of v runs over the opened crossings
+    above v: crossings a+1 .. b (1-based) for v's interval (a, b)."""
+    order = check_opening_order(beta, order)
+    if beta.n != 2:
         raise NotTwoStrand("2-strand Demazure weave required")
-    items = [("leaf", p + 1) for p in range(len(weave.top))]
-    parent: dict[int, int] = {}
-    side: dict[int, str] = {}
-    leaves: dict[int, list[int]] = {}
-    for k, ev in enumerate(weave.events):
-        p = ev.pos
-        left, right = items[p], items[p + 1]
-        for child, s in ((left, "L"), (right, "R")):
-            if child[0] == "node":
-                parent[child[1]] = k
-                side[child[1]] = s
-        leaves[k] = [
-            x
-            for item in (left, right)
-            for x in (leaves[item[1]] if item[0] == "node" else [item[1]])
-        ]
-        items[p : p + 2] = [("node", k)]
-    if len(items) != 1:
-        raise NotTwoStrand("weave does not end in a single edge")
-    return parent, side, leaves
-
-
-def i_cycle_basis(weave: Weave) -> CycleBasis:
-    parent, side, leaves = tree_structure(weave)
-    order = sorted(leaves)  # event order = top-down
-    basis = [v for v in order if v in parent]  # all but the final merge
-    l = len(weave.top) - 1  # number of opened crossings
-    if weave.opened_crossings is None:
-        raise NotTwoStrand("cycle basis needs an opening-order weave")
-    ending = {v: parent[v] for v in basis}
-    is_right = {v: side[v] == "R" for v in basis}
+    intervals = merge_intervals(order)
+    size = len(intervals) - 1  # the basis: every step but the final merge
+    ending, is_right = {}, {}
+    for v, (a, b) in enumerate(intervals[:size]):
+        ending[v] = next(
+            u for u in range(v + 1, len(intervals)) if intervals[u][0] <= a and b <= intervals[u][1]
+        )
+        is_right[v] = intervals[ending[v]][1] == b
     # intersection form: +-1 when one cycle ends at the other's vertex or the
     # two cycles end at the same vertex, signs by the left/right edge rule
-    size = len(basis)
     inter = [[0] * size for _ in range(size)]
-    index = {v: i for i, v in enumerate(basis)}
-    for j, vj in enumerate(basis):
-        e = ending[vj]
-        if e in index:
-            i = index[e]
-            val = 1 if is_right[vj] else -1
-            inter[i][j] = val
-            inter[j][i] = -val
-    for i, vi in enumerate(basis):
-        for j, vj in enumerate(basis):
-            if i < j and ending[vi] == ending[vj]:
+    for j in range(size):
+        i = ending[j]
+        if i < size:
+            inter[i][j] = 1 if is_right[j] else -1
+            inter[j][i] = -inter[i][j]
+    for i in range(size):
+        for j in range(i + 1, size):
+            if ending[i] == ending[j]:
                 # top-down order and planarity: the left child's cycle comes
                 # from the earlier vertex exactly when it was merged earlier
-                val = 1 if is_right[vi] and not is_right[vj] else -1
-                inter[i][j] = val
-                inter[j][i] = -val
-    svec = []
-    for v in basis:
-        vec = [0] * l
-        for c in leaves[v][:-1]:  # the opened crossings above v
-            vec[c - 1] = 1
-        svec.append(vec)
-    return CycleBasis(basis, ending, inter, svec)
+                inter[i][j] = 1 if is_right[i] and not is_right[j] else -1
+                inter[j][i] = -inter[i][j]
+    svec = [[int(a <= c < b) for c in range(len(order))] for a, b in intervals[:size]]
+    return CycleBasis(list(range(size)), ending, inter, svec)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +459,7 @@ def plucker(word: BraidWord, a: int, b: int) -> RationalExpr:
     return minors[b - a - 2] if b > a + 1 else RationalExpr.const(1)
 
 
-def gamma_in_s(basis: CycleBasis, order) -> list[dict[int, int]]:
+def gamma_in_s(basis: CycleBasis) -> list[dict[int, int]]:
     """Each basis cycle as an exponent dict over the normalized parameter
     indices (the opened crossings)."""
     out = []
@@ -508,17 +468,16 @@ def gamma_in_s(basis: CycleBasis, order) -> list[dict[int, int]]:
     return out
 
 
-def a_coordinates(weave: Weave, beta: BraidWord, order):
-    """For a 2-strand opening weave: each basis cycle's monomial in the
+def a_coordinates(beta: BraidWord, order):
+    """For a 2-strand opening order: each basis cycle's monomial in the
     normalized parameters, rewritten through the inverse chart map as a
     polynomial in the z variables, with its minor label when one matches.
-    The weave gives only the cycle basis; the chart is ``normalized_chart``'s.
+    The cycles are ``i_cycle_basis``'s and the chart is ``normalized_chart``'s;
+    neither builds a weave.
 
     Returns a list of (exponent dict, polynomial RationalExpr, label or None).
     """
-    if weave.opened_crossings is None or list(weave.opened_crossings) != list(order):
-        raise NotPolynomial("chart order does not match the weave's opening order")
-    basis = i_cycle_basis(weave)
+    basis = i_cycle_basis(beta, order)
     nc = normalized_chart(beta, order)
     # inverse chart: the normalized parameters as functions of z.  From
     # S = sign * s^expo and s_r = inverted expression of the r-th opening.
@@ -536,7 +495,7 @@ def a_coordinates(weave: Weave, beta: BraidWord, order):
     for a in range(1, len(bd) + 2):
         for b, minor in enumerate(minor_pass(bd, a), start=a + 2):
             minors.setdefault(minor.render(), f"P{a}{b}")
-    for monomial in gamma_in_s(basis, order):
+    for monomial in gamma_in_s(basis):
         val = RationalExpr.const(1)
         for r, e in monomial.items():
             val = val * normalized[r] ** e

@@ -702,22 +702,23 @@ MUTATION_GRAPH_MAX_LEN_2 = 8  # two strands
 MUTATION_GRAPH_MAX_LEN_3 = 6  # three or more strands
 
 
-def _order_key(order) -> frozenset:
-    """The key of a two-strand opening order, read without its weave: the
-    leaf intervals (a, b) that its l merges create on the l + 1 letters of
-    beta Delta (leaf l is the half twist).  Opening crossing r merges the
-    item at r's position among the crossings still closed with its right
-    neighbour.  The intervals are the triangulation's diagonals plus the
-    root, so they fix the binary-tree shape."""
+def merge_intervals(order) -> list[tuple[int, int]]:
+    """The merges of a two-strand opening order, replayed without its
+    weave: the leaf interval (a, b) that each opening step creates on the
+    l + 1 letters of beta Delta (0-based; leaf l is the half twist), in
+    opening order.  Opening crossing r merges the item at r's position among
+    the crossings still closed with its right neighbour.  The intervals are
+    the triangulation's diagonals plus the root, so they fix the binary-tree
+    shape; step k is event k of the opening weave."""
     items = [(a, a) for a in range(len(order) + 1)]
     closed = sorted(order)
-    key = []
+    out = []
     for r in order:
         p = closed.index(r)
         del closed[p]
         items[p : p + 2] = [(items[p][0], items[p + 1][1])]
-        key.append(items[p])
-    return frozenset(key)
+        out.append(items[p])
+    return out
 
 
 def _record_keys(records) -> list[frozenset]:
@@ -738,8 +739,9 @@ def mutation_graph(beta: BraidWord) -> MutationGraph:
     by its first opening order; edges: single mutations.  This is the
     exchange graph, built without a weave: every order gets a key of l
     elements, each distinct key is a vertex, and two keys sharing l - 1
-    elements, found by dict, are an edge.  For n = 2 the key is
-    ``_order_key`` (class proxy: the binary-tree shape).  For n >= 3 it is
+    elements, found by dict, are an edge.  For n = 2 the key is the set of
+    ``merge_intervals``, the replay that ``cluster.i_cycle_basis`` reads too
+    (class proxy: the binary-tree shape).  For n >= 3 it is
     ``_record_keys`` of the direct route's constraint records (class proxy:
     equality of the charts as subsets), and ``charts_adjacent`` certifies
     every edge."""
@@ -753,7 +755,7 @@ def mutation_graph(beta: BraidWord) -> MutationGraph:
         raise BudgetExceeded(f"mutation graph bound exceeded for n={n}: l={l} letters, over the limit of {limit}")
     orders = list(all_orders(l))
     if n == 2:
-        keys = [_order_key(order) for order in orders]
+        keys = [frozenset(merge_intervals(order)) for order in orders]
     else:
         records = [_ldu_record(beta, order) for order in orders]
         keys = _record_keys(records)

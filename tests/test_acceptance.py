@@ -313,10 +313,8 @@ def test_criterion_13_cluster_fixtures():
     }
     for name, value in expected2.items():
         assert nc2.subs[var_id(name)] == value
-    w1 = weave_from_opening_order(beta, (7, 1, 4, 3, 2, 6, 5))
-    w2 = weave_from_opening_order(beta, (7, 1, 4, 2, 3, 6, 5))
-    labels1 = sorted(lbl for _, _, lbl in a_coordinates(w1, beta, (7, 1, 4, 3, 2, 6, 5)))
-    labels2 = sorted(lbl for _, _, lbl in a_coordinates(w2, beta, (7, 1, 4, 2, 3, 6, 5)))
+    labels1 = sorted(lbl for _, _, lbl in a_coordinates(beta, (7, 1, 4, 3, 2, 6, 5)))
+    labels2 = sorted(lbl for _, _, lbl in a_coordinates(beta, (7, 1, 4, 2, 3, 6, 5)))
     assert labels1 == sorted(["P13", "P16", "P36", "P46", "P69", "P79"])
     assert labels2 == sorted(["P13", "P16", "P14", "P46", "P69", "P79"])
     # the 3-strand torus link fixture

@@ -189,6 +189,15 @@ def test_invalid_orders_are_one_error_line(capsys):
         assert err == "error: order must be a permutation of the crossing indices\n", argv
 
 
+def test_cluster_checks_the_order_before_the_strand_count(capsys):
+    code, text = run(["cluster", "--braid", "B3: 1 2 1 2"])
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err == "error: 2-strand Demazure weave required\n"
+    code, text = run(["cluster", "--braid", "B3: 1 2 1 2", "--order", "1 1 2"])
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err == "error: order must be a permutation of the crossing indices\n"
+
+
 def test_bad_input_is_one_error_line(capsys, tmp_path):
     weave_files = []
     bodies = (
@@ -358,6 +367,22 @@ def test_chart_command_builds_no_weave(tmp_path):
             timeout=120,
         )
         assert _block(mellit, proc.returncode, proc.stdout, proc.stderr) == want, argv
+
+
+def test_cluster_command_builds_no_weave(tmp_path):
+    # the golden cluster command, DOT file included: the cycle basis is read
+    # from the opening order and the chart from ldu_chart
+    argv = ["cluster", "--braid", "B2: 1 1 1 1 1 1 1", "--order", "7 1 4 3 2 6 5", "--dot", "quiver.dot"]
+    golden = {b.split("\n", 1)[0]: b for b in _golden_blocks(GOLDEN.read_text())}
+    code = NO_WEAVE + f"import sys\nfrom braidweave import cli\nsys.exit(cli.main({argv!r}))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_fresh_env(), cwd=tmp_path,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    block = _block(argv, proc.returncode, proc.stdout, proc.stderr)
+    block += f"--- quiver.dot\n{(tmp_path / 'quiver.dot').read_text()}"
+    assert block == golden[block.split("\n", 1)[0]]
 
 
 def test_normalized_chart_and_form_oracle_build_no_weave(monkeypatch):

@@ -3,7 +3,6 @@ import pytest
 
 from braidweave.braid import make_word, parse_braid
 from braidweave.cluster import (
-    NotPolynomial,
     NotTwoStrand,
     WeaveCycle,
     a_coordinates,
@@ -33,23 +32,20 @@ ORDER_B = (7, 1, 4, 2, 3, 6, 5)
 
 def test_basis_cycle_count_and_ending():
     w = weave_from_opening_order(BETA27, ORDER_A)
-    basis = i_cycle_basis(w)
+    basis = i_cycle_basis(BETA27, ORDER_A)
     assert len(basis.vertices) == 6  # one cycle per vertex except the last
     assert set(basis.ending.values()) <= set(range(len(w.events)))
-    single = weave_from_opening_order(parse_braid("B2: 1"), (1,))
-    assert i_cycle_basis(single).vertices == []
+    assert i_cycle_basis(parse_braid("B2: 1"), (1,)).vertices == []
 
 
 def test_not_two_strand():
-    w3 = weave_from_opening_order(parse_braid("B3: 1 2"), (1, 2))
     with pytest.raises(NotTwoStrand):
-        i_cycle_basis(w3)
+        i_cycle_basis(parse_braid("B3: 1 2"), (1, 2))
 
 
 def test_gamma_monomials_27():
-    w = weave_from_opening_order(BETA27, ORDER_A)
-    basis = i_cycle_basis(w)
-    monomials = gamma_in_s(basis, ORDER_A)
+    basis = i_cycle_basis(BETA27, ORDER_A)
+    monomials = gamma_in_s(basis)
     assert monomials == [
         {7: 1},
         {1: 1},
@@ -97,12 +93,10 @@ def test_normalized_substitutions_27_mutated():
 
 
 def test_a_coordinate_sets_27():
-    w = weave_from_opening_order(BETA27, ORDER_A)
-    coords = a_coordinates(w, BETA27, ORDER_A)
+    coords = a_coordinates(BETA27, ORDER_A)
     labels = [lbl for _, _, lbl in coords]
     assert sorted(labels) == sorted(["P13", "P16", "P36", "P46", "P69", "P79"])
-    w2 = weave_from_opening_order(BETA27, ORDER_B)
-    coords2 = a_coordinates(w2, BETA27, ORDER_B)
+    coords2 = a_coordinates(BETA27, ORDER_B)
     labels2 = [lbl for _, _, lbl in coords2]
     assert sorted(labels2) == sorted(["P13", "P16", "P14", "P46", "P69", "P79"])
     assert sorted(set(labels) ^ set(labels2)) == ["P14", "P36"]
@@ -110,8 +104,7 @@ def test_a_coordinate_sets_27():
 
 def test_trivial_chart_single_coordinate():
     beta = parse_braid("B2: 1")
-    w = weave_from_opening_order(beta, (1,))
-    coords = a_coordinates(w, beta, (1,))
+    coords = a_coordinates(beta, (1,))
     assert coords == []  # a single vertex carries no cycles
     # the chart itself is the coordinate z1
     nc = normalized_chart(beta, (1,))
@@ -119,17 +112,15 @@ def test_trivial_chart_single_coordinate():
 
 
 def test_exchange_relation_at_mutated_cycle():
-    w1 = weave_from_opening_order(BETA27, ORDER_A)
-    w2 = weave_from_opening_order(BETA27, ORDER_B)
-    a1 = {lbl: val for _, val, lbl in a_coordinates(w1, BETA27, ORDER_A)}
-    a2 = {lbl: val for _, val, lbl in a_coordinates(w2, BETA27, ORDER_B)}
+    a1 = {lbl: val for _, val, lbl in a_coordinates(BETA27, ORDER_A)}
+    a2 = {lbl: val for _, val, lbl in a_coordinates(BETA27, ORDER_B)}
     # continuant sign convention: P14 P36 + P13 P46 = P16
     assert a1["P36"] * a2["P14"] + a1["P13"] * a1["P46"] == a1["P16"]
 
 
 def test_quiver_mutation_at_gamma4():
-    q1 = i_cycle_basis(weave_from_opening_order(BETA27, ORDER_A)).intersections
-    q2 = i_cycle_basis(weave_from_opening_order(BETA27, ORDER_B)).intersections
+    q1 = i_cycle_basis(BETA27, ORDER_A).intersections
+    q2 = i_cycle_basis(BETA27, ORDER_B).intersections
     assert quiver_mutate(q1, 3) == q2
     assert quiver_mutate(quiver_mutate(q1, 3), 3) == q1
 
@@ -140,8 +131,7 @@ def test_knot_relation_rank():
 
     for l in (3, 5, 7):
         beta = make_word(2, [1] * l)
-        w = weave_from_opening_order(beta, tuple(range(1, l + 1)))
-        vecs = [list(v) for v in i_cycle_basis(w).svectors]
+        vecs = [list(v) for v in i_cycle_basis(beta, tuple(range(1, l + 1))).svectors]
         mat = [[Fraction(x) for x in row] for row in vecs]
         rank = 0
         for col in range(l):
@@ -161,7 +151,7 @@ def test_knot_relation_rank():
 def test_rigid_tree_pairing_table():
     w = weave_from_opening_order(BETA27, ORDER_A)
     g = edge_graph(w)
-    basis = i_cycle_basis(w)
+    basis = i_cycle_basis(BETA27, ORDER_A)
     cycles = [WeaveCycle("I", (g.at_slot[(v, "out0")],)) for v in basis.vertices]
     table = pairing_matrix(w, cycles)
     for i, vi in enumerate(g.trivalent):
@@ -177,12 +167,24 @@ def test_s_paths_end_at_opened_crossings():
 
 
 def test_generic_intersections_match_tree_table():
-    for order in (ORDER_A, ORDER_B, tuple(range(1, 8))):
-        w = weave_from_opening_order(BETA27, order)
+    # the basis read from the order against the opening weave's edge graph:
+    # every order up to five letters, and three orders on seven
+    import itertools
+
+    cases = [
+        (make_word(2, [1] * l), order)
+        for l in range(1, 6)
+        for order in itertools.permutations(range(1, l + 1))
+    ]
+    cases += [(BETA27, order) for order in (ORDER_A, ORDER_B, tuple(range(1, 8)))]
+    for beta, order in cases:
+        w = weave_from_opening_order(beta, order)
         g = edge_graph(w)
-        basis = i_cycle_basis(w)
+        basis = i_cycle_basis(beta, order)
         cycles = [WeaveCycle("I", (g.at_slot[(v, "out0")],)) for v in basis.vertices]
-        assert quiver_from_cycles(w, cycles, g) == basis.intersections
+        assert quiver_from_cycles(w, cycles, g) == basis.intersections, order
+        for v in basis.vertices:  # each cycle ends where its edge does
+            assert g.bottom_end[g.at_slot[(v, "out0")]][0] == basis.ending[v], (order, v)
 
 
 def test_plucker_convention():
@@ -217,7 +219,7 @@ def test_minors_match_matrix_products():
     for (a, b), minor in oracle.items():
         assert plucker(bd, a, b) == minor, (a, b)
     for order in ((8, 1, 7, 2, 6, 3, 5, 4), tuple(range(1, 9))):
-        coords = a_coordinates(weave_from_opening_order(beta, order), beta, order)
+        coords = a_coordinates(beta, order)
         assert any(label for _, _, label in coords)
         for _, val, label in coords:
             assert label == labels.get(val.render()), (order, label)
@@ -283,17 +285,11 @@ def test_33_fixture_quiver_d4():
     assert not mutation_equivalent([[0, 0], [0, 0]], [[0, 2], [-2, 0]], depth=4)
 
 
-def test_a_coordinates_require_matching_order():
-    w = weave_from_opening_order(BETA27, ORDER_A)
-    with pytest.raises(NotPolynomial):
-        a_coordinates(w, BETA27, ORDER_B)
-
-
 def test_plucker_agreement_and_dual_diagonals():
     import itertools
     import random
 
-    from braidweave.cluster import tree_structure
+    from braidweave.weave import merge_intervals
 
     rng = random.Random(9)
     for l in range(1, 7):
@@ -303,22 +299,21 @@ def test_plucker_agreement_and_dual_diagonals():
         else:
             orders = [tuple(rng.sample(range(1, l + 1), l)) for _ in range(8)]
         for order in orders:
-            w = weave_from_opening_order(beta, order)
-            coords = a_coordinates(w, beta, order)
-            _, _, leaves = tree_structure(w)
-            basis = i_cycle_basis(w)
+            coords = a_coordinates(beta, order)
+            intervals = merge_intervals(order)
+            basis = i_cycle_basis(beta, order)
             for (mono, val, label), v in zip(coords, basis.vertices):
                 assert label is not None  # every coordinate is a minor
-                lo, hi = leaves[v][0], leaves[v][-1]
+                lo, hi = intervals[v][0] + 1, intervals[v][1] + 1  # 1-based leaves
                 assert label == f"P{lo}{hi + 1}"  # the dual diagonal
 
 
 def test_quiver_alias():
     from braidweave.cluster import quiver
 
-    basis = i_cycle_basis(weave_from_opening_order(BETA27, ORDER_A))
+    basis = i_cycle_basis(BETA27, ORDER_A)
     assert quiver(basis) == basis.intersections
-    empty = i_cycle_basis(weave_from_opening_order(parse_braid("B2: 1"), (1,)))
+    empty = i_cycle_basis(parse_braid("B2: 1"), (1,))
     assert quiver(empty) == []
 
 

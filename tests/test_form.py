@@ -102,15 +102,13 @@ def test_boundary_pairing_fixture():
     # two-component 2-strand links: the kernel of the cycle pairing inside the
     # cycle lattice pairs with a complementary direction with value exactly 2
     from braidweave.cluster import i_cycle_basis
-    from braidweave.weave import weave_from_opening_order
     from fractions import Fraction
 
     for text in ("B2: 1 1", "B2: 1 1 1 1"):
         beta = parse_braid(text)
         order = tuple(range(1, len(beta) + 1))
         m = chart_form_matrix(beta, order)
-        w = weave_from_opening_order(beta, order)
-        basis = i_cycle_basis(w)
+        basis = i_cycle_basis(beta, order)
         inter = basis.intersections
         size = len(inter)
         # kernel of the intersection form on the cycles = boundary difference
