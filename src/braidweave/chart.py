@@ -33,9 +33,11 @@ The upward pass of ``chart_parametrize`` and ``ldu_chart``'s restoring loop
 (``_ldu_restore``, c matrix and ``solve_half_twist`` included) divide only by
 unit parameters, so they run on bare ``LaurentPoly``; ``subs`` wraps each value
 as a ``RationalExpr`` over 1, already canonical.  The forward loop
-(``_ldu_record``) divides by the opened values and keeps them ``Localized``, as
-``propagate_down``; ``weave.mutation_graph`` keys every opening order by this
-record alone, so neither a weave nor the half twist is built for it.
+(``_ldu_units``) divides by the opened values and keeps them ``Localized``, as
+``propagate_down``; its units, canonicalised, are the record
+(``_ldu_record``).  ``weave.mutation_graph`` keys every opening order by this
+record alone, so neither a weave nor the half twist is built for it, and
+``cluster.a_coordinates`` multiplies the units themselves.
 
 ``ldu_chart`` is the one route for the chart of an opening order: the CLI's
 ``chart``, ``cluster.normalized_chart`` and the form oracle all take it, and
@@ -583,21 +585,26 @@ def _ldu_restore(beta: BraidWord, order):
     return values, lows
 
 
-def _ldu_record(beta: BraidWord, order) -> list[RationalExpr]:
-    """The constraint record: the value of each opened letter, in the
-    variables of beta, from the openings run forwards (no c matrix is
-    needed for it)."""
+def _ldu_units(beta: BraidWord, order) -> list[Localized]:
+    """The value of each opened letter, in the variables of beta, as the
+    ``Localized`` unit the forward openings invert: a scalar times a Laurent
+    monomial times signed powers of the pass's bases (no c matrix is needed
+    for it)."""
     n, letters, crossings = beta.n, list(beta.letters), list(range(1, len(beta) + 1))
     bases = Bases()
     values = [Localized(LaurentPoly.variable(v), {}, bases, True) for v in beta.variables]
-    inverted = []
+    units = []
     for r in order:
         p = crossings.index(r)
         del crossings[p], letters[p]
-        t = bases.unit(values.pop(p))
-        inverted.append(t.rational())
-        values, _ = _opening_slides(n, beta.letters[r - 1], t, letters, values, p)
-    return inverted
+        units.append(bases.unit(values.pop(p)))
+        values, _ = _opening_slides(n, beta.letters[r - 1], units[-1], letters, values, p)
+    return units
+
+
+def _ldu_record(beta: BraidWord, order) -> list[RationalExpr]:
+    """The constraint record: ``_ldu_units`` in canonical form."""
+    return [u.rational() for u in _ldu_units(beta, order)]
 
 
 def ldu_chart(beta: BraidWord, order) -> ChartMap:

@@ -8,6 +8,9 @@ of an opening order, S_r is the unique monomial of the chart expression
 z_r(s) that carries the raw parameter s_r to the first power.  In these
 coordinates the substitutions take the shape z_r = S_r + (Laurent
 corrections), and the cycle monomials become polynomials in the z's.
+``a_coordinates`` writes them without the chart: S_r is a product of integer
+powers of the units that the forward openings invert (``chart._ldu_units``),
+so a cycle monomial is one exponent sum, canonicalised once.
 
 Sign and pairing conventions below are module constants, fixed once by the
 2-strand and 3-strand fixtures and validated by the generic identities
@@ -16,10 +19,11 @@ Sign and pairing conventions below are module constants, fixed once by the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .ring import RationalExpr, gauss_jordan, var_id
-from .braid import BraidWord, PatternMismatch, check_opening_order, times_letter
-from .chart import ChartMap, ldu_chart
+from .braid import BraidWord, PatternMismatch, append_half_twist, check_opening_order, times_letter
+from .chart import ChartMap, _ldu_restore, _ldu_units, ldu_chart
 from .weave import Weave, merge_intervals
 
 
@@ -376,16 +380,32 @@ def normalized_chart(beta: BraidWord, order) -> NormalizedChart:
     s_r-exponent one (coefficient +-1)."""
     chart = ldu_chart(beta, order)
     rows = chart.opened_crossings
+    expo, signs, inv, tau = _normalizing_exponents([chart.subs[v].num for v in beta.variables], rows)
+    # s_j = tau_j * prod_r S_r^(inv[j][r])
+    mapping: dict[int, RationalExpr] = {}
+    for j, rj in enumerate(rows):
+        e = RationalExpr.const(tau[j])
+        for i, ri in enumerate(rows):
+            if inv[j][i]:
+                e = e * RationalExpr.variable(var_id(f"S{ri}")) ** inv[j][i]
+        mapping[var_id(f"s{rj}")] = e
+    subs = {v: e.substitute(mapping) for v, e in chart.subs.items()}
+    return NormalizedChart(chart, rows, subs, expo, signs)
+
+
+def _normalizing_exponents(values, rows):
+    """expo and signs (see ``NormalizedChart``) from beta's values z_r(s) by
+    crossing, with inv = expo^-1 and the tau of s_j = tau_j * prod_r
+    S_r^(inv[j][r]).  ``NotPolynomial`` unless each opened z_r has one monomial
+    with s_r-exponent one, its coefficient is +-1, expo is unimodular and the
+    signs survive the round trip."""
     size = len(rows)
     col = {var_id(f"s{r}"): j for j, r in enumerate(rows)}
     expo = [[0] * size for _ in range(size)]
     signs: dict[int, int] = {}
     for i, r in enumerate(rows):
-        zr = chart.subs[beta.variables[r - 1]]
-        if not zr.is_polynomial():
-            raise NotPolynomial(f"z_{r}(s) is not Laurent-polynomial")
         picks = [
-            (m, c) for m, c in zr.num.terms.items() if dict(m).get(var_id(f"s{r}"), 0) == 1
+            (m, c) for m, c in values[r - 1].terms.items() if dict(m).get(var_id(f"s{r}"), 0) == 1
         ]
         if len(picks) != 1:
             raise NotPolynomial(f"no unique normalizing monomial for crossing {r}")
@@ -396,29 +416,14 @@ def normalized_chart(beta: BraidWord, order) -> NormalizedChart:
             expo[i][col[v]] = e
         signs[r] = int(c)
     inv = _integer_inverse(expo)
-    # s_j = tau_j * prod_r S_r^(inv[j][r])
-    mapping: dict[int, RationalExpr] = {}
-    param_ids = [var_id(f"S{r}") for r in rows]
-    for j, rj in enumerate(rows):
-        e = RationalExpr.const(1)
-        tau = 1
-        for i, ri in enumerate(rows):
-            k = inv[j][i]
-            if k:
-                e = e * RationalExpr.variable(param_ids[i]) ** k
-            if signs[ri] == -1 and k % 2 != 0:
-                tau = -tau
-        mapping[var_id(f"s{rj}")] = e * RationalExpr.const(tau)
-    # verify the round trip: S_r = sign_r prod s^expo[r] maps to S_r
+    tau = [prod(signs[r] ** (k % 2) for r, k in zip(rows, row)) for row in inv]
+    # the round trip: S_r = sign_r * prod_j s_j^expo[r][j] is S_r again
     for i, r in enumerate(rows):
-        val = RationalExpr.const(signs[r])
-        for j, rj in enumerate(rows):
-            if expo[i][j]:
-                val = val * mapping[var_id(f"s{rj}")] ** expo[i][j]
-        if val != RationalExpr.variable(param_ids[i]):
+        sign = signs[r] * prod(t ** (e % 2) for t, e in zip(tau, expo[i]))
+        unit = [sum(e * row[k] for e, row in zip(expo[i], inv)) for k in range(size)]
+        if sign != 1 or unit != [int(k == i) for k in range(size)]:
             raise NotPolynomial("sign bookkeeping failed in normalization")
-    subs = {v: e.substitute(mapping) for v, e in chart.subs.items()}
-    return NormalizedChart(chart, rows, subs, expo, signs)
+    return expo, signs, inv, tau
 
 
 def _integer_inverse(mat):
@@ -444,6 +449,8 @@ def minor_pass(word: BraidWord, a: int) -> list[RationalExpr]:
     pass of the second row through the letters."""
     if word.n != 2:
         raise NotTwoStrand("minor coordinates are for 2-strand words")
+    if not 1 <= a <= len(word) + 1:
+        raise PatternMismatch(f"minor start {a} outside 1 <= a < b <= {len(word) + 2}")
     row = [[RationalExpr.const(0), RationalExpr.const(1)]]
     out = []
     for v in word.variables[a - 1 :]:
@@ -454,9 +461,10 @@ def minor_pass(word: BraidWord, a: int) -> list[RationalExpr]:
 
 def plucker(word: BraidWord, a: int, b: int) -> RationalExpr:
     """(2,2)-entry of B_1(z_a) ... B_1(z_{b-2}) for a 2-strand word, read
-    from ``minor_pass``; 1 for the empty product (b <= a+1)."""
-    minors = minor_pass(word, a)
-    return minors[b - a - 2] if b > a + 1 else RationalExpr.const(1)
+    from ``minor_pass``; 1 for the empty product (b = a+1)."""
+    if not 1 <= a < b <= len(word) + 2:
+        raise PatternMismatch(f"minor P({a},{b}) outside 1 <= a < b <= {len(word) + 2}")
+    return minor_pass(word, a)[b - a - 2] if b > a + 1 else RationalExpr.const(1)
 
 
 def gamma_in_s(basis: CycleBasis) -> list[dict[int, int]]:
@@ -472,36 +480,35 @@ def a_coordinates(beta: BraidWord, order):
     """For a 2-strand opening order: each basis cycle's monomial in the
     normalized parameters, rewritten through the inverse chart map as a
     polynomial in the z variables, with its minor label when one matches.
-    The cycles are ``i_cycle_basis``'s and the chart is ``normalized_chart``'s;
-    neither builds a weave.
+    The cycles are ``i_cycle_basis``'s.  With t_j the unit inverted at the
+    j-th opening (``chart._ldu_units``) and expo, signs read from beta's values
+    (``chart._ldu_restore``), S_r = sign_r * prod_j t_j^expo[r][j]: a cycle is
+    one product of unit powers, whose exponents add, canonicalised once with
+    no gcd unless a base is left in its denominator.  No chart is built.
 
     Returns a list of (exponent dict, polynomial RationalExpr, label or None).
     """
     basis = i_cycle_basis(beta, order)
-    nc = normalized_chart(beta, order)
-    # inverse chart: the normalized parameters as functions of z.  From
-    # S = sign * s^expo and s_r = inverted expression of the r-th opening.
-    s_in_z = nc.chart.inverted  # in opening order, like the columns of expo
-    normalized = {}
-    for r, exponents in zip(nc.order, nc.expo):
-        sval = RationalExpr.const(nc.signs[r])
-        for s, k in zip(s_in_z, exponents):
-            if k:
-                sval = sval * s**k
-        normalized[r] = sval
-    out = []
-    bd = nc.chart.top
+    order = check_opening_order(beta, order)
+    expo, signs, _, _ = _normalizing_exponents(_ldu_restore(beta, order)[0], order)
+    units = _ldu_units(beta, order)
+    row = {r: i for i, r in enumerate(order)}
+    bd = append_half_twist(beta)
     minors = {}
     for a in range(1, len(bd) + 2):
         for b, minor in enumerate(minor_pass(bd, a), start=a + 2):
-            minors.setdefault(minor.render(), f"P{a}{b}")
+            minors.setdefault(minor, f"P{a}{b}")
+    out = []
     for monomial in gamma_in_s(basis):
-        val = RationalExpr.const(1)
-        for r, e in monomial.items():
-            val = val * normalized[r] ** e
+        val = units[0].const(prod(signs[r] ** (e % 2) for r, e in monomial.items()))
+        for j, t in enumerate(units):
+            k = sum(e * expo[row[r]][j] for r, e in monomial.items())
+            for _ in range(abs(k)):
+                val = val * (t if k > 0 else t.inverse())
+        val = val.rational()
         if not val.is_polynomial():
             raise NotPolynomial(f"cycle monomial is not polynomial: {val.render()}")
-        out.append((monomial, val, minors.get(val.render())))
+        out.append((monomial, val, minors.get(val)))
     return out
 
 

@@ -322,3 +322,76 @@ def test_quiver_dot_output():
     dot = quiver_dot(q)
     assert dot.count("->") == 3
     assert quiver_dot([[0]]).count("->") == 0
+
+
+def test_a_coordinates_match_chart_route_oracle():
+    # the unit products against products of canonical record powers
+    # (tests/cluster_oracle.py): every order up to five letters, and ten
+    # seeded orders on each of six to nine letters
+    import itertools
+    import random
+
+    import cluster_oracle
+
+    rng = random.Random(23)
+    cases = [
+        (make_word(2, [1] * l), order)
+        for l in range(1, 6)
+        for order in itertools.permutations(range(1, l + 1))
+    ]
+    cases += [
+        (make_word(2, [1] * l), tuple(rng.sample(range(1, l + 1), l)))
+        for l in range(6, 10)
+        for _ in range(10)
+    ]
+    for beta, order in cases:
+        assert a_coordinates(beta, order) == cluster_oracle.a_coordinates(beta, order), order
+
+
+def test_a_coordinates_run_no_gcd(monkeypatch):
+    # the README command and every cluster command of the benchmark's
+    # cli-long pools: the unit products leave no base in a denominator
+    import json
+    from pathlib import Path
+
+    from braidweave import ring
+
+    cases = json.loads((Path(__file__).parents[1] / "perfbench" / "cases.json").read_text())
+    commands = [
+        case["argv"]
+        for pool in cases["cli-long"].values()
+        for case in pool
+        if case["argv"][0] == "cluster"
+    ]
+    assert len(commands) == 12
+    commands.append(["cluster", "--braid", "B2: 1 1 1 1 1 1 1", "--order", "7 1 4 3 2 6 5"])
+    calls = []
+    gcd = ring.poly_gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(ring, "poly_gcd", counted)
+    for argv in commands:
+        coords = a_coordinates(parse_braid(argv[2]), [int(r) for r in argv[4].split()])
+        assert coords and not calls, argv
+
+
+def test_minor_range_is_checked():
+    # 1 <= a < b <= len(word) + 2: a start below 1 used to wrap round to the
+    # end of the word, and an end past it raised a bare IndexError
+    from braidweave.braid import PatternMismatch
+    from braidweave.cluster import minor_pass
+
+    word = parse_braid("B2: 1 1 1")
+    z = {k: poly(f"z{k}") for k in range(1, 4)}
+    for a, b in ((0, 2), (-1, 2), (1, 6), (4, 6), (2, 2)):
+        with pytest.raises(PatternMismatch, match="1 <= a < b <= 5"):
+            plucker(word, a, b)
+    for a in (0, -1, 5):
+        with pytest.raises(PatternMismatch, match="1 <= a < b <= 5"):
+            minor_pass(word, a)
+    assert plucker(word, 1, 5) == z[1] + z[3] + z[1] * z[2] * z[3]
+    assert plucker(word, 4, 5) == 1
+    assert minor_pass(word, 4) == []
