@@ -457,3 +457,54 @@ def test_export_dot():
     assert gdot.count(" -- ") == 5
     empty = Weave(2, make_word(2, [1]), ())
     assert export_dot(empty).startswith("graph weave {")
+
+
+def _random_weave(rng: random.Random, n: int) -> Weave:
+    """A weave of up to 12 events on n strands: each step picks a kind among
+    those that fit the current slice, then a place for it.  Caps keep the
+    slices short words with doubled letters, so every kind turns up."""
+    top = make_word(n, [rng.randrange(1, n) for _ in range(rng.randrange(7))])
+    events: list[WeaveEvent] = []
+    cur = top.letters
+    for _ in range(rng.randrange(1, 13)):
+        fits = {"cap": [(p, rng.randrange(1, n)) for p in range(len(cur) + 1)] if len(cur) < 8 else []}
+        for p in range(len(cur) - 1):
+            a, b = cur[p], cur[p + 1]
+            if a == b:
+                fits.setdefault("three", []).append((p, 0))
+                fits.setdefault("cup", []).append((p, 0))
+            elif abs(a - b) >= 2:
+                fits.setdefault("four", []).append((p, 0))
+            if p + 2 < len(cur) and cur[p + 2] == a and abs(a - b) == 1:
+                fits.setdefault("six", []).append((p, 0))
+        kinds = sorted(k for k, places in fits.items() if places)
+        if not kinds:
+            break
+        kind = rng.choice(kinds)
+        pos, letter = rng.choice(fits[kind])
+        events.append(WeaveEvent(kind, pos, letter))
+        cur = Weave(n, top, tuple(events)).bottom_letters()
+    return Weave(n, top, tuple(events))
+
+
+def test_weave_walks_pinned():
+    """export_dot and edge_graph on 400 seeded random weaves with every event
+    kind, against digests of their output recorded before both walks read
+    one table of event shapes."""
+    import hashlib
+
+    from braidweave.cluster import edge_graph
+
+    rng = random.Random(25)
+    weaves = [_random_weave(rng, n) for n in (2, 3, 4, 5) for _ in range(100)]
+    kinds = {ev.kind for w in weaves for ev in w.events}
+    assert kinds == {"three", "cup", "six", "four", "cap"}
+    assert sum(all(w.counts().values()) for w in weaves) >= 5  # weaves with all five kinds
+    dots, graphs = hashlib.sha256(), hashlib.sha256()
+    for w in weaves:
+        dots.update((export_dot(w) + "\n").encode())
+        g = edge_graph(w)
+        fields = [sorted(d.items()) for d in (g.top_end, g.bottom_end, g.colors, g.at_slot)]
+        graphs.update(repr(fields + [g.trivalent, g.hexavalent]).encode())
+    assert dots.hexdigest() == "e127d0c35215f3e067c8ea97070127a9fa1d5d56341e980b4976a0c7b5d66660"
+    assert graphs.hexdigest() == "de1064cce17a687acb93033a5f8cffa820ed1193e23d6baf0d192cd267994981"
