@@ -284,6 +284,13 @@ def check_opening_order(beta: BraidWord, order) -> list[int]:
     return order
 
 
+def opening_positions(order) -> list[int]:
+    """The 0-based position of each crossing, when the order opens it, among
+    the crossings not yet opened: the number of later openings of smaller
+    crossings."""
+    return [sum(c < r for c in order[k + 1 :]) for k, r in enumerate(order)]
+
+
 def half_twist_word(n: int, start: int = 1) -> BraidWord:
     """The fixed positive lift of w0: (1 2 .. n-1)(1 .. n-2)...(1 2)(1)."""
     return make_word(n, half_twist_letters(n), start)

@@ -57,6 +57,7 @@ half-twist block.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
@@ -84,6 +85,7 @@ from .braid import (
     exchange_index,
     half_twist_letters,
     longest_perm,
+    opening_positions,
     perm_length,
     stall_index,
 )
@@ -244,8 +246,6 @@ def check_master_identity(weave: Weave, prop: Propagation) -> bool:
     that are bare variables are substituted to zero first; the identity only
     holds on the locus they cut out, so weaves whose cup constraints are not
     bare variables are checked on exact prime-field points of that locus."""
-    import random
-
     subs = {}
     pointwise = False
     for expr in prop.vanishing:
@@ -566,19 +566,14 @@ def _ldu_restore(beta: BraidWord, order):
     n = beta.n
     # state after all openings: empty word, c matrix = Id
     letters: list[int] = []
-    crossings: list[int] = []  # original crossing index per remaining letter
     values: list[LaurentPoly] = []
     lows = []
-    for r in reversed(order):
+    for r, p in zip(reversed(order), reversed(opening_positions(order))):
         t = LaurentPoly.variable(var_id(f"s{r}"))
-        # position where crossing r sits once restored: the letters of beta
-        # that are currently present keep their original relative order
-        p = sum(1 for c in crossings if c < r)
         i = beta.letters[r - 1]
         values, low = _opening_slides(n, i, t, letters, values, p, back=True)
         lows.append(low)
         letters.insert(p, i)
-        crossings.insert(p, r)
         values.insert(p, t)
     if letters != list(beta.letters):
         raise PatternMismatch("restored letters differ from beta")
@@ -590,13 +585,12 @@ def _ldu_units(beta: BraidWord, order) -> list[Localized]:
     ``Localized`` unit the forward openings invert: a scalar times a Laurent
     monomial times signed powers of the pass's bases (no c matrix is needed
     for it)."""
-    n, letters, crossings = beta.n, list(beta.letters), list(range(1, len(beta) + 1))
+    n, letters = beta.n, list(beta.letters)
     bases = Bases()
     values = [Localized(LaurentPoly.variable(v), {}, bases, True) for v in beta.variables]
     units = []
-    for r in order:
-        p = crossings.index(r)
-        del crossings[p], letters[p]
+    for r, p in zip(order, opening_positions(order)):
+        del letters[p]
         units.append(bases.unit(values.pop(p)))
         values, _ = _opening_slides(n, beta.letters[r - 1], units[-1], letters, values, p)
     return units

@@ -67,7 +67,7 @@ def cmd_weave(args, out):
 
 
 def cmd_chart(args, out):
-    if not args.mellit and not args.order:
+    if not args.mellit and args.order is None:
         print("error: chart needs --order or --mellit", file=sys.stderr)
         raise SystemExit(2)
     if args.mellit and args.order is not None:
@@ -85,7 +85,7 @@ def cmd_mellit(args, out):
 
 def cmd_form(args, out):
     beta = braid.parse_braid(args.braid)
-    order = _parse_order(args.order) if args.order else list(range(1, len(beta) + 1))
+    order = list(range(1, len(beta) + 1)) if args.order is None else _parse_order(args.order)
     m = form.chart_form_matrix(beta, order)
     out.write(m.render() + "\n")
 
@@ -152,7 +152,7 @@ def cmd_count(args, out):
 
 def cmd_cluster(args, out):
     beta = braid.parse_braid(args.braid)
-    order = _parse_order(args.order) if args.order else list(range(1, len(beta) + 1))
+    order = list(range(1, len(beta) + 1)) if args.order is None else _parse_order(args.order)
     coords = cluster.a_coordinates(beta, order)
     for k, (mono, val, label) in enumerate(coords, start=1):
         ms = "*".join(

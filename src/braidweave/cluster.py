@@ -18,13 +18,14 @@ Sign and pairing conventions below are module constants, fixed once by the
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import prod
 
 from .ring import RationalExpr, gauss_jordan, var_id
 from .braid import BraidWord, PatternMismatch, append_half_twist, check_opening_order, times_letter
 from .chart import ChartMap, _ldu_restore, _ldu_units, ldu_chart
-from .weave import Weave, merge_intervals
+from .weave import EVENT_SHAPES, Weave, merge_intervals
 
 
 class NotTwoStrand(Exception):
@@ -58,65 +59,36 @@ class EdgeGraph:
 
 
 def edge_graph(weave: Weave) -> EdgeGraph:
+    """The edges of the weave, numbered top edges first, then each event's
+    new edges in event order.  An event other than ``four`` ends the edges
+    it consumes (slots in0..) and starts the edges it produces (slots
+    out0..), coloured by the slice below, as ``EVENT_SHAPES`` gives."""
     slices = weave.slices()
-    next_id = 0
-    top_end: dict[int, tuple] = {}
+    top_end = {p: ("top", p) for p in range(len(slices[0]))}
+    colors = dict(enumerate(slices[0]))
     bottom_end: dict[int, tuple] = {}
-    colors: dict[int, int] = {}
     at_slot: dict[tuple, int] = {}
-    current: list[int] = []
-    for p, letter in enumerate(slices[0]):
-        top_end[next_id] = ("top", p)
-        colors[next_id] = letter
-        current.append(next_id)
-        next_id += 1
-
-    def new_edge(end, color):
-        nonlocal next_id
-        eid = next_id
-        next_id += 1
-        top_end[eid] = end
-        colors[eid] = color
-        return eid
-
-    trivalent, hexavalent = [], []
+    current = list(colors)
     for k, ev in enumerate(weave.events):
         p = ev.pos
-        s = slices[k]
-        if ev.kind == "three":
-            trivalent.append(k)
-            for slot, q in (("in0", p), ("in1", p + 1)):
-                bottom_end[current[q]] = (k, slot)
-                at_slot[(k, slot)] = current[q]
-            out = new_edge((k, "out0"), s[p])
-            at_slot[(k, "out0")] = out
-            current[p : p + 2] = [out]
-        elif ev.kind == "cup":
-            for slot, q in (("in0", p), ("in1", p + 1)):
-                bottom_end[current[q]] = (k, slot)
-                at_slot[(k, slot)] = current[q]
-            current[p : p + 2] = []
-        elif ev.kind == "six":
-            hexavalent.append(k)
-            a, b = s[p], s[p + 1]
-            for j in range(3):
-                bottom_end[current[p + j]] = (k, f"in{j}")
-                at_slot[(k, f"in{j}")] = current[p + j]
-            outs = [new_edge((k, f"out{j}"), c) for j, c in enumerate((b, a, b))]
-            for j, eid in enumerate(outs):
-                at_slot[(k, f"out{j}")] = eid
-            current[p : p + 3] = outs
-        elif ev.kind == "four":
+        if ev.kind == "four":  # transverse: both edges run on through it
             current[p], current[p + 1] = current[p + 1], current[p]
-        elif ev.kind == "cap":
-            e1 = new_edge((k, "out0"), ev.letter)
-            e2 = new_edge((k, "out1"), ev.letter)
-            at_slot[(k, "out0")], at_slot[(k, "out1")] = e1, e2
-            current[p:p] = [e1, e2]
-        else:
-            raise PatternMismatch(ev.kind)
+            continue
+        consumed, produced = EVENT_SHAPES[ev.kind]
+        for j, eid in enumerate(current[p : p + consumed]):
+            bottom_end[eid] = (k, f"in{j}")
+            at_slot[(k, f"in{j}")] = eid
+        outs = list(range(len(colors), len(colors) + produced))
+        for j, eid in enumerate(outs):
+            top_end[eid] = (k, f"out{j}")
+            colors[eid] = slices[k + 1][p + j]
+            at_slot[(k, f"out{j}")] = eid
+        current[p : p + consumed] = outs
     for p, eid in enumerate(current):
         bottom_end[eid] = ("bottom", p)
+    kinds = [ev.kind for ev in weave.events]
+    trivalent = [k for k, kind in enumerate(kinds) if kind == "three"]
+    hexavalent = [k for k, kind in enumerate(kinds) if kind == "six"]
     return EdgeGraph(weave, top_end, bottom_end, colors, at_slot, trivalent, hexavalent)
 
 
@@ -488,8 +460,7 @@ def a_coordinates(beta: BraidWord, order):
 
     Returns a list of (exponent dict, polynomial RationalExpr, label or None).
     """
-    basis = i_cycle_basis(beta, order)
-    order = check_opening_order(beta, order)
+    basis = i_cycle_basis(beta, order)  # checks the order
     expo, signs, _, _ = _normalizing_exponents(_ldu_restore(beta, order)[0], order)
     units = _ldu_units(beta, order)
     row = {r: i for i, r in enumerate(order)}
@@ -537,8 +508,6 @@ def quiver_mutate(b, k: int):
 
 
 def _quiver_key(b):
-    import itertools
-
     size = len(b)
     best = None
     for perm in itertools.permutations(range(size)):

@@ -13,6 +13,7 @@ shared.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -86,13 +87,11 @@ class PointCountPolynomial:
 
     def coefficients(self) -> list[int]:
         """Coefficients of the expanded polynomial in q, ascending."""
-        import math
-
         size = self.length + 1
         out = [0] * size
         for (a, b), mult in self.strata.items():
             for i in range(b + 1):  # (q-1)^b = sum_i C(b,i) (-1)^(b-i) q^i
-                out[a + i] += mult * math.comb(b, i) * (-1) ** (b - i)
+                out[a + i] += mult * comb(b, i) * (-1) ** (b - i)
         while len(out) > 1 and out[-1] == 0:
             out.pop()
         return out

@@ -22,6 +22,7 @@ from .braid import (
     check_opening_order,
     coxeter_letters,
     elementary_braid_matrix,
+    opening_positions,
     word_cycle_count,
 )
 from .chart import ldu_chart
@@ -72,10 +73,8 @@ def chart_form_matrix(beta: BraidWord, order) -> TwoFormMatrix:
     order = check_opening_order(beta, order)
     n = beta.n
     letters = list(beta.letters)
-    crossings = list(range(1, len(beta) + 1))
     eps = []  # per opened crossing: vector with -1 at w(i), +1 at w(i+1)
-    for r in order:
-        p = crossings.index(r)
+    for p in opening_positions(order):
         i = letters[p]
         w = coxeter_letters(n, letters[:p])
         vec = [0] * n
@@ -83,7 +82,6 @@ def chart_form_matrix(beta: BraidWord, order) -> TwoFormMatrix:
         vec[w[i]] += 1
         eps.append(vec)
         del letters[p]
-        del crossings[p]
     size = len(order)
     entries = [[0] * size for _ in range(size)]
     for a in range(size):

@@ -15,7 +15,7 @@ correspondences.
 from __future__ import annotations
 
 from .ring import LaurentPoly
-from .braid import BraidWord
+from .braid import BraidWord, coxeter_image, cycles
 
 
 Weight = tuple  # integer vector of length n summing to 0
@@ -101,8 +101,6 @@ def free_subtorus(word: BraidWord):
     """Character-lattice equations t_a = t_b cutting the subtorus that acts
     freely: one representative strand per cycle of the word's permutation,
     all representatives equated."""
-    from .braid import coxeter_image, cycles
-
     reps = [min(c) + 1 for c in cycles(coxeter_image(word))]
     reps.sort()
     return [(reps[0], r) for r in reps[1:]]

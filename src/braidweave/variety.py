@@ -29,6 +29,7 @@ from .braid import (
     longest_perm,
     perm_matrix,
 )
+from .chart import slide_left
 
 
 class EliminationFailed(Exception):
@@ -198,8 +199,6 @@ def borel_act(u0: MatrixExpr, word: BraidWord, values=None):
     Returns (u_final, new_values) with
     ``B_word(values) . u0 == u_final . B_word(new_values)``.
     """
-    from .chart import slide_left  # local import to avoid a cycle
-
     if not u0.is_upper_triangular():
         raise NonUnitDiagonal("action matrix must be upper triangular")
     for i in range(u0.n):

@@ -9,6 +9,11 @@ transition, each acting at a 0-based position of the slice above it:
 - ``cup p``:   letters (i, i) at p, p+1 disappear,
 - ``cap p i``: letters (i, i) appear at position p.
 
+``EVENT_SHAPES`` holds each kind's shape, the number of letters it consumes
+from the slice above and produces in the slice below; the walks over a weave
+(``swap_adjacent_events``, ``canonicalize``, ``export_dot`` and
+``cluster.edge_graph``) read it instead of branching on the kind.
+
 Demazure means no cups or caps; simplifying means no caps.  For Demazure
 weaves the Demazure product of every slice agrees with the top one (checked
 by ``validate``).  Equality of weaves is structural on (top, events);
@@ -31,6 +36,7 @@ from .braid import (
     demazure_letters,
     half_twist_letters,
     make_word,
+    opening_positions,
     parse_int,
     perm_length,
     reduced_word,
@@ -45,6 +51,11 @@ class BudgetExceeded(Exception):
 
 class InvalidLabels(Exception):
     pass
+
+
+# the shape of each event kind: (letters consumed from the slice above,
+# letters produced in the slice below), both starting at the event's position
+EVENT_SHAPES = {"three": (2, 1), "cup": (2, 0), "six": (3, 3), "four": (2, 2), "cap": (0, 2)}
 
 
 @dataclass(frozen=True)
@@ -272,7 +283,6 @@ def weave_from_opening_order(beta: BraidWord, order) -> Weave:
     m = len(delta)
     word = append_half_twist(beta)
     letters = list(word.letters)
-    remaining = list(range(1, len(beta) + 1))
     events: list[WeaveEvent] = []
 
     def apply_events(evs):
@@ -286,9 +296,8 @@ def weave_from_opening_order(beta: BraidWord, order) -> Weave:
     def apply_path(path, pos):
         apply_events(_moves_to_events(path, pos))
 
-    for r in order:
-        p = remaining.index(r)
-        d = len(remaining)  # block currently at [d, d+m)
+    for k, p in enumerate(opening_positions(order)):
+        d = len(beta) - k  # block currently at [d, d+m)
         # move the block left, one letter at a time
         for q in range(d - 1, p, -1):
             apply_path(_through_half_twist(letters[q], delta, n), q)
@@ -298,8 +307,7 @@ def weave_from_opening_order(beta: BraidWord, order) -> Weave:
         apply_events([WeaveEvent("three", p)])
         apply_path(back, p)
         # move the block right, back to the end
-        remaining.remove(r)
-        for q in range(p, len(remaining)):
+        for q in range(p, d - 1):
             apply_path(_mirror(_through_half_twist(letters[q + m], rdelta, n), m + 1), q)
     if tuple(letters) != tuple(delta):
         raise PatternMismatch(f"opening left {tuple(letters)}, not the half twist")
@@ -468,28 +476,17 @@ def weave_from_triangulation(tri: Triangulation, beta: BraidWord) -> Weave:
 # equivalence moves and mutation
 
 
-def _event_span(ev: WeaveEvent):
-    width = {"three": 2, "cup": 2, "six": 3, "four": 2, "cap": 0}[ev.kind]
-    return ev.pos, ev.pos + width  # [start, end)
-
-
-def _length_change(ev: WeaveEvent) -> int:
-    return {"three": -1, "cup": -2, "six": 0, "four": 0, "cap": 2}[ev.kind]
-
-
 def swap_adjacent_events(weave: Weave, k: int) -> Weave:
     """Swap events k and k+1 when they act on disjoint letter ranges
     (a planar isotopy changing vertex heights)."""
     e1, e2 = weave.events[k], weave.events[k + 1]
-    s1, t1 = _event_span(e1)
-    s2, t2 = _event_span(e2)
-    d = _length_change(e1)
-    if s2 >= t1 + d:  # e2 entirely right of e1 (positions in the middle slice)
-        new1 = replace(e2, pos=e2.pos - d)
+    (c1, p1), (c2, p2) = EVENT_SHAPES[e1.kind], EVENT_SHAPES[e2.kind]
+    if e2.pos >= e1.pos + p1:  # e2 entirely right of e1 (positions in the middle slice)
+        new1 = replace(e2, pos=e2.pos - p1 + c1)
         new2 = e1
-    elif t2 <= s1:  # e2 entirely left of e1
+    elif e2.pos + c2 <= e1.pos:  # e2 entirely left of e1
         new1 = e2
-        new2 = replace(e1, pos=e1.pos + _length_change(e2))
+        new2 = replace(e1, pos=e1.pos + p2 - c2)
     else:
         raise PatternMismatch("events overlap; not an isotopy")
     events = list(weave.events)
@@ -508,9 +505,7 @@ def canonicalize(weave: Weave) -> Weave:
         changed = False
         for k in range(len(w.events) - 1):
             e1, e2 = w.events[k], w.events[k + 1]
-            s1, t1 = _event_span(e1)
-            s2, t2 = _event_span(e2)
-            if t2 <= s1:  # e2 is strictly left: put it first
+            if e2.pos + EVENT_SHAPES[e2.kind][0] <= e1.pos:  # e2 is strictly left: put it first
                 w = swap_adjacent_events(w, k)
                 changed = True
     return w
@@ -815,30 +810,12 @@ def export_dot(obj) -> str:
         lines.append(f'  t{p} [shape=point, label=""];')
     edges = []
     for k, ev in enumerate(weave.events):
-        p = ev.pos
-        node = f"e{k}"
-        s = slices[k]
-        if ev.kind == "three":
-            edges.append((hang[p], node, s[p]))
-            edges.append((hang[p + 1], node, s[p + 1]))
-            hang[p : p + 2] = [node]
-        elif ev.kind == "cup":
-            edges.append((hang[p], node, s[p]))
-            edges.append((hang[p + 1], node, s[p + 1]))
-            hang[p : p + 2] = []
-        elif ev.kind == "six":
-            for q in range(3):
-                edges.append((hang[p + q], node, s[p + q]))
-            hang[p : p + 3] = [node, node, node]
-        elif ev.kind == "four":
-            edges.append((hang[p], node, s[p]))
-            edges.append((hang[p + 1], node, s[p + 1]))
-            hang[p : p + 2] = [node, node]
-        elif ev.kind == "cap":
-            hang[p:p] = [node, node]
+        p, (consumed, produced) = ev.pos, EVENT_SHAPES[ev.kind]
+        edges += [(hang[p + q], f"e{k}", slices[k][p + q]) for q in range(consumed)]
+        hang[p : p + consumed] = [f"e{k}"] * produced
     for p, h in enumerate(hang):
         lines.append(f'  b{p} [shape=point, label=""];')
-        edges.append((h, f"b{p}", slices[-1][p] if p < len(slices[-1]) else 0))
+        edges.append((h, f"b{p}", slices[-1][p]))
     for a, b, lab in edges:
         lines.append(f'  {a} -- {b} [label="{lab}"];')
     lines.append("}")

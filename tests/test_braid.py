@@ -26,6 +26,7 @@ from braidweave.braid import (
     is_reduced,
     longest_perm,
     make_word,
+    opening_positions,
     parse_braid,
     parse_perm,
     perm_length,
@@ -268,3 +269,14 @@ def test_length_vs_demazure_length():
         ld = perm_length(demazure_product(word))
         assert ld <= len(word)
         assert (ld == len(word)) == is_reduced(word)
+
+
+def test_opening_positions_replay_the_closed_crossings():
+    # the position of each opened crossing in the list of those still closed
+    for l in range(6):
+        for order in itertools.permutations(range(1, l + 1)):
+            closed, want = list(range(1, l + 1)), []
+            for r in order:
+                want.append(closed.index(r))
+                closed.remove(r)
+            assert opening_positions(order) == want, order

@@ -189,6 +189,33 @@ def test_invalid_orders_are_one_error_line(capsys):
         assert err == "error: order must be a permutation of the crossing indices\n", argv
 
 
+def test_empty_order_on_a_nonempty_word_is_refused_by_chart(capsys):
+    # an empty --order is given, not absent: it is checked as an order
+    code, text = run(["chart", "--braid", "B2: 1 1", "--order", ""])
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err == "error: order must be a permutation of the crossing indices\n"
+
+
+def test_empty_order_on_a_nonempty_word_is_refused_by_form(capsys):
+    # before, form read an empty --order as absent and printed the identity
+    # order's matrix
+    code, text = run(["form", "--braid", "B2: 1 1", "--order", ""])
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err == "error: order must be a permutation of the crossing indices\n"
+
+
+def test_empty_order_on_a_nonempty_word_is_refused_by_cluster(capsys):
+    code, text = run(["cluster", "--braid", "B2: 1 1", "--order", ""])
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err == "error: order must be a permutation of the crossing indices\n"
+
+
+def test_empty_order_charts_the_empty_word(capsys):
+    code, text = run(["chart", "--braid", "B2:", "--order", ""])
+    assert (code, text) == (0, "z1 = 0\n")
+    assert capsys.readouterr().err == ""
+
+
 def test_cluster_checks_the_order_before_the_strand_count(capsys):
     code, text = run(["cluster", "--braid", "B3: 1 2 1 2"])
     assert (code, text) == (1, "")

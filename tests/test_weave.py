@@ -489,8 +489,8 @@ def _random_weave(rng: random.Random, n: int) -> Weave:
 
 def test_weave_walks_pinned():
     """export_dot and edge_graph on 400 seeded random weaves with every event
-    kind, against digests of their output recorded before both walks read
-    one table of event shapes."""
+    kind, against digests of their output recorded with the earlier walks
+    that branched on each kind."""
     import hashlib
 
     from braidweave.cluster import edge_graph
