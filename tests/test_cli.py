@@ -254,6 +254,23 @@ def test_bad_input_is_one_error_line(capsys, tmp_path):
         assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
 
 
+def test_malformed_braid_moves_name_the_event(capsys, tmp_path):
+    # six past the end, six without the pattern, four past the end, four on
+    # adjacent letters: each fails at event 1, after a move that does fit
+    cases = (
+        ("weave n=3 top=1 2 1\nsix 0\nsix 1\n", "event 1: six needs three letters"),
+        ("weave n=4 top=1 3 2 2\nfour 0\nsix 1\n", "event 1: no braid pattern at 1"),
+        ("weave n=4 top=1 3\nfour 0\nfour 1\n", "event 1: four needs two letters"),
+        ("weave n=3 top=1 2 1\nsix 0\nfour 1\n", "event 1: letters 1,2 do not commute"),
+    )
+    for k, (body, message) in enumerate(cases):
+        path = tmp_path / f"move{k}.weave"
+        path.write_text(body)
+        code, text = run(["weave", "--weave", str(path)])
+        assert (code, text) == (1, ""), body
+        assert capsys.readouterr().err == f"error: {message}\n", body
+
+
 def test_braid_format_round_trip():
     from braidweave.braid import parse_braid
 
