@@ -12,6 +12,9 @@ Conventions used throughout the package:
   letter ``i`` acts on strands ``i`` and ``i+1`` (matrix rows ``i-1, i``).
 - the half twist is fixed to the word
   ``(s_1 s_2 ... s_{n-1})(s_1 ... s_{n-2}) ... (s_1 s_2) s_1``.
+- braid moves are the weave events ``six`` (the braid relation) and ``four``
+  (a commutation); ``braid_move_letters`` and ``braid_move_in_place`` are the
+  one place where their patterns and exact value changes are written.
 
 Braid text format: ``B<n>: i1 i2 ... il``; permutations print one-indexed,
 ``[3 2 1]``.
@@ -20,10 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ring import MatrixExpr, RationalExpr, var_id
+from .ring import DomainError, MatrixExpr, RationalExpr, var_id
 
 
-class BraidError(Exception):
+class BraidError(DomainError):
     pass
 
 
@@ -363,69 +366,68 @@ def braid_matrix(word: BraidWord, values=None) -> MatrixExpr:
 # braid moves with their exact variable change
 
 
-def apply_braid_move(word: BraidWord, pos: int, kind: str):
-    """Apply a braid move at 0-based position ``pos``.
+def braid_move_letters(letters, p: int, kind: str) -> tuple[int, ...]:
+    """The letters that the braid move ``kind`` writes at the 0-based p, in
+    place of the 3 (six) or 2 (four) letters it reads there; raises
+    PatternMismatch when the pattern is not at p."""
+    if kind == "six":
+        if p + 2 >= len(letters):
+            raise PatternMismatch("six needs three letters")
+        a, b, c = letters[p : p + 3]
+        if a != c or abs(a - b) != 1:
+            raise PatternMismatch(f"no braid pattern at {p}")
+        return b, a, b
+    if kind == "four":
+        if p + 1 >= len(letters):
+            raise PatternMismatch("four needs two letters")
+        a, b = letters[p : p + 2]
+        if abs(a - b) < 2:
+            raise PatternMismatch(f"letters {a},{b} do not commute")
+        return b, a
+    raise PatternMismatch(f"unknown braid move {kind!r}")
 
-    kinds: ``r3_up``   (i, i+1, i) -> (i+1, i, i+1), values (a,b,c) -> (c, b-ac, a)
-           ``r3_down`` (i+1, i, i+1) -> (i, i+1, i), values (a,b,c) -> (c, b+ac, a)
-           ``comm``    (i, j), |i-j| >= 2           -> (j, i), values swap
+
+def braid_move_in_place(letters: list, values: list, p: int, kind: str) -> None:
+    """Apply the braid move ``kind`` at p to a letter list and its value list
+    (of any type with +, - and *) in place.  six: (i, i+1, i) -> (i+1, i, i+1)
+    with values (a, b, c) -> (c, b - ac, a), and (i+1, i, i+1) -> (i, i+1, i)
+    with (a, b, c) -> (c, b + ac, a); the direction is read from the letters,
+    so each change undoes the other and the upward chart pass runs the same
+    move as the downward one.  four: (i, j) -> (j, i), values swap."""
+    new = braid_move_letters(letters, p, kind)
+    if kind == "six":
+        a, b, c = values[p : p + 3]
+        values[p : p + 3] = [c, b - a * c if new[0] == new[1] + 1 else b + a * c, a]
+    else:
+        values[p], values[p + 1] = values[p + 1], values[p]
+    letters[p : p + len(new)] = new
+
+
+def apply_braid_move(word: BraidWord, pos: int, kind: str):
+    """Apply the braid move ``kind`` (``six`` or ``four``) at 0-based ``pos``.
 
     Returns ``(word', subst)`` where word' reuses the variable ids positionally
     and ``subst`` maps each of word''s variable ids to its value as a
     RationalExpr in word's variables, so that
     ``braid_matrix(word) == braid_matrix(word') after substitution``.
     """
-    L = word.letters
-    V = word.variables
-    n = word.n
-
-    def expr(vid):
-        return RationalExpr.variable(vid)
-
-    if kind in ("r3_up", "r3_down"):
-        if pos + 3 > len(L):
-            raise PatternMismatch("r3 needs three letters")
-        a, b, c = L[pos : pos + 3]
-        if kind == "r3_up":
-            ok = a == c and b == a + 1
-        else:
-            ok = a == c and b == a - 1
-        if not ok:
-            raise PatternMismatch(f"no r3 pattern at {pos}: {L[pos:pos+3]}")
-        new_letters = L[:pos] + (b, a, b) + L[pos + 3 :]
-        va, vb, vc = V[pos : pos + 3]
-        sign = -1 if kind == "r3_up" else 1
-        subst = {
-            va: expr(vc),
-            vb: expr(vb) + expr(va) * expr(vc) * RationalExpr.const(sign),
-            vc: expr(va),
-        }
-        return BraidWord(n, new_letters, V), subst
-    if kind == "comm":
-        if pos + 2 > len(L):
-            raise PatternMismatch("comm needs two letters")
-        a, b = L[pos : pos + 2]
-        if abs(a - b) < 2:
-            raise PatternMismatch(f"letters {a},{b} do not commute")
-        new_letters = L[:pos] + (b, a) + L[pos + 2 :]
-        va, vb = V[pos : pos + 2]
-        subst = {va: expr(vb), vb: expr(va)}
-        return BraidWord(n, new_letters, V), subst
-    raise PatternMismatch(f"unknown move kind {kind!r}")
+    letters = list(word.letters)
+    values = word.var_exprs()
+    braid_move_in_place(letters, values, pos, kind)
+    return BraidWord(word.n, tuple(letters), word.variables), dict(zip(word.variables, values))
 
 
 def available_moves(letters, n):
-    """All (pos, kind) braid moves applicable to a letter tuple."""
+    """All (pos, kind) braid moves applicable to a letter tuple: every six,
+    then every four, each by position."""
     out = []
-    for p in range(len(letters) - 2):
-        a, b, c = letters[p : p + 3]
-        if a == c and b == a + 1:
-            out.append((p, "r3_up"))
-        if a == c and b == a - 1:
-            out.append((p, "r3_down"))
-    for p in range(len(letters) - 1):
-        if abs(letters[p] - letters[p + 1]) >= 2:
-            out.append((p, "comm"))
+    for kind in ("six", "four"):
+        for p in range(len(letters)):
+            try:
+                braid_move_letters(letters, p, kind)
+            except PatternMismatch:
+                continue
+            out.append((p, kind))
     return out
 
 

@@ -6,9 +6,9 @@ and comparison of the induced rational maps.
 The elementary identities, with ``B_i(z)`` the braid matrix:
 
 - trivalent vertex:  B_i(a) B_i(b) = [[-1/a, 1], [0, a]] . B_i(b + 1/a)
-- hexavalent vertex: (i, i+1, i) -> (i+1, i, i+1): (a,b,c) -> (c, b - ac, a)
-                     (i+1, i, i+1) -> (i, i+1, i): (a,b,c) -> (c, b + ac, a)
-- 4-valent vertex:   distant letters swap, values swap
+- hexavalent and 4-valent vertices: the braid moves ``six`` and ``four``,
+                     whose value change is ``braid.braid_move_in_place``;
+                     both passes call it, the upward one on the slice below
 - cup:               B_i(0) B_i(b) = Id + b E_{i,i+1}
 - sliding:           B_i(z) U = U' B_i(z'), z' = (U_{i+1,i+1} z + U_{i,i+1}) / U_{i,i}
 - opening:           B_i(z) = T_i(z) . L_i(z), T_i(z) = [[-1/z, 1], [0, z]] the
@@ -66,6 +66,7 @@ from .ring import (
     _ONE,
     _make,
     Bases,
+    DomainError,
     LaurentPoly,
     Localized,
     MatrixExpr,
@@ -80,6 +81,7 @@ from .braid import (
     PatternMismatch,
     append_half_twist,
     braid_matrix,
+    braid_move_in_place,
     check_opening_order,
     coxeter_letters,
     exchange_index,
@@ -183,23 +185,6 @@ class Propagation:
         return MatrixExpr([[e.rational() for e in row] for row in u.rows])
 
 
-def _braid_step(kind: str, letters, values, p: int):
-    """Apply a hexavalent or 4-valent vertex at p to the letters and values,
-    in place.  The direction is read from the letters met, so the downward
-    and the upward pass share this step: the change for (i, i+1, i) undoes
-    the one for (i+1, i, i+1)."""
-    if kind == "six":
-        a, b, c = values[p : p + 3]
-        up = letters[p + 1] == letters[p] + 1
-        values[p : p + 3] = [c, b - a * c if up else b + a * c, a]
-        letters[p : p + 3] = [letters[p + 1], letters[p], letters[p + 1]]
-    elif kind == "four":
-        values[p], values[p + 1] = values[p + 1], values[p]
-        letters[p], letters[p + 1] = letters[p + 1], letters[p]
-    else:
-        raise PatternMismatch(f"unsupported event {kind}")
-
-
 def propagate_down(weave: Weave) -> Propagation:
     """Compute the bottom letter values of a simplifying weave as rational
     functions of its top variables, the constraint record, and the vertex
@@ -235,7 +220,7 @@ def propagate_down(weave: Weave) -> Propagation:
             del letters[p : p + 2]
             factors.append(factor)
         else:
-            _braid_step(ev.kind, letters, values, p)
+            braid_move_in_place(letters, values, p, ev.kind)
     bottom_ids = tuple(var_id(f"_b{k + 1}") for k in range(len(letters)))
     bottom = BraidWord(n, tuple(letters), bottom_ids)
     return Propagation(bottom, inverted, vanishing, values, factors)
@@ -324,7 +309,7 @@ def charts_equal_as_subsets(c1: ChartMap, c2: ChartMap) -> bool:
     return included(c1, c2) and included(c2, c1)
 
 
-class NotExchangeBinomial(Exception):
+class NotExchangeBinomial(DomainError):
     """Two charts differ in one polynomial that is not a primitive binomial."""
 
 
@@ -451,8 +436,8 @@ def chart_parametrize(weave: Weave) -> ChartMap:
             values[p:p] = [zero, a]
             letters[p:p] = [letter, letter]
         else:
-            # the event maps slice k to slice k+1; undo it
-            _braid_step(ev.kind, letters, values, p)
+            # the event maps slice k to slice k+1; the same move undoes it
+            braid_move_in_place(letters, values, p, ev.kind)
     if tuple(letters) != weave.top.letters:
         raise PatternMismatch("upward pass did not restore the top word")
     unit_params.reverse()

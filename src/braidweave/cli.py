@@ -254,17 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-DOMAIN_ERRORS = (
-    ring.RingError,
-    braid.BraidError,
-    chart.NotExchangeBinomial,
-    weave.BudgetExceeded,
-    weave.InvalidLabels,
-    variety.EliminationFailed,
-    cluster.NotTwoStrand,
-    cluster.NotPolynomial,
-    OSError,
-)
+# every exception braidweave raises on bad input derives from ring.DomainError
+DOMAIN_ERRORS = (ring.DomainError, OSError)
 
 
 def main(argv=None, out=None) -> int:

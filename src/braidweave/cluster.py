@@ -22,17 +22,17 @@ import itertools
 from dataclasses import dataclass
 from math import prod
 
-from .ring import RationalExpr, gauss_jordan, var_id
+from .ring import DomainError, RationalExpr, gauss_jordan, var_id
 from .braid import BraidWord, PatternMismatch, append_half_twist, check_opening_order, times_letter
 from .chart import ChartMap, _ldu_restore, _ldu_units, ldu_chart
 from .weave import EVENT_SHAPES, Weave, merge_intervals
 
 
-class NotTwoStrand(Exception):
+class NotTwoStrand(DomainError):
     pass
 
 
-class NotPolynomial(Exception):
+class NotPolynomial(DomainError):
     pass
 
 
@@ -550,10 +550,9 @@ def d4_quiver():
     return b
 
 
-def quiver_dot(b, names=None) -> str:
+def quiver_dot(b) -> str:
     size = len(b)
-    if names is None:
-        names = [f"gamma{i + 1}" for i in range(size)]
+    names = [f"gamma{i + 1}" for i in range(size)]
     lines = ["digraph quiver {"]
     for name in names:
         lines.append(f'  "{name}";')

@@ -54,7 +54,11 @@ from math import gcd, isqrt, lcm
 from operator import mul
 
 
-class RingError(Exception):
+class DomainError(Exception):
+    """Bad input: the base of every braidweave exception (CLI exit code 1)."""
+
+
+class RingError(DomainError):
     pass
 
 

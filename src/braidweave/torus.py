@@ -42,22 +42,20 @@ def zero_weight(n: int) -> Weight:
 
 
 def action_weights(word: BraidWord, side: str = "left") -> dict[int, Weight]:
-    """Weight of every letter variable under the chosen torus action."""
+    """Weight of every letter variable under the chosen torus action.  The
+    right weights are the negated left weights of the reversed word, with
+    the variables in the same (reversed) order."""
+    if side == "right":
+        mirror = BraidWord(word.n, word.letters[::-1], word.variables[::-1])
+        return {v: weight_scale(w, -1) for v, w in action_weights(mirror).items()}
+    if side != "left":
+        raise ValueError(f"unknown side {side!r}")
     n = word.n
     out: dict[int, Weight] = {}
-    if side == "left":
-        w = list(range(n))  # w_k in one-line notation
-        for k, i in enumerate(word.letters):
-            out[word.variables[k]] = basis_difference(n, w[i] + 1, w[i - 1] + 1)
-            w[i - 1], w[i] = w[i], w[i - 1]
-    elif side == "right":
-        v = list(range(n))  # v_k in one-line notation
-        for k in range(len(word) - 1, -1, -1):
-            i = word.letters[k]
-            out[word.variables[k]] = basis_difference(n, v[i - 1] + 1, v[i] + 1)
-            v[i - 1], v[i] = v[i], v[i - 1]
-    else:
-        raise ValueError(f"unknown side {side!r}")
+    w = list(range(n))  # w_k in one-line notation
+    for k, i in enumerate(word.letters):
+        out[word.variables[k]] = basis_difference(n, w[i] + 1, w[i - 1] + 1)
+        w[i - 1], w[i] = w[i], w[i - 1]
     return out
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ring import (
+    DomainError,
     LaurentPoly,
     MatrixExpr,
     NonUnitDiagonal,
@@ -32,7 +33,7 @@ from .braid import (
 from .chart import slide_left
 
 
-class EliminationFailed(Exception):
+class EliminationFailed(DomainError):
     pass
 
 
@@ -81,14 +82,10 @@ def variety_equations(word: BraidWord, perm=None) -> VarietyPresentation:
     )
 
 
-def variety_dimension(word: BraidWord, perm=None):
+def variety_dimension(word: BraidWord):
     """dim X0(word; w0) = l(word) - n(n-1)/2 when the Demazure product is w0,
-    else None (the variety is empty).  Only the perm = w0 case is covered."""
+    else None (the variety is empty)."""
     n = word.n
-    if perm is None:
-        perm = longest_perm(n)
-    if tuple(perm) != longest_perm(n):
-        raise ValueError("dimension formula requires perm = w0")
     if demazure_product(word) != longest_perm(n):
         return None
     return len(word) - n * (n - 1) // 2
@@ -137,11 +134,11 @@ def split_full_twist(word: BraidWord):
     return full, residual, list(free_vars)
 
 
-def augmentation_equations(word: BraidWord, marked, prescribed=None) -> VarietyPresentation:
+def augmentation_equations(word: BraidWord, marked) -> VarietyPresentation:
     """Equations for the augmentation variety with marked strands.
 
     ``B_word(z) . L(c) . diag(t)`` must be upper triangular with the
-    unmarked diagonal entries prescribed (default 1); marked strands carry
+    unmarked diagonal entries 1; marked strands carry
     unit variables t_i.  The c variables fill a lower uni-triangular matrix.
     """
     n = word.n
@@ -171,13 +168,10 @@ def augmentation_equations(word: BraidWord, marked, prescribed=None) -> VarietyP
 
     eqs = [_polynomial_entry(m, a - 1, b - 1) for a, b in below_diagonal_positions(n)]
     eqs = [p for p in eqs if not p.is_zero()]
-    # prescribed diagonal on unmarked strands (default: normalize to 1)
-    if prescribed is None:
-        prescribed = {}
+    # the diagonal on unmarked strands is normalized to 1
     for i in range(1, n + 1):
         if i not in marked:
-            target = RationalExpr.const(prescribed.get(i, 1))
-            p = (m[i - 1, i - 1] - target).num
+            p = (m[i - 1, i - 1] - one).num
             if not p.is_zero():
                 eqs.append(p)
     ineqs = [LaurentPoly.variable(v) for v in tvars]

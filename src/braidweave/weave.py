@@ -9,10 +9,12 @@ transition, each acting at a 0-based position of the slice above it:
 - ``cup p``:   letters (i, i) at p, p+1 disappear,
 - ``cap p i``: letters (i, i) appear at position p.
 
-``EVENT_SHAPES`` holds each kind's shape, the number of letters it consumes
-from the slice above and produces in the slice below; the walks over a weave
-(``swap_adjacent_events``, ``canonicalize``, ``export_dot`` and
-``cluster.edge_graph``) read it instead of branching on the kind.
+``six`` and ``four`` are the braid moves of ``braid.braid_move_letters``, and
+the closed-form move paths below are lists of them.  ``EVENT_SHAPES`` holds
+each kind's shape, the number of letters it consumes from the slice above and
+produces in the slice below; the walks over a weave (``swap_adjacent_events``,
+``canonicalize``, ``export_dot`` and ``cluster.edge_graph``) read it instead
+of branching on the kind.
 
 Demazure means no cups or caps; simplifying means no caps.  For Demazure
 weaves the Demazure product of every slice agrees with the top one (checked
@@ -32,6 +34,7 @@ from .braid import (
     BraidWord,
     PatternMismatch,
     append_half_twist,
+    braid_move_letters,
     check_opening_order,
     demazure_letters,
     half_twist_letters,
@@ -42,14 +45,14 @@ from .braid import (
     reduced_word,
     stall_index,
 )
-from .ring import _ONE, LaurentPoly, _divide, _make, coprime_base, mono_decode, poly_gcd
+from .ring import _ONE, DomainError, LaurentPoly, _divide, _make, coprime_base, mono_decode, poly_gcd
 
 
-class BudgetExceeded(Exception):
+class BudgetExceeded(DomainError):
     pass
 
 
-class InvalidLabels(Exception):
+class InvalidLabels(DomainError):
     pass
 
 
@@ -72,28 +75,17 @@ class WeaveEvent:
 
 def _apply_event(letters: tuple[int, ...], ev: WeaveEvent, index: int = -1):
     p = ev.pos
-    if ev.kind == "three":
+    if ev.kind in ("six", "four"):
+        try:
+            new = braid_move_letters(letters, p, ev.kind)
+        except PatternMismatch as exc:
+            raise PatternMismatch(f"event {index}: {exc}") from None
+        return letters[:p] + new + letters[p + len(new) :]
+    if ev.kind in ("three", "cup"):
         if p + 1 >= len(letters) or letters[p] != letters[p + 1]:
             raise PatternMismatch(f"event {index}: no doubled letter at {p}")
-        return letters[:p] + letters[p + 1 :]
-    if ev.kind == "cup":
-        if p + 1 >= len(letters) or letters[p] != letters[p + 1]:
-            raise PatternMismatch(f"event {index}: no doubled letter at {p}")
-        return letters[:p] + letters[p + 2 :]
-    if ev.kind == "six":
-        if p + 2 >= len(letters):
-            raise PatternMismatch(f"event {index}: six needs three letters")
-        a, b, c = letters[p : p + 3]
-        if a != c or abs(a - b) != 1:
-            raise PatternMismatch(f"event {index}: no braid pattern at {p}")
-        return letters[:p] + (b, a, b) + letters[p + 3 :]
-    if ev.kind == "four":
-        if p + 1 >= len(letters):
-            raise PatternMismatch(f"event {index}: four needs two letters")
-        a, b = letters[p : p + 2]
-        if abs(a - b) < 2:
-            raise PatternMismatch(f"event {index}: letters {a},{b} do not commute")
-        return letters[:p] + (b, a) + letters[p + 2 :]
+        # a three keeps one of the two letters, a cup neither
+        return letters[:p] + letters[p + 2 - EVENT_SHAPES[ev.kind][1] :]
     if ev.kind == "cap":
         if not 0 <= p <= len(letters):
             raise PatternMismatch(f"event {index}: cap position out of range")
@@ -179,7 +171,8 @@ def parse_weave(text: str) -> Weave:
 # ---------------------------------------------------------------------------
 # braid-move paths in closed form (shared with stratification)
 #
-# A path is a tuple of (pos, kind) braid moves, as in braid.available_moves.
+# A path is a tuple of (pos, kind) braid moves, kind ``six`` or ``four`` as in
+# braid.available_moves: the events themselves, at positions of the word.
 # The variable change of a positive braid does not depend on which path of
 # braid moves is taken (Zamolodchikov relations), so every path below gives
 # the same chart; each is written down from the exchange condition, with no
@@ -200,10 +193,9 @@ def _to_suffix(word: tuple[int, ...], s: int):
         return (), word
     path, u = _to_suffix(word[:-1], s)
     if abs(s - t) >= 2:
-        return path + ((end - 2, "comm"),), u[:-1] + (t, s)
+        return path + ((end - 2, "four"),), u[:-1] + (t, s)
     path2, v = _to_suffix(u[:-1], t)
-    kind = "r3_up" if s == t + 1 else "r3_down"
-    return path + path2 + ((end - 3, kind),), v[:-1] + (s, t, s)
+    return path + path2 + ((end - 3, "six"),), v[:-1] + (s, t, s)
 
 
 def _reduced_path(src: tuple[int, ...], dst: tuple[int, ...]):
@@ -220,7 +212,7 @@ def _reduced_path(src: tuple[int, ...], dst: tuple[int, ...]):
 
 def _mirror(path, length: int):
     """The same moves on the reversed word."""
-    return tuple((length - pos - (2 if kind == "comm" else 3), kind) for pos, kind in path)
+    return tuple((length - pos - EVENT_SHAPES[kind][0], kind) for pos, kind in path)
 
 
 @lru_cache(maxsize=1024)
@@ -257,10 +249,7 @@ def find_doubled_letter(letters: tuple[int, ...], n: int):
 
 
 def _moves_to_events(path, offset: int):
-    out = []
-    for pos, kind in path:
-        out.append(WeaveEvent("six" if kind.startswith("r3") else "four", offset + pos))
-    return out
+    return [WeaveEvent(kind, offset + pos) for pos, kind in path]
 
 
 # ---------------------------------------------------------------------------
@@ -498,14 +487,18 @@ def swap_adjacent_events(weave: Weave, k: int) -> Weave:
 
 def canonicalize(weave: Weave) -> Weave:
     """Bubble independent adjacent events into position order so structurally
-    equal weaves compare equal."""
+    equal weaves compare equal.  Event k + 1 goes first when, in the slice
+    between the two, its consumed span ends where event k's produced span
+    starts or before, and does not start where that span ends or after: at
+    the one tie, a cup and then a cap at the same point, the cup stays first."""
     w = weave
     changed = True
     while changed:
         changed = False
         for k in range(len(w.events) - 1):
             e1, e2 = w.events[k], w.events[k + 1]
-            if e2.pos + EVENT_SHAPES[e2.kind][0] <= e1.pos:  # e2 is strictly left: put it first
+            consumed, produced = EVENT_SHAPES[e2.kind][0], EVENT_SHAPES[e1.kind][1]
+            if e2.pos + consumed <= e1.pos and e2.pos < e1.pos + produced:
                 w = swap_adjacent_events(w, k)
                 changed = True
     return w
@@ -621,13 +614,11 @@ def missing_crossing(weave: Weave) -> int:
     missing = None
     for ev in weave.events:
         p = ev.pos
-        if ev.kind == "six":
-            origins[p], origins[p + 2] = origins[p + 2], origins[p]
-        elif ev.kind == "four":
-            origins[p], origins[p + 1] = origins[p + 1], origins[p]
-        elif ev.kind == "three":
-            missing = origins[p]
-            del origins[p]
+        if ev.kind == "three":
+            missing = origins.pop(p)
+        else:  # six and four reverse the crossings they consume
+            q = p + EVENT_SHAPES[ev.kind][0] - 1
+            origins[p], origins[q] = origins[q], origins[p]
     return missing
 
 

@@ -8,6 +8,7 @@ package's own; only the arithmetic differs.
 from braidweave.braid import (
     PatternMismatch,
     append_half_twist,
+    braid_move_in_place,
     check_opening_order,
     coxeter_letters,
     longest_perm,
@@ -15,7 +16,6 @@ from braidweave.braid import (
 )
 from braidweave.chart import (
     ChartMap,
-    _braid_step,
     _opening_slides,
     cup_factor,
     propagate_down,
@@ -67,7 +67,7 @@ def chart_parametrize(weave) -> ChartMap:
             values[p:p] = [zero, a]
             letters[p:p] = [letter, letter]
         else:
-            _braid_step(ev.kind, letters, values, p)
+            braid_move_in_place(letters, values, p, ev.kind)
     if tuple(letters) != weave.top.letters:
         raise PatternMismatch("upward pass did not restore the top word")
     unit_params.reverse()

@@ -2,8 +2,8 @@
 ``braidweave.weave``.  They share no code with braidweave: moves, their
 patterns and reducedness are written out again here.
 
-A path is a list of (pos, kind) moves, kind one of ``r3_up`` (i, i+1, i),
-``r3_down`` (i+1, i, i+1) and ``comm`` (i, j with |i-j| >= 2).
+A path is a list of (pos, kind) moves, kind ``six`` (i, j, i with |i-j| = 1)
+or ``four`` (i, j with |i-j| >= 2), the weave events of the same names.
 """
 from collections import deque
 from functools import partial
@@ -19,12 +19,11 @@ def moves(word):
     for p in range(len(word) - 2):
         a, b, c = word[p : p + 3]
         if a == c and abs(a - b) == 1:
-            kind = "r3_up" if b == a + 1 else "r3_down"
-            out.append((p, kind, word[:p] + (b, a, b) + word[p + 3 :]))
+            out.append((p, "six", word[:p] + (b, a, b) + word[p + 3 :]))
     for p in range(len(word) - 1):
         a, b = word[p : p + 2]
         if abs(a - b) >= 2:
-            out.append((p, "comm", word[:p] + (b, a) + word[p + 2 :]))
+            out.append((p, "four", word[:p] + (b, a) + word[p + 2 :]))
     return out
 
 

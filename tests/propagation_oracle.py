@@ -6,8 +6,8 @@ own; only the arithmetic differs, so every gcd the old pass ran runs here.
 """
 from dataclasses import dataclass
 
-from braidweave.braid import BraidWord, PatternMismatch
-from braidweave.chart import _braid_step, cup_factor, slide_left, trivalent_factor
+from braidweave.braid import BraidWord, PatternMismatch, braid_move_in_place
+from braidweave.chart import cup_factor, slide_left, trivalent_factor
 from braidweave.ring import MatrixExpr, RationalExpr, var_id
 
 
@@ -55,7 +55,7 @@ def propagate_down(weave) -> Propagation:
             del letters[p : p + 2]
             factors.append(factor)
         else:
-            _braid_step(ev.kind, letters, values, p)
+            braid_move_in_place(letters, values, p, ev.kind)
     bottom_ids = tuple(var_id(f"_b{k + 1}") for k in range(len(letters)))
     bottom = BraidWord(n, tuple(letters), bottom_ids)
     return Propagation(bottom, values, inverted, vanishing, factors)

@@ -220,15 +220,27 @@ def test_braid_relation_all_n():
 
 
 def test_apply_braid_move_substitution_identity():
-    w = parse_braid("B3: 1 2 1")
-    w2, sub = apply_braid_move(w, 0, "r3_up")
-    assert w2.letters == (2, 1, 2)
-    assert braid_matrix(w) == braid_matrix(w2).substitute(sub)
-    w3, sub3 = apply_braid_move(parse_braid("B4: 1 3"), 0, "comm")
+    # a six move in both directions, then a four move
+    for text, moved in (("B3: 1 2 1", (2, 1, 2)), ("B4: 3 2 3 1", (2, 3, 2, 1))):
+        w = parse_braid(text)
+        w2, sub = apply_braid_move(w, 0, "six")
+        assert w2.letters == moved
+        assert braid_matrix(w) == braid_matrix(w2).substitute(sub)
+    w3, sub3 = apply_braid_move(parse_braid("B4: 1 3"), 0, "four")
     assert w3.letters == (3, 1)
     assert braid_matrix(parse_braid("B4: 1 3")) == braid_matrix(w3).substitute(sub3)
-    with pytest.raises(PatternMismatch):
-        apply_braid_move(parse_braid("B2: 1 1"), 0, "r3_up")
+    # six past the end, six without the pattern, four on adjacent letters,
+    # four past the end, and a kind that is no braid move
+    bad = (
+        ("B2: 1 1", 0, "six"),
+        ("B4: 1 2 1", 1, "six"),
+        ("B3: 1 2", 0, "four"),
+        ("B4: 1 3", 1, "four"),
+        ("B4: 1 3", 0, "cup"),
+    )
+    for text, pos, kind in bad:
+        with pytest.raises(PatternMismatch):
+            apply_braid_move(parse_braid(text), pos, kind)
 
 
 def test_exchange_index():

@@ -271,6 +271,26 @@ def test_malformed_braid_moves_name_the_event(capsys, tmp_path):
         assert capsys.readouterr().err == f"error: {message}\n", body
 
 
+def test_every_exception_class_is_a_domain_error():
+    # the CLI catches ring.DomainError, so an exception class that does not
+    # derive from it would escape as a traceback
+    import importlib
+    import inspect
+    import pkgutil
+
+    from braidweave import cli, ring
+
+    assert cli.DOMAIN_ERRORS == (ring.DomainError, OSError)
+    found = []
+    for info in pkgutil.iter_modules(braidweave.__path__):
+        module = importlib.import_module(f"braidweave.{info.name}")
+        for name, obj in vars(module).items():
+            if inspect.isclass(obj) and issubclass(obj, Exception) and obj.__module__ == module.__name__:
+                found.append(name)
+                assert issubclass(obj, ring.DomainError), f"{module.__name__}.{name}"
+    assert {"PatternMismatch", "RingError", "BudgetExceeded", "NotTwoStrand"} <= set(found)
+
+
 def test_braid_format_round_trip():
     from braidweave.braid import parse_braid
 
@@ -354,6 +374,22 @@ def _fresh_process_record(argv, cwd):
 
 def _golden_blocks(text):
     return re.split(r"(?m)^(?=\$ braidweave )", text)[1:]
+
+
+def test_chart_oracle_rejects_a_corrupted_coefficient():
+    # perfbench's chart oracle, which the frontier-digests CI job runs on the
+    # frontier charts, must see a one-coefficient change in either kind of line
+    from frontier_check import chart_ok
+
+    braid = "B3: 1 2 1 1 1 1 2"
+    header = f"$ braidweave chart --braid '{braid}' --mellit\n"
+    block = next(b for b in _golden_blocks(GOLDEN.read_text()) if b.startswith(header))
+    text = block.split("--- stdout\n")[1].split("--- stderr\n")[0]
+    assert chart_ok(text, braid)
+    invert = "invert: z2 - z1*z3 - z1*z5 + z2*z4*z5 - z1*z3*z4*z5\n"
+    for line, corrupt in ((invert, invert.replace("- z1*z5", "- 2*z1*z5")), ("z4 = s4 - s3^-1\n", "z4 = s4 - 2*s3^-1\n")):
+        assert text.count(line) == 1
+        assert not chart_ok(text.replace(line, corrupt), braid), corrupt
 
 
 def test_fresh_process_output_is_golden(tmp_path):

@@ -274,6 +274,42 @@ def test_swap_adjacent_events():
     assert canonicalize(w).events == s.events
 
 
+def _canonicalize_counting_swaps(monkeypatch, w: Weave) -> Weave:
+    """canonicalize(w), failing once it has made more than len(events)^2
+    swaps instead of running on."""
+    from braidweave import weave as weave_module
+
+    swaps = 0
+    swap = weave_module.swap_adjacent_events
+
+    def counted(v, k):
+        nonlocal swaps
+        swaps += 1
+        assert swaps <= len(w.events) ** 2, f"canonicalize does not settle on\n{w.render()}"
+        return swap(v, k)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(weave_module, "swap_adjacent_events", counted)
+        return canonicalize(w)
+
+
+def test_canonicalize_settles_with_cups_and_caps(monkeypatch):
+    # a cup's empty produced span and a cap's empty consumed span at one
+    # point: each order of the pair used to count as strictly left
+    w = parse_weave("weave n=2 top=1 1\ncup 0\ncap 0 1\n")
+    assert _canonicalize_counting_swaps(monkeypatch, w).events == w.events
+    rng = random.Random(30)
+    checked = 0
+    while checked < 200:
+        w = _random_weave(rng, rng.randrange(2, 6))
+        if not {"cup", "cap"} & {ev.kind for ev in w.events}:
+            continue
+        c = _canonicalize_counting_swaps(monkeypatch, w)
+        validate(c)
+        assert canonicalize(c).events == c.events
+        checked += 1
+
+
 def test_mutate_involution_and_mismatch():
     beta = parse_braid("B2: 1 1 1")
     left = weave_from_opening_order(beta, (1, 2, 3))
