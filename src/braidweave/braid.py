@@ -345,7 +345,8 @@ def elementary_braid_matrix(n: int, i: int, z: RationalExpr) -> MatrixExpr:
 def times_letter(rows, i: int, z: RationalExpr) -> None:
     """Multiply the rows by B_i(z) on the right, in place: column i (1-based)
     becomes column i+1 and column i+1 becomes column i + z . column i+1.
-    ``count._times_letter`` is the same update in numpy mod q."""
+    The letter tables of ``count.brute_count`` hold the same update mod q,
+    for every row over F_q."""
     for row in rows:
         x, y = row[i - 1], row[i]
         row[i - 1], row[i] = y, (x if y.is_zero() else x + z * y)

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-import numpy as np
-
 from .braid import (
     BraidWord,
     append_half_twist,
@@ -154,90 +152,89 @@ def point_count_polynomial(beta: BraidWord) -> PointCountPolynomial:
     return PointCountPolynomial(len(beta), tree.strata())
 
 
-# Products of the first l-1 letters that brute_count holds at once.  When
-# q > n(n-1) it holds fewer, so that the points it tests in place at once,
-# q per product, stay within _ROWS * n(n-1), the entries of _ROWS products.
-# A chunk k levels above holds at most 1/q^k as many, so memory is bounded
-# by about twice that whatever q^l and the budget are.
-_ROWS = 2**15
+# Products of the walked letters that brute_count holds at once, each with
+# its n-1 row codes and up to 64 points tested as bits.  A chunk j levels
+# above holds at most 1/q^j as many, so memory is bounded by about twice
+# that whatever q^l and the budget are.
+_ROWS = 2**12
 
 
 def brute_count(word: BraidWord, perm, q: int, budget: int = 10**8) -> int:
     """Exhaustive point count of the presentation over F_q.
 
-    The q^l points form a prefix tree on their digits: the product of the
-    first k elementary matrices is computed once per prefix (numpy batched,
-    entries kept reduced mod q), and the tree is walked depth first in chunks.
-    A chunk of m products is one array of shape (n-1, n, m): row 0 is left
-    out, since no vanishing entry lies in it and a right product by B_i(z)
-    acts on each row alone, and the points lie on the last axis.  The q^l
-    final products are never built: the last letter is tested in place on
-    the products of the first l-1 letters, for all q digits at once (in
-    blocks of digits only when q alone passes the chunk size).  Every point
-    is enumerated and checked."""
+    The product M of the elementary matrices B_i(z) of the letters lies in
+    the presentation when its entries (a, perm[b]) vanish for all b < a.
+    Row a of a product is one code sum_j M[a, j] q^j; row 0 is left out, as
+    no vanishing entry lies in it.  A right product by B_i(z) acts on each
+    row alone, so it is one gather per row from the letter's table
+    T_i[c, z], the code of row c times B_i(z).
+
+    The last k letters, with q^k <= 64, are folded into one 64-bit mask per
+    row a and code c: bit s is set when row a, continued from c through the
+    tail digits s, vanishes where it must.  The first l - k letters are
+    walked depth first over their digits, as a prefix tree in chunks of
+    products; at a leaf the points are the set bits of its rows' masks and-ed
+    together.  Every point of F_q^l is tested, as one bit."""
     letters = word.letters
     l = len(letters)
     if q**l > budget:
         raise BudgetExceeded(f"brute count needs {q}^{l} = {q**l} points, over the budget of {budget}")
     n = word.n
-    # entry (a, perm[b]) with b < a, held at row a - 1 of a chunk
-    vanishing = [(a - 1, perm[b]) for a in range(1, n) for b in range(a)]
-    # x + z*y with x, y, z < q is at most q*(q-1)
-    dtype = np.int16 if q * (q - 1) <= np.iinfo(np.int16).max else np.int64
-    tested = _ROWS * (n - 1) * n  # points tested in place at once
-    deepest = max(1, tested // max(q, (n - 1) * n))  # products of l-1 letters at once
-    start = np.eye(n, dtype=dtype)[1:, :, None]
-    if l == 0:
-        return int(all(start[r, c, 0] == 0 for r, c in vanishing))
+    distinct = sorted(set(letters))
+    codes = q**n
+    entries = (len(distinct) + n - 1) * q * codes  # the tables, and the masks as they are folded
+    if entries > budget:
+        raise BudgetExceeded(
+            f"brute count tables need {entries} entries for n = {n}, q = {q}, over the budget of {budget}"
+        )
+    # Imported here, the one place that uses it: at module level numpy cost
+    # every CLI command about 110 ms of start-up, and none of them counts.
+    import numpy as np
 
-    def block(d, step):
-        """The digits d, d+1, ... below d + step and q."""
-        return np.arange(d, min(q, d + step), dtype=dtype)
+    code = np.arange(codes)
+    digits = code // q ** np.arange(n)[:, None] % q  # digit j of code c at [j, c]
+    # T_i[c, z]: column i-1 (0-based) takes the old column i, and column i
+    # takes old column i-1 + z * old column i, mod q
+    low = q ** (np.array(distinct, dtype=int)[:, None, None] - 1)
+    x, y = digits[[i - 1 for i in distinct], :, None], digits[distinct, :, None]
+    stacked = y * np.arange(q)
+    stacked += x
+    stacked %= q
+    stacked *= low * q
+    stacked += code[:, None] + (y - x - y * q) * low
+    tables = dict(zip(distinct, stacked))
 
-    def last(rows, i, digits):
-        """Points whose first l-1 digits have the prefix products rows and
-        whose last digit z is in digits, for the last letter i: after B_i(z),
-        column i-1 (0-based) holds the old column i, column i holds old
-        column i-1 + z * old column i, and every other column is unchanged."""
-        ok = np.ones(rows.shape[2], dtype=bool)
-        ok_digits = None
-        for r, c in vanishing:
-            if c == i:
-                zero = (rows[r, i - 1] + digits[:, None] * rows[r, i]) % q == 0
-                ok_digits = zero if ok_digits is None else ok_digits & zero
-            else:
-                ok &= rows[r, i if c == i - 1 else c] == 0
-        if ok_digits is None:
-            return len(digits) * int(ok.sum())
-        return int((ok_digits & ok).sum())
+    k = 0
+    while k < l and q ** (k + 1) <= 64:
+        k += 1
+    # the tail folded in from its last letter back: bit z * width + s of a
+    # mask is bit s of the mask of the code after digit z
+    masks = np.logical_and.accumulate(digits[list(perm[: n - 1])] == 0, axis=0).astype(np.uint64)
+    width = 1
+    for i in reversed(letters[l - k :]):
+        shift = np.arange(0, q * width, width, dtype=np.uint64)
+        masks = np.bitwise_or.reduce(masks.take(tables[i], axis=1) << shift, axis=2)
+        width *= q
+    full = np.uint64(2**width - 1)
+    head = l - k
 
-    def walk(rows, k):
-        """Points whose first k digits have the prefix products rows."""
-        if k == l - 1:
-            step = max(1, tested // rows.shape[2])
-            return sum(last(rows, letters[k], block(d, step)) for d in range(0, q, step))
-        below = q ** (l - k - 2)  # deepest built products under each child
-        digit_step = min(q, max(1, deepest // below))
-        row_step = max(1, deepest // (below * digit_step))
-        total = 0
-        for r in range(0, rows.shape[2], row_step):
-            for d in range(0, q, digit_step):
-                chunk = _times_letter(rows[:, :, r : r + row_step], letters[k], block(d, digit_step), q)
-                total += walk(chunk, k + 1)
-        return total
+    def walk(rows, j):
+        """Points whose first j digits have the prefix products whose row
+        codes are the columns of rows."""
+        if j == head:
+            found = np.full(rows.shape[1], full)
+            for mask, row in zip(masks, rows):
+                found &= mask.take(row)
+            return np.count_nonzero(np.unpackbits(found.view(np.uint8)))
+        # a chunk times a block of digits holds at most _ROWS leaf products,
+        # or one product when that alone has more, so rows is never split
+        step = min(q, max(1, _ROWS // q ** (head - j - 1)))
+        table = tables[letters[j]]
+        return sum(
+            walk(table[:, d : d + step].take(rows, axis=0).reshape(n - 1, -1), j + 1) for d in range(0, q, step)
+        )
 
-    return walk(start, 0)
-
-
-def _times_letter(rows, i: int, digits, q: int):
-    """The products rows (shape (n-1, n, m)) times B_i(z) for every digit z,
-    as shape (n-1, n, len(digits) * m): columns i, i+1 (1-based) become
-    M_{i+1} and M_i + z M_{i+1} mod q."""
-    out = np.empty(rows.shape[:2] + (len(digits), rows.shape[2]), dtype=rows.dtype)
-    out[...] = rows[:, :, None, :]
-    out[:, i - 1] = rows[:, i, None, :]
-    out[:, i] = (rows[:, i - 1, None, :] + digits[:, None] * rows[:, i, None, :]) % q
-    return out.reshape(rows.shape[0], rows.shape[1], -1)
+    return walk(q ** np.arange(1, n)[:, None], 0)
 
 
 def brute_count_presentation(pres, q: int, budget: int = 10**8) -> int:

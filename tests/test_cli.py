@@ -421,6 +421,27 @@ def test_one_process_runs_many_invocations(capsys):
     assert cli.build_parser() is cli.build_parser()
 
 
+def test_no_command_imports_numpy(tmp_path):
+    # numpy cost every fresh command about 110 ms of start-up, and only
+    # count.brute_count, which no command calls, uses it; a fresh process,
+    # since the suite itself imports numpy
+    (tmp_path / "w.weave").write_text("weave n=3 top=1 2 1\nsix 0\n")
+    commands = [*GOLDEN_COMMANDS, ["weave", "--weave", "w.weave", "--dot", "w.dot"]]
+    code = (
+        "import contextlib, io, sys\n"
+        "from braidweave import cli\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    codes = [cli.run(argv, out=io.StringIO()) for argv in {commands!r}]\n"
+        "print(codes.count(0), 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_fresh_env(), cwd=tmp_path,
+        timeout=120,
+    )
+    # every command but the golden domain error exits 0
+    assert (proc.stdout, proc.stderr) == (f"{len(commands) - 1} False\n", "")
+
+
 # replaces the weave route in every module that binds one of its names
 WEAVE_ROUTE = ("weave_from_opening_order", "chart_parametrize")
 NO_WEAVE = (

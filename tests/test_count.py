@@ -130,7 +130,8 @@ def test_brute_count_matches_slow_oracle(monkeypatch):
                 for q in (2, 3, 5):
                     expected = slow_brute_count(letters, n, perms, q)
                     assert [brute_count(word, p, q) for p in perms] == expected, (n, letters, q)
-                    # chunks of 3 rows split every level, and for q = 5 the digits too
+                    # chunks of 3 products split the digits of every level above
+                    # the last, and for q = 5 of the last too
                     with monkeypatch.context() as patch:
                         patch.setattr(count, "_ROWS", 3)
                         w0 = longest_perm(n)
@@ -147,7 +148,8 @@ def test_brute_count_four_strands_every_perm():
 
 
 def test_brute_count_empty_and_one_letter_words():
-    # with one letter the last letter, tested in place, is also the first
+    # no letter is walked: the empty word and every one-letter word lie
+    # wholly in the mask, from the identity's rows
     for n in range(1, 6):
         perms = list(itertools.permutations(range(n)))
         for letters in [()] + [(i,) for i in range(1, n)]:
@@ -156,36 +158,67 @@ def test_brute_count_empty_and_one_letter_words():
                 assert [brute_count(make_word(n, letters), p, q) for p in perms] == expected, (n, letters, q)
 
 
-def test_brute_count_both_sides_of_the_narrow_dtype():
-    # x + z*y reaches q*(q-1): it fits int16 for q = 181, not for q = 191
-    perms = list(itertools.permutations(range(2)))
-    for q in (181, 191):
-        for l in range(3):
-            letters = (1,) * l
-            expected = slow_brute_count(letters, 2, perms, q)
-            assert [brute_count(make_word(2, letters), p, q) for p in perms] == expected, (l, q)
+def test_brute_count_both_sides_of_the_mask_width():
+    # the last k letters, q^k <= 64, go into the mask: k drops from 2 to 1
+    # between q = 8 and 9, and from 1 to 0 between q = 61 and 67
+    for n, qs, max_len in ((2, (8, 9), 4), (3, (8, 9), 3), (2, (61, 67), 2)):
+        perms = list(itertools.permutations(range(n)))
+        for q in qs:
+            for l in range(max_len + 1):
+                for letters in itertools.product(range(1, n), repeat=l):
+                    expected = slow_brute_count(letters, n, perms, q)
+                    assert [brute_count(make_word(n, letters), p, q) for p in perms] == expected, (n, letters, q)
 
 
-def test_brute_count_splits_the_last_digits(monkeypatch):
-    # with one row per chunk, more digits than n(n-1) are tested in blocks
+def test_brute_count_whole_word_in_the_mask():
+    # words no longer than k walk no letter: every point is a bit of the
+    # masks of the identity's rows; one letter longer walks one letter
+    for n, q, k in ((3, 2, 6), (3, 3, 3), (4, 4, 3), (4, 7, 2)):
+        perms = list(itertools.permutations(range(n)))
+        draw = random.Random(f"{n}:{q}")
+        for l in range(k + 2):
+            letters = tuple(draw.randint(1, n - 1) for _ in range(l))
+            expected = slow_brute_count(letters, n, perms, q)
+            assert [brute_count(make_word(n, letters), p, q) for p in perms] == expected, (n, letters, q)
+
+
+def test_brute_count_one_product_per_chunk(monkeypatch):
+    # with one product per chunk every level tests its digits one at a time
     monkeypatch.setattr(count, "_ROWS", 1)
-    perms = list(itertools.permutations(range(2)))
-    for l in range(4):
-        for q in (3, 5, 7):
-            expected = slow_brute_count((1,) * l, 2, perms, q)
-            assert [brute_count(make_word(2, (1,) * l), p, q) for p in perms] == expected, (l, q)
+    for n, q, max_len in ((2, 3, 6), (2, 5, 4), (2, 7, 4), (3, 3, 5)):
+        perms = list(itertools.permutations(range(n)))
+        draw = random.Random(f"{n}:{q}")
+        for l in range(max_len + 1):
+            letters = tuple(draw.randint(1, n - 1) for _ in range(l))
+            expected = slow_brute_count(letters, n, perms, q)
+            assert [brute_count(make_word(n, letters), p, q) for p in perms] == expected, (n, letters, q)
+
+
+def test_brute_count_table_budget():
+    # the letter tables are checked against the budget before they are built:
+    # B3: 1 2 at q = 5 has 25 points and (2 + 2) * 5 * 5^3 = 2500 entries
+    word = make_word(3, (1, 2))
+    expected = slow_brute_count((1, 2), 3, [longest_perm(3)], 5)[0]
+    assert brute_count(word, longest_perm(3), 5, budget=2500) == expected
+    with pytest.raises(BudgetExceeded, match=r"tables need 2500 entries for n = 3, q = 5, over the budget of 2499$"):
+        brute_count(word, longest_perm(3), 5, budget=2499)
+    with pytest.raises(BudgetExceeded, match=r"tables need 13935742 entries for n = 2, q = 191, over"):
+        brute_count(make_word(2, (1,)), longest_perm(2), 191, budget=10**6)
 
 
 def test_brute_count_past_the_row_chunk():
-    beta = parse_braid("B3: 1 2 1 2 1 2 1")
+    # the last 3 letters go into the mask, and 3^8 walked products pass the chunk
+    beta = parse_braid("B3: 1 2 1 2 1 2 1 2")
     gamma = append_half_twist(beta)
-    assert 3 ** len(gamma) > count._ROWS
+    assert 3 ** (len(gamma) - 3) > count._ROWS
     expected = slow_brute_count(gamma.letters, 3, [longest_perm(3)], 3)
     assert [brute_count(gamma, longest_perm(3), 3)] == expected
     assert expected == [point_count_polynomial(beta).eval(3)]
 
 
 def _brute_peak_bytes(word, q):
+    import numpy  # noqa: F401  (brute_count's first call imports it; keep that out of the peak)
+
     tracemalloc.start()
     try:
         brute_count(word, longest_perm(word.n), q)
