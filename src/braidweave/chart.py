@@ -53,7 +53,9 @@ B(word') . L' is the slide of L^T through the reversed word, transposed.
 The same transposed slide, run back onto all-zero values through the
 reversed half twist, solves L . B_Delta(u) . w0 = Id for the half-twist
 values u (``solve_half_twist``), which is how the direct route fills in the
-half-twist block.
+half-twist block.  A None entry of a slid factor is the identity's (1 on the
+diagonal, 0 off it): the vertex factors set only their block, the slide spends
+no ring operation on None and keeps it, and ``_dense`` fills in a kept factor.
 """
 from __future__ import annotations
 
@@ -103,7 +105,8 @@ def slide_left(u: MatrixExpr, letters, values, back: bool = False):
     Each letter i is handled in closed form, u' = B_i(z) u B_i(z')^{-1}:
     only rows and columns i, i+1 change, the diagonal entries i, i+1 swap
     and the (i, i+1) entry vanishes (z' is chosen for that), so a letter
-    costs O(n) entry edits.  The diagonal of u must not vanish.
+    costs O(n) entry edits.  The diagonal of u must not vanish.  A None
+    entry is the identity's (see the module docstring) and stays None.
     """
     out = MatrixExpr(u.rows)
     rows = out.rows
@@ -112,47 +115,52 @@ def slide_left(u: MatrixExpr, letters, values, back: bool = False):
         b = letters[k]
         a = b - 1
         ra, rb = rows[a], rows[b]
-        if back:
-            zp = values[k]
-            z = values[k] = (ra[a] * zp - ra[b]) / rb[b]
-        else:
-            z = values[k]
-            zp = values[k] = (rb[b] * z + ra[b]) / ra[a]
+        # z' = (u_bb z + u_ab) / u_aa, or back z = (u_aa z' - u_ab) / u_bb
+        m, e, d = (ra[a], ra[b], rb[b]) if back else (rb[b], ra[b], ra[a])
+        old = values[k]
+        new = old if m is None else m * old
+        if e is not None:
+            new = new - e if back else new + e
+        values[k] = new = new if d is None else new / d
+        z, zp = (new, old) if back else (old, new)
         for c in range(b + 1, u.n):
             x, y = ra[c], rb[c]
-            ra[c], rb[c] = y, (x if y.is_zero() else x + z * y)
+            zero = y is None or y.is_zero()
+            ra[c], rb[c] = y, (x if zero else z * y if x is None else x + z * y)
         for r in range(a):
             row = rows[r]
             x, y = row[a], row[b]
-            row[a], row[b] = (y if x.is_zero() else y - zp * x), x
+            zero = x is None or x.is_zero()
+            row[a], row[b] = (y if zero else -(zp * x) if y is None else y - zp * x), x
         # rb[a] is the zero below the diagonal; the (a, b) entry vanishes
         ra[a], ra[b], rb[b] = rb[b], rb[a], ra[a]
     return out, values
 
 
-def _identity(n: int, x) -> MatrixExpr:
-    """The n x n identity with entries of the value type of x."""
-    one, zero = x.const(1), x.const(0)
-    return MatrixExpr([[one if r == c else zero for c in range(n)] for r in range(n)])
-
-
 def trivalent_factor(n: int, letter: int, a) -> MatrixExpr:
     """The upper factor [[-1/a, 1],[0, a]] (block at letter) of a trivalent
-    vertex whose left input carries the value a."""
-    m = _identity(n, a)
-    i = letter
-    rows = m.rows
-    rows[i - 1][i - 1] = -a.inverse()
-    rows[i - 1][i] = a.const(1)
-    rows[i][i] = a
+    vertex whose left input carries the value a; None elsewhere (the
+    identity's entries)."""
+    m = MatrixExpr([[None] * n] * n)
+    ra, rb = m.rows[letter - 1], m.rows[letter]
+    ra[letter - 1], ra[letter], rb[letter] = -a.inverse(), a.const(1), a
     return m
 
 
 def cup_factor(n: int, letter: int, b) -> MatrixExpr:
-    """Id + b E_{i,i+1}: the factor of a cup whose surviving value is b."""
-    m = _identity(n, b)
+    """Id + b E_{i,i+1}: the factor of a cup whose surviving value is b;
+    None off that entry (the identity's entries)."""
+    m = MatrixExpr([[None] * n] * n)
     m.rows[letter - 1][letter] = b
     return m
+
+
+def _dense(m: MatrixExpr, one, zero) -> MatrixExpr:
+    """m with its None entries filled in: ``one`` on the diagonal, ``zero`` off it."""
+    return MatrixExpr(
+        [[(one if r == c else zero) if e is None else e for c, e in enumerate(row)]
+         for r, row in enumerate(m.rows)]
+    )
 
 
 @dataclass
@@ -197,6 +205,7 @@ def propagate_down(weave: Weave) -> Propagation:
     letters = list(weave.top.letters)
     bases = Bases()
     values = [Localized(LaurentPoly.variable(v), {}, bases, True) for v in weave.top.variables]
+    one, zero = (Localized(LaurentPoly.const(c), {}, bases, True) for c in (1, 0))
     inverted, vanishing, factors = [], [], []
     for ev in weave.events:
         p = ev.pos
@@ -207,20 +216,20 @@ def propagate_down(weave: Weave) -> Propagation:
             a = bases.unit(a)
             inverted.append(a.rational())
             factor = trivalent_factor(n, letters[p], a)
-            factor, values[:p] = slide_left(factor, letters[:p], values[:p])
             values[p : p + 2] = [b + a.inverse()]
             del letters[p + 1]
-            factors.append(factor)
         elif ev.kind == "cup":
             a, b = values[p], values[p + 1]
             vanishing.append(a.rational())
             factor = cup_factor(n, letters[p], b)
-            factor, values[:p] = slide_left(factor, letters[:p], values[:p])
             del values[p : p + 2]
             del letters[p : p + 2]
-            factors.append(factor)
         else:
             braid_move_in_place(letters, values, p, ev.kind)
+            continue
+        if p:
+            factor, values[:p] = slide_left(factor, letters[:p], values[:p])
+        factors.append(_dense(factor, one, zero))
     bottom_ids = tuple(var_id(f"_b{k + 1}") for k in range(len(letters)))
     bottom = BraidWord(n, tuple(letters), bottom_ids)
     return Propagation(bottom, inverted, vanishing, values, factors)
@@ -424,7 +433,6 @@ def chart_parametrize(weave: Weave) -> ChartMap:
             t = LaurentPoly.variable(var_id(unit_names[k]))
             unit_params.append(var_id(unit_names[k]))
             factor = trivalent_factor(n, letters[p], t)
-            _, values[:p] = slide_left(factor, letters[:p], values[:p], back=True)
             values[p : p + 1] = [t, values[p] - t.inverse()]
             letters[p : p + 1] = [letters[p], letters[p]]
         elif ev.kind == "cup":
@@ -432,12 +440,14 @@ def chart_parametrize(weave: Weave) -> ChartMap:
             a = LaurentPoly.variable(var_id(affine_names[k]))
             affine_params.append(var_id(affine_names[k]))
             factor = cup_factor(n, letter, a)
-            _, values[:p] = slide_left(factor, letters[:p], values[:p], back=True)
             values[p:p] = [zero, a]
             letters[p:p] = [letter, letter]
         else:
             # the event maps slice k to slice k+1; the same move undoes it
             braid_move_in_place(letters, values, p, ev.kind)
+            continue
+        if p:
+            _, values[:p] = slide_left(factor, letters[:p], values[:p], back=True)
     if tuple(letters) != weave.top.letters:
         raise PatternMismatch("upward pass did not restore the top word")
     unit_params.reverse()
@@ -487,14 +497,16 @@ def _opening_slides(n: int, i: int, t, letters, values, p: int, back: bool = Fal
     the word it sat in at 0-based position p (``letters`` and ``values``
     without it): the trivalent factor T_i = U_i D_i left through letters[:p],
     and L_i right through letters[p:], as the transposed slide on the
-    reversed suffix.  Returns the new values and the lower-triangular factor
-    that leaves the right end; with ``back`` the values given are the new
-    ones and the old ones are returned, with the same factor."""
-    _, head = slide_left(trivalent_factor(n, i, t), letters[:p], values[:p], back)
-    low, tail = slide_left(
-        cup_factor(n, i, t.inverse()), letters[p:][::-1], values[p:][::-1], back
-    )
-    return head + tail[::-1], low.transpose()
+    reversed suffix.  Returns the new values and the transpose of the
+    lower-triangular factor that leaves the right end, sparse as the slide
+    leaves it; with ``back`` the values given are the new ones and the old
+    ones are returned, with the same factor."""
+    head, tail, low = values[:p], values[p:][::-1], cup_factor(n, i, t.inverse())
+    if p:
+        _, head = slide_left(trivalent_factor(n, i, t), letters[:p], head, back)
+    if tail:
+        low, tail = slide_left(low, letters[p:][::-1], tail, back)
+    return head + tail[::-1], low
 
 
 def open_crossing(word: BraidWord, pos: int):
@@ -533,7 +545,7 @@ def open_crossing(word: BraidWord, pos: int):
     new_values, low = _opening_slides(
         n, word.letters[pos], zvals[pos], new_letters, zvals[:pos] + zvals[pos + 1 :], pos
     )
-    new_lower = low * lower
+    new_lower = _dense(low, one, zero).transpose() * lower
     if not new_lower.is_lower_triangular():
         raise PatternMismatch("opening left the c matrix not lower triangular")
 
@@ -546,8 +558,9 @@ def open_crossing(word: BraidWord, pos: int):
 
 def _ldu_restore(beta: BraidWord, order):
     """beta's values in the unit parameters s_r, and the lower factor each
-    undone opening moves into the c matrix, in the order undone: the
-    openings run backwards from the base point."""
+    undone opening moves into the c matrix, in the order undone and as
+    ``_opening_slides`` leaves it (transposed): the openings run backwards
+    from the base point."""
     n = beta.n
     # state after all openings: empty word, c matrix = Id
     letters: list[int] = []
@@ -600,9 +613,15 @@ def ldu_chart(beta: BraidWord, order) -> ChartMap:
     """
     order = check_opening_order(beta, order)
     values, lows = _ldu_restore(beta, order)
-    lower = _identity(beta.n, LaurentPoly.zero())  # inverse of the c matrix
+    # the c matrix's inverse is the product of the lows' transposes: fold its transpose
+    n, zero = beta.n, LaurentPoly.zero()
+    upper = [[_ONE if r == c else zero for c in range(n)] for r in range(n)]
     for low in lows:
-        lower = lower * low
+        for r, row in enumerate(low.rows):
+            for c in range(r + 1, n):
+                products = (row[k] * upper[k][c] for k in range(r + 1, c + 1) if row[k] is not None)
+                upper[r][c] = sum(products, upper[r][c])
+    lower = MatrixExpr(upper).transpose()
     bd = append_half_twist(beta)
     values += solve_half_twist(lower)
     return ChartMap(
@@ -628,9 +647,9 @@ def solve_half_twist(lower: MatrixExpr) -> list:
     """
     n = lower.n
     letters = half_twist_letters(n)[::-1]
-    zeros = [lower[0, 0].const(0)] * len(letters)
-    rest, v = slide_left(lower.transpose(), letters, zeros, back=True)
-    if not lower.is_lower_triangular() or rest != _identity(n, lower[0, 0]):
+    one, zero = lower[0, 0].const(1), lower[0, 0].const(0)
+    rest, v = slide_left(lower.transpose(), letters, [zero] * len(letters), back=True)
+    if not lower.is_lower_triangular() or rest != _dense(MatrixExpr([[None] * n] * n), one, zero):
         raise PatternMismatch("the c matrix is not lower uni-triangular")
     return v[::-1]
 

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from math import prod
 
-from .ring import DomainError, RationalExpr, gauss_jordan, var_id
+from .ring import _ONE, DomainError, LaurentPoly, RationalExpr, _make, var_id
 from .braid import BraidWord, PatternMismatch, append_half_twist, check_opening_order, times_letter
 from .chart import ChartMap, _ldu_restore, _ldu_units, ldu_chart
 from .weave import EVENT_SHAPES, Weave, merge_intervals
@@ -399,16 +399,24 @@ def _normalizing_exponents(values, rows):
 
 
 def _integer_inverse(mat):
-    """The inverse of a unimodular integer matrix, from the reduction of
-    [mat | Id]: mat is invertible exactly when the pivots are its own
-    columns."""
+    """The inverse of a unimodular integer matrix by fraction-free (Bareiss)
+    Gauss-Jordan on [mat | Id]: each division by the previous pivot d is
+    exact, and the end is [d Id | d mat^-1] with d = +-det(mat)."""
     size = len(mat)
-    augmented = [row + [int(i == j) for j in range(size)] for i, row in enumerate(mat)]
-    a, pivots = gauss_jordan(augmented)
-    inv = [row[size:] for row in a]
-    if pivots != list(range(size)) or any(x.denominator != 1 for row in inv for x in row):
+    m = [list(row) + [int(i == j) for j in range(size)] for i, row in enumerate(mat)]
+    d = 1
+    for k in range(size):
+        piv = next((r for r in range(k, size) if m[r][k]), None)
+        if piv is None:  # singular
+            d = 0
+            break
+        m[k], m[piv] = m[piv], m[k]
+        p, pivot = m[k][k], m[k]
+        m = [r if r is pivot else [(p * x - r[k] * y) // d for x, y in zip(r, pivot)] for r in m]
+        d = p
+    if d not in (1, -1):
         raise NotPolynomial("normalizing exponent matrix is not unimodular")
-    return [[int(x) for x in row] for row in inv]
+    return [[d * x for x in row[size:]] for row in m]
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +431,11 @@ def minor_pass(word: BraidWord, a: int) -> list[RationalExpr]:
         raise NotTwoStrand("minor coordinates are for 2-strand words")
     if not 1 <= a <= len(word) + 1:
         raise PatternMismatch(f"minor start {a} outside 1 <= a < b <= {len(word) + 2}")
-    row = [[RationalExpr.const(0), RationalExpr.const(1)]]
+    row = [[LaurentPoly.zero(), _ONE]]
     out = []
     for v in word.variables[a - 1 :]:
-        times_letter(row, 1, RationalExpr.variable(v))
-        out.append(row[0][1])
+        times_letter(row, 1, LaurentPoly.variable(v))
+        out.append(_make(row[0][1], _ONE))  # a polynomial: canonical over 1
     return out
 
 

@@ -42,6 +42,9 @@ then lexicographically by exponent vector.  This rendering is the golden-file
 format used by the tests and the CLI.
 
 All values are immutable after construction and all operations are pure.
+No code writes a ``LaurentPoly``'s term dict in place, so ``zero()``,
+``const(0)`` and ``const(1)`` are shared, ``+ 0`` and ``* 1`` return the other
+operand, and a product with a one-term integer operand is one monomial shift.
 """
 from __future__ import annotations
 
@@ -211,7 +214,7 @@ class LaurentPoly:
 
     ``_terms`` maps packed monomials to nonzero coefficients; ``terms`` is
     the same map keyed by ``(var_id, exponent)`` listings.  Instances are
-    treated as immutable.
+    immutable (see the module docstring).
     """
 
     __slots__ = ("_terms",)
@@ -231,15 +234,16 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls):
-        return cls({})
+        return _ZERO
 
     @classmethod
     def const(cls, c):
-        return cls({0: _coerce(c)})
+        c = _coerce(c)
+        return _ONE if c == 1 else _clean({0: c}) if c else _ZERO
 
     @classmethod
     def variable(cls, vid):
-        return cls({1 << (EXP_BITS * vid): 1})
+        return _clean({1 << (EXP_BITS * vid): 1})
 
     # predicates ---------------------------------------------------------
 
@@ -262,6 +266,8 @@ class LaurentPoly:
     # arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
+        if not self._terms or not other._terms:
+            return other if other._terms else self
         d = dict(self._terms)
         get = d.get
         for m, c in other._terms.items():
@@ -269,32 +275,40 @@ class LaurentPoly:
         return LaurentPoly(d)
 
     def __neg__(self):
-        return LaurentPoly({m: -c for m, c in self._terms.items()})
+        return _clean({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + (-other) if other._terms else self
 
     def __mul__(self, other):
+        t, u = self._terms, other._terms
+        if len(u) == 1 and (len(t) != 1 or 0 in u):
+            t, u, other = u, t, self
+        if len(t) == 1 and type(next(iter(t.values()))) is int:
+            # one monomial shift; times +-1 no term needs filtering
+            ((mono, c),) = t.items()
+            if c == 1 and not mono:
+                return other
+            d = {mono + m: c * cc for m, cc in u.items()}
+            return _clean(d) if c == 1 or c == -1 else LaurentPoly(d)
         d = {}
         get = d.get
-        right = other._terms.items()
-        for m1, c1 in self._terms.items():
+        right = u.items()
+        for m1, c1 in t.items():
             for m2, c2 in right:
                 m = m1 + m2
                 d[m] = get(m, 0) + c1 * c2
         return LaurentPoly(d)
 
     def scale(self, c):
-        c = _coerce(c)
-        return LaurentPoly({m: cc * c for m, cc in self._terms.items()} if c else {})
+        return self * LaurentPoly.const(c)
 
     def mul_monomial(self, mono, coeff=1):
         """Multiply by ``coeff`` times a monomial, packed or given as a
         ``(var_id, exponent)`` listing."""
         if not isinstance(mono, int):
             mono = mono_pack(mono)
-        coeff = _coerce(coeff)
-        return LaurentPoly({m + mono: c * coeff for m, c in self._terms.items()})
+        return self * LaurentPoly({mono: coeff})
 
     def inverse(self):
         """1/self for a one-term value; ``NonUnitDivisor`` otherwise."""
@@ -439,7 +453,14 @@ class LaurentPoly:
         return f"LaurentPoly({self.render()})"
 
 
-_ONE = LaurentPoly.const(1)
+def _clean(terms: dict) -> LaurentPoly:
+    """The LaurentPoly of a term dict with no zero and no integral Fraction."""
+    p = object.__new__(LaurentPoly)
+    p._terms = terms
+    return p
+
+
+_ZERO, _ONE = _clean({}), _clean({0: 1})
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from braidweave.braid import (
 )
 from braidweave.chart import (
     ChartMap,
+    _dense,
     _opening_slides,
     cup_factor,
     propagate_down,
@@ -96,7 +97,7 @@ def ldu_chart(beta, order) -> ChartMap:
         p = sum(1 for c in crossings if c < r)
         i = beta.letters[r - 1]
         values, low = _opening_slides(n, i, t, letters, values, p, back=True)
-        lower = lower * low
+        lower = lower * _dense(low, RationalExpr.const(1), RationalExpr.const(0)).transpose()
         letters.insert(p, i)
         crossings.insert(p, r)
         values.insert(p, t)

@@ -7,7 +7,7 @@ own; only the arithmetic differs, so every gcd the old pass ran runs here.
 from dataclasses import dataclass
 
 from braidweave.braid import BraidWord, PatternMismatch, braid_move_in_place
-from braidweave.chart import cup_factor, slide_left, trivalent_factor
+from braidweave.chart import _dense, cup_factor, slide_left, trivalent_factor
 from braidweave.ring import MatrixExpr, RationalExpr, var_id
 
 
@@ -21,9 +21,10 @@ class Propagation:
 
     @property
     def left_matrix(self) -> MatrixExpr:
+        one, zero = RationalExpr.const(1), RationalExpr.const(0)
         u = MatrixExpr.identity(self.bottom.n)
         for factor in self.factors:
-            u = u * factor
+            u = u * _dense(factor, one, zero)
         return u
 
 

@@ -38,7 +38,9 @@ from braidweave.chart import (
     trivalent_factor,
 )
 from braidweave.ring import (
+    Bases,
     LaurentPoly,
+    Localized,
     MatrixExpr,
     RationalExpr,
     const,
@@ -84,44 +86,94 @@ def generic_chain_slide(u, letters, values):
     return u, values
 
 
-def random_unit_upper(rng, n):
+def slide_pools(kind):
+    """Diagonal units, entries above the diagonal (often zero) and letter
+    values of one value type: ``RationalExpr``, or ``Localized`` over one
+    shared ``Bases`` in which 1 + y and 1 - x are inverted.  Each pool
+    holds the constants 0 and 1 as ring values."""
+    if kind == "rational":
+        x, y, w, z = (poly(v) for v in "xywz")
+        one, inv_1py, inv_1mx = const(1), (const(1) + y).inverse(), (const(1) - x).inverse()
+    else:
+        bases = Bases()
+        x, y, w, z = (Localized(LaurentPoly.variable(var_id(v)), {}, bases, True) for v in "xywz")
+        one = x.const(1)
+        inv_1py, inv_1mx = bases.unit(one + y).inverse(), bases.unit(one - x).inverse()
+    c = one.const
+    units = [one, c(-2), x, -y.inverse(), x * y, w * w * x.inverse()]
+    entries = [c(0)] * 4 + [one, c(3), x, y + w, x * inv_1py, x * y - one, w.inverse()]
+    values = [z, c(0), one, c(5), z + x, z * inv_1mx]
+    return units, entries, values
+
+
+def as_rational(m):
+    """A slide's matrix (None for the identity's entries) or value list as
+    canonical ``RationalExpr``s."""
+    if isinstance(m, list):
+        return [e if isinstance(e, RationalExpr) else e.rational() for e in m]
+    n = range(m.n)
+    fill = [[const(int(r == c)) if m[r, c] is None else m[r, c] for c in n] for r in n]
+    return MatrixExpr([as_rational(row) for row in fill])
+
+
+def random_unit_upper(rng, n, units=None, entries=None):
     """Upper-triangular matrix with unit diagonal entries (nonzero scalars
-    times Laurent monomials) and symbolic entries, often zero, above it."""
-    x, y, w = poly("x"), poly("y"), poly("w")
-    units = [const(1), const(-2), x, -y.inverse(), x * y, w**2 / x]
-    entries = [const(0)] * 4 + [const(3), x, y + w, x / (const(1) + y), x * y - const(1), w.inverse()]
-    rows = [[const(0)] * n for _ in range(n)]
+    times Laurent monomials) and symbolic entries, often zero, above it.
+    With pools given, about a third of the identity's entries (1 on the
+    diagonal, 0 off it) are None instead, as in a vertex factor."""
+    pools = units is not None
+    if not pools:
+        units, entries, _ = slide_pools("rational")
+    rows = [[entries[0]] * n for _ in range(n)]
     for r in range(n):
         rows[r][r] = rng.choice(units)
         for c in range(r + 1, n):
             rows[r][c] = rng.choice(entries)
+    if pools:
+        for r in range(n):
+            for c in range(n):
+                if rows[r][c] == (units[0] if r == c else entries[0]) and rng.random() < 0.35:
+                    rows[r][c] = None
     return MatrixExpr(rows)
 
 
 def test_slide_left_matches_generic_product():
+    # every value type the passes slide, identity entries held as None or as
+    # ring constants, and the exact vertex factor shapes, against the
+    # generic product B_i(z) U B_i(z')^-1 over RationalExpr
     rng = random.Random(11)
-    z, x = poly("z"), poly("x")
-    values = [z, const(0), const(5), z + x, z / (const(1) - x)]
-    for n in range(2, 6):
-        for length in range(1, 4):
-            for _ in range(6):
-                letters = [rng.randrange(1, n) for _ in range(length)]
-                vals = [rng.choice(values) for _ in letters]
-                u = random_unit_upper(rng, n)
-                want, slid = generic_chain_slide(u, letters, vals)
-                assert want.is_upper_triangular()
-                assert slide_left(u, letters, vals) == (want, slid)
-                assert slide_left(u, letters, slid, back=True) == (want, vals)
-                # a lower-triangular L slides right by the transposed slide on
-                # the reversed word: L B(word) = B(word') L'
-                low = random_unit_upper(rng, n).transpose()
-                low_t, rev = slide_left(low.transpose(), letters[::-1], vals[::-1])
-                word = make_word(n, letters)
-                assert low_t.transpose().is_lower_triangular()
-                lhs = low * braid_matrix(word, vals)
-                assert lhs == braid_matrix(word, rev[::-1]) * low_t.transpose()
-                back_t, back = slide_left(low.transpose(), letters[::-1], rev, back=True)
-                assert back_t == low_t and back == vals[::-1]
+    for kind in ("rational", "localized"):
+        units, entries, values = slide_pools(kind)
+        for n in range(2, 6):
+            for length in range(4):
+                for _ in range(3):
+                    letters = [rng.randrange(1, n) for _ in range(length)]
+                    vals = [rng.choice(values) for _ in letters]
+                    i = rng.randrange(1, n)
+                    for u in (
+                        random_unit_upper(rng, n, units, entries),
+                        trivalent_factor(n, i, rng.choice(units)),
+                        cup_factor(n, i, rng.choice(entries + [units[0]])),
+                    ):
+                        want, slid = generic_chain_slide(as_rational(u), letters, as_rational(vals))
+                        assert want.is_upper_triangular()
+                        got, got_vals = slide_left(u, letters, vals)
+                        assert (as_rational(got), as_rational(got_vals)) == (want, slid)
+                        back, back_vals = slide_left(u, letters, got_vals, back=True)
+                        assert as_rational(back) == want
+                        assert as_rational(back_vals) == as_rational(vals)
+                    # a lower-triangular L slides right by the transposed slide on
+                    # the reversed word: L B(word) = B(word') L'
+                    low = random_unit_upper(rng, n, units, entries).transpose()
+                    low_t, rev = slide_left(low.transpose(), letters[::-1], vals[::-1])
+                    word = make_word(n, letters)
+                    low_slid = as_rational(low_t).transpose()
+                    assert low_slid.is_lower_triangular()
+                    lhs = as_rational(low) * braid_matrix(word, as_rational(vals))
+                    assert lhs == braid_matrix(word, as_rational(rev[::-1])) * low_slid
+                    back_t, back = slide_left(low.transpose(), letters[::-1], rev, back=True)
+                    assert as_rational(back_t) == as_rational(low_t)
+                    assert as_rational(back) == as_rational(vals[::-1])
 
 
 def test_braid_matrix_is_trivalent_factor_times_lower():
@@ -130,8 +182,9 @@ def test_braid_matrix_is_trivalent_factor_times_lower():
     z = poly("z")
     for n in range(2, 6):
         for i in range(1, n):
-            lower = cup_factor(n, i, z.inverse()).transpose()
-            assert elementary_braid_matrix(n, i, z) == trivalent_factor(n, i, z) * lower
+            lower = as_rational(cup_factor(n, i, z.inverse())).transpose()
+            upper = as_rational(trivalent_factor(n, i, z))
+            assert elementary_braid_matrix(n, i, z) == upper * lower
 
 
 def test_propagate_trivalent_rule():
@@ -471,7 +524,7 @@ def test_ldu_matches_weave_charts_six_and_seven_strands():
 
 
 def test_chart_properties_on_random_words():
-    hypothesis = pytest.importorskip("hypothesis")
+    hypothesis = pytest.importorskip("hypothesis", exc_type=ImportError)
     st = hypothesis.strategies
 
     @st.composite
@@ -690,7 +743,7 @@ def test_charts_adjacent_stops_at_a_second_core(monkeypatch):
 def test_certified_exchange_binomials_are_irreducible(monkeypatch):
     # every core that charts_adjacent certifies on the mutation graphs of
     # three words is irreducible over Q, by sympy's factorisation
-    sympy = pytest.importorskip("sympy")
+    sympy = pytest.importorskip("sympy", exc_type=ImportError)
     from braidweave import chart, cli
     from braidweave.weave import mutation_graph
 

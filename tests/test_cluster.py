@@ -1,10 +1,14 @@
 """Cluster coordinates: cycle bases, path pairings, A-coordinates, quivers."""
+import random
+
 import pytest
 
 from braidweave.braid import make_word, parse_braid
 from braidweave.cluster import (
+    NotPolynomial,
     NotTwoStrand,
     WeaveCycle,
+    _integer_inverse,
     a_coordinates,
     d4_quiver,
     edge_graph,
@@ -22,7 +26,7 @@ from braidweave.cluster import (
     s_paths,
     y_cycle_candidates,
 )
-from braidweave.ring import poly, var_id, var_name
+from braidweave.ring import gauss_jordan, poly, var_id, var_name
 from braidweave.weave import Weave, WeaveEvent, weave_from_opening_order
 
 BETA27 = parse_braid("B2: 1 1 1 1 1 1 1")
@@ -395,3 +399,45 @@ def test_minor_range_is_checked():
     assert plucker(word, 1, 5) == z[1] + z[3] + z[1] * z[2] * z[3]
     assert plucker(word, 4, 5) == 1
     assert minor_pass(word, 4) == []
+
+
+def _random_unimodular(rng, size):
+    """A product of elementary integer matrices: row additions, swaps and
+    sign changes, so the determinant is +-1."""
+    m = [[int(i == j) for j in range(size)] for i in range(size)]
+    for _ in range(3 * size):
+        i, j = rng.randrange(size), rng.randrange(size)
+        kind = rng.randrange(3) if i != j else 2
+        if kind == 0:
+            f = rng.choice([-3, -2, -1, 1, 2, 3])
+            m[i] = [x + f * y for x, y in zip(m[i], m[j])]
+        elif kind == 1:
+            m[i], m[j] = m[j], m[i]
+        else:
+            m[i] = [-x for x in m[i]]
+    return m
+
+
+def test_integer_inverse_matches_gauss_jordan():
+    # the oracle is the Gauss-Jordan reduction over Fractions; singular and
+    # non-unimodular matrices raise the domain error, even under python -O
+    rng = random.Random(34)
+    for size in range(1, 11):
+        for _ in range(6):
+            mat = _random_unimodular(rng, size)
+            augmented = [row + [int(i == j) for j in range(size)] for i, row in enumerate(mat)]
+            reduced, pivots = gauss_jordan(augmented)
+            assert pivots == list(range(size))
+            inv = _integer_inverse(mat)
+            assert inv == [[int(x) for x in row[size:]] for row in reduced]
+            assert all(type(x) is int for row in inv for x in row)
+            # singular: one row a multiple of another; non-unimodular: a row doubled
+            i, j = rng.sample(range(size), 2) if size > 1 else (0, 0)
+            singular = [list(row) for row in mat]
+            singular[i] = [2 * x for x in mat[j]] if i != j else [0] * size
+            doubled = [list(row) for row in mat]
+            doubled[i] = [2 * x for x in mat[i]]
+            for bad in (singular, doubled):
+                with pytest.raises(NotPolynomial):
+                    _integer_inverse(bad)
+    assert _integer_inverse([]) == []

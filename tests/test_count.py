@@ -327,7 +327,7 @@ def test_equal_words_share_one_node():
 
 
 def test_count_polynomial_properties():
-    hypothesis = pytest.importorskip("hypothesis")
+    hypothesis = pytest.importorskip("hypothesis", exc_type=ImportError)
     st = hypothesis.strategies
 
     @st.composite

@@ -376,7 +376,7 @@ def test_gcd_aware_arithmetic_matches_general_constructor():
 
 
 def test_gcd_aware_arithmetic_matches_sympy_cancel():
-    sympy = pytest.importorskip("sympy")
+    sympy = pytest.importorskip("sympy", exc_type=ImportError)
     syms = sympy.symbols("z1 z2 z3")
     table = {str(s): s for s in syms}
 
@@ -551,3 +551,79 @@ def test_localized_units_keep_integer_coefficients():
         assert unit.rational() == value.rational()
     half = bases.unit(z.const(2) * z + z.const(4)).inverse()
     assert half.num.terms == {(): Fraction(1, 2)}
+
+
+def _plain_terms(d):
+    """A term dict cleaned the slow way: zeros dropped, integral Fractions
+    made ints."""
+    return {m: int(c) if Fraction(c).denominator == 1 else c for m, c in d.items() if c}
+
+
+def _assert_clean(p):
+    for c in p._terms.values():
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def test_laurent_fast_paths_match_term_loops():
+    # sums with 0, products with 0, 1, -1 and one-term operands, negation,
+    # scaling and monomial shifts against the plain term-dict loops; the
+    # half coefficients make products whose Fractions turn integral
+    rng = random.Random(34)
+    x_id, y_id = var_id("x"), var_id("y")
+    coeffs = [1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)]
+
+    def draw():
+        kind = rng.randrange(6)
+        if kind == 0:
+            return rng.choice([LaurentPoly.zero(), LaurentPoly.const(1), LaurentPoly.const(-1)])
+        d = {}
+        for _ in range(1 if kind < 3 else rng.randrange(2, 5)):
+            mono = ring.mono_pack([(x_id, rng.randrange(-2, 3)), (y_id, rng.randrange(-2, 3))])
+            d[mono] = rng.choice(coeffs[:4] if kind == 1 else coeffs)
+        return LaurentPoly(d)
+
+    for _ in range(400):
+        a, b = draw(), draw()
+        ta, tb = a._terms, b._terms
+        prod, total, diff = {}, dict(ta), dict(ta)
+        for m1, c1 in ta.items():
+            for m2, c2 in tb.items():
+                prod[m1 + m2] = prod.get(m1 + m2, 0) + c1 * c2
+        for m, c in tb.items():
+            total[m] = total.get(m, 0) + c
+            diff[m] = diff.get(m, 0) - c
+        s = rng.choice([0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+        shift = ring.mono_pack([(x_id, rng.randrange(-2, 3))])
+        cases = [
+            (a * b, prod),
+            (b * a, prod),
+            (a + b, total),
+            (a - b, diff),
+            (-a, {m: -c for m, c in ta.items()}),
+            (a.scale(s), {m: c * s for m, c in ta.items()}),
+            (a.mul_monomial(shift, s), {m + shift: c * s for m, c in ta.items()}),
+        ]
+        for got, want in cases:
+            assert got._terms == _plain_terms(want), (a, b)
+            _assert_clean(got)
+    x, one = LaurentPoly.variable(x_id), LaurentPoly.const(1)
+    assert (x * one) is x and (one * x) is x and (x + LaurentPoly.zero()) is x
+    assert LaurentPoly.const(Fraction(2, 2)) is one and LaurentPoly.const(0) is LaurentPoly.zero()
+
+
+def test_shared_constants_survive_commands():
+    # the constants are shared, so an operation that wrote a term dict in
+    # place would show here after a few commands
+    import io
+
+    from braidweave import cli
+
+    for argv in (
+        ["chart", "--braid", "B3: 1 2 1 2 1 2", "--mellit"],
+        ["cluster", "--braid", "B2: 1 1 1 1 1", "--order", "4 5 1 3 2"],
+        ["mutation-graph", "--braid", "B2: 1 1 1 1"],
+    ):
+        assert cli.run(argv, out=io.StringIO()) == 0, argv
+    assert LaurentPoly.zero()._terms == {} and LaurentPoly.const(1)._terms == {0: 1}
+    assert LaurentPoly.const(0) is LaurentPoly.zero()
