@@ -1,7 +1,8 @@
 """Correspondence semantics for weaves: downward variable propagation with
 triangular-matrix sliding, upward toric-chart parametrization, the direct
 (factor-and-slide) route for opening crossings, the Mellit opening order,
-and comparison of the induced rational maps.
+comparison of the induced rational maps, and the mutation-graph edge
+certificate.
 
 The elementary identities, with ``B_i(z)`` the braid matrix:
 
@@ -35,9 +36,11 @@ unit parameters, so they run on bare ``LaurentPoly``; ``subs`` wraps each value
 as a ``RationalExpr`` over 1, already canonical.  The forward loop
 (``_ldu_units``) divides by the opened values and keeps them ``Localized``, as
 ``propagate_down``; its units, canonicalised, are the record
-(``_ldu_record``).  ``weave.mutation_graph`` keys every opening order by this
-record alone, so neither a weave nor the half twist is built for it, and
-``cluster.a_coordinates`` multiplies the units themselves.
+(``_ldu_record``), and ``cluster.a_coordinates`` multiplies the units
+themselves.  ``weave.mutation_graph`` keys every opening order by this record
+alone, so neither a weave nor the half twist is built for it: ``_ldu_records``
+opens each shared order prefix once, and ``keys_adjacent`` certifies an edge
+by pulling back key elements, not record parts.
 
 ``ldu_chart`` is the one route for the chart of an opening order: the CLI's
 ``chart``, ``cluster.normalized_chart`` and the form oracle all take it, and
@@ -358,41 +361,39 @@ def _certify(core: LaurentPoly, inner: ChartMap, outer: ChartMap) -> None:
     )
 
 
-def charts_adjacent(c1: ChartMap, c2: ChartMap) -> bool:
-    """Exact test that two toric charts of the same variety are one mutation
-    apart: each chart's defining non-vanishing conditions, pulled back
-    through the other's parametrization, must be units times powers of one
-    and the same non-monomial polynomial, so the two tori differ in a single
-    cluster variable.  That polynomial must be the exchange binomial
-    (``_certify``); any other single core raises ``NotExchangeBinomial``."""
-    if c1.top.letters != c2.top.letters:
-        return False
+def keys_adjacent(v1, v2) -> bool:
+    """Exact test that the charts of two classes are one mutation apart: in
+    each direction the elements of one class's key, pulled back through the
+    other's chart, must be units times powers of one non-monomial
+    polynomial, the exchange binomial (``_certify``; any other single core
+    raises ``NotExchangeBinomial``).  Each record part is a unit times
+    powers of its key's elements, so it pulls back to a unit times a power
+    of that irreducible core too.  v1 and v2 are (chart, key, memo)
+    triples; a memo holds, per element pulled back through its chart, the
+    normalised cores of the pullback's parts, or None when it vanishes."""
 
-    def one_core(inner: ChartMap, outer: ChartMap) -> bool:
+    def one_core(inner, memo, key, outer) -> bool:
         core, seen = None, set()
-        for e in outer.inverted:
-            for p in (e.num, e.den):
-                r = p.substitute(inner.subs)
-                if r.is_zero():
+        for x in key:
+            if x not in memo:
+                r = x.substitute(inner.subs)
+                memo[x] = None if r.is_zero() else {
+                    poly_gcd(part, LaurentPoly.zero()) for part in (r.num, r.den) if not part.is_monomial()
+                }
+            if memo[x] is None:
+                return False
+            for part in memo[x] - seen:
+                seen.add(part)
+                core = part if core is None else _common_core(core, part)
+                if core is None:  # a second coprime core
                     return False
-                for part in (r.num, r.den):
-                    if part.is_monomial():
-                        continue
-                    # normalised core: monomial factor and scalar stripped,
-                    # so associates compare equal
-                    part = poly_gcd(part, LaurentPoly.zero())
-                    if part in seen:
-                        continue
-                    seen.add(part)
-                    core = part if core is None else _common_core(core, part)
-                    if core is None:  # a second coprime core
-                        return False
         if core is None:
             return False
         _certify(core, inner, outer)
         return True
 
-    return one_core(c1, c2) and one_core(c2, c1)
+    (c1, k1, m1), (c2, k2, m2) = v1, v2
+    return one_core(c1, m1, k2, c2) and one_core(c2, m2, k1, c1)
 
 
 def chart_parametrize(weave: Weave) -> ChartMap:
@@ -578,6 +579,16 @@ def _ldu_restore(beta: BraidWord, order):
     return values, lows
 
 
+def _open_step(n: int, letters, values, p: int, bases: Bases):
+    """One forward opening: the letter at 0-based p is opened, its value made
+    a unit over ``bases`` (which may gain a base) and its factors slid out.
+    Returns the unit and the letters and values that remain."""
+    i, letters = letters[p], letters[:p] + letters[p + 1 :]
+    unit = bases.unit(values[p])
+    values, _ = _opening_slides(n, i, unit, letters, values[:p] + values[p + 1 :], p)
+    return unit, letters, values
+
+
 def _ldu_units(beta: BraidWord, order) -> list[Localized]:
     """The value of each opened letter, in the variables of beta, as the
     ``Localized`` unit the forward openings invert: a scalar times a Laurent
@@ -587,16 +598,35 @@ def _ldu_units(beta: BraidWord, order) -> list[Localized]:
     bases = Bases()
     values = [Localized(LaurentPoly.variable(v), {}, bases, True) for v in beta.variables]
     units = []
-    for r, p in zip(order, opening_positions(order)):
-        del letters[p]
-        units.append(bases.unit(values.pop(p)))
-        values, _ = _opening_slides(n, beta.letters[r - 1], units[-1], letters, values, p)
+    for p in opening_positions(order):
+        unit, letters, values = _open_step(n, letters, values, p, bases)
+        units.append(unit)
     return units
 
 
 def _ldu_record(beta: BraidWord, order) -> list[RationalExpr]:
     """The constraint record: ``_ldu_units`` in canonical form."""
     return [u.rational() for u in _ldu_units(beta, order)]
+
+
+def _ldu_records(beta: BraidWord) -> list[list[RationalExpr]]:
+    """``_ldu_record`` of every opening order, in ``itertools.permutations``
+    order, from one depth-first pass over the order prefixes: each prefix is
+    opened once, and the bases its last step appended are dropped on
+    backtrack, so every step sees the bases of its own prefix alone."""
+    bases, records = Bases(), []
+
+    def walk(letters, values, record):
+        if not letters:
+            records.append(record)
+        k = len(bases.powers)
+        for p in range(len(letters)):
+            unit, rest, after = _open_step(beta.n, letters, values, p, bases)
+            walk(rest, after, record + [unit.rational()])
+            del bases.powers[k:]
+
+    walk(list(beta.letters), [Localized(LaurentPoly.variable(v), {}, bases, True) for v in beta.variables], [])
+    return records
 
 
 def ldu_chart(beta: BraidWord, order) -> ChartMap:

@@ -49,12 +49,14 @@ operand, and a product with a one-term integer operand is one monomial shift.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, repeat
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import mul, or_
 
 
 class DomainError(Exception):
@@ -483,7 +485,8 @@ def _divide(a: dict, b: dict):
     first, a monomial order.  The remainder's monomials wait in a max-heap;
     an entry whose term has cancelled is skipped when it comes up."""
     mb = max(b)
-    inv = _coerce(Fraction(1) / b[mb])
+    lead = b[mb]
+    inv = lead if lead == 1 or lead == -1 else _coerce(Fraction(1) / lead)
     r, q = dict(a), {}
     heap = [-m for m in r]
     heapify(heap)
@@ -581,16 +584,38 @@ def _lift(image: dict, x: int, shift: int) -> dict:
     return out
 
 
+def _gcd_shortcut(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
+    """The gcd of two non-constant polynomials that no variable divides, when
+    their monomials alone show it, else None.  Equal operands are their own
+    gcd.  The gcd is 1 when a variable v of one operand is absent from the
+    other and one coefficient of the first, as a polynomial in v, is a single
+    term: a common factor is free of v, so by Gauss's lemma it divides that
+    monomial.  Exponents are nonnegative, so the fields of an OR of
+    monomials are nonzero at the variables that occur."""
+    if a == b:
+        return _normalize_gcd(a)
+    va, vb = ({v for v, _ in mono_decode(reduce(or_, p._terms))} for p in (a, b))
+    for p, own in ((a, va - vb), (b, vb - va)):
+        for v in own:
+            if 1 in Counter(m >> EXP_BITS * v & (_FIELD - 1) for m in p._terms).values():
+                return _ONE
+    return None
+
+
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Gcd over Q up to units, normalized: primitive with positive leading
     coefficient.  Laurent monomial factors are units and are stripped.
-    GCDHEU first; primitive Euclid when it fails."""
+    ``_gcd_shortcut`` answers equal operands and some coprime pairs from
+    their monomials alone; otherwise GCDHEU, and primitive Euclid when it
+    fails."""
     a, _ = a.monomial_normalized()
     b, _ = b.monomial_normalized()
     if a.is_zero() or b.is_zero():
         return _normalize_gcd(a + b)
     if a.is_constant() or b.is_constant():
         return LaurentPoly.const(1)
+    if (g := _gcd_shortcut(a, b)) is not None:
+        return g
     a, b = (p.scale(lcm(*(c.denominator for c in p._terms.values()))) for p in (a, b))
     h = _heu_gcd(a._terms, b._terms)
     return _normalize_gcd(LaurentPoly(h) if h else _prs_gcd(a, b))

@@ -728,11 +728,12 @@ def mutation_graph(beta: BraidWord) -> MutationGraph:
     elements, found by dict, are an edge.  For n = 2 the key is the set of
     ``merge_intervals``, the replay that ``cluster.i_cycle_basis`` reads too
     (class proxy: the binary-tree shape).  For n >= 3 it is
-    ``_record_keys`` of the direct route's constraint records (class proxy:
-    equality of the charts as subsets), and ``charts_adjacent`` certifies
-    every edge."""
+    ``_record_keys`` of the direct route's constraint records, all read in
+    one depth-first pass (``chart._ldu_records``; class proxy: equality of
+    the charts as subsets), and ``chart.keys_adjacent`` certifies every edge,
+    pulling each key element back through each vertex chart once."""
     # lazy import; chart depends on weave
-    from .chart import ChartMap, _ldu_record, _ldu_restore, charts_adjacent
+    from .chart import ChartMap, _ldu_records, _ldu_restore, keys_adjacent
 
     n = beta.n
     l = len(beta)
@@ -743,7 +744,7 @@ def mutation_graph(beta: BraidWord) -> MutationGraph:
     if n == 2:
         keys = [frozenset(merge_intervals(order)) for order in orders]
     else:
-        records = [_ldu_record(beta, order) for order in orders]
+        records = _ldu_records(beta)
         keys = _record_keys(records)
     classes = {}  # key -> index of its first order
     for k, (order, key) in enumerate(zip(orders, keys)):
@@ -760,12 +761,13 @@ def mutation_graph(beta: BraidWord) -> MutationGraph:
     reps = [orders[k] for k in firsts]
     if n == 2:
         return MutationGraph(reps, edges, "binary-tree shape")
-    charts = {}
+    vertices = {}  # class -> (beta-only chart, key, memo of pulled-back key elements)
     for i in {i for e in edges for i in e}:
         subs = {v: _make(x, _ONE) for v, x in zip(beta.variables, _ldu_restore(beta, reps[i])[0])}
-        charts[i] = ChartMap(beta, [], [], subs, inverted=records[firsts[i]], opened_crossings=list(reps[i]))
+        chart = ChartMap(beta, [], [], subs, inverted=records[firsts[i]], opened_crossings=list(reps[i]))
+        vertices[i] = (chart, keys[firsts[i]], {})
     for i, j in sorted(edges):
-        if not charts_adjacent(charts[i], charts[j]):
+        if not keys_adjacent(vertices[i], vertices[j]):
             a, b = (" ".join(map(str, reps[k])) for k in (i, j))
             raise PatternMismatch(
                 f"{beta.render()}: the keys of orders {a} and {b} differ in one element, "

@@ -7,13 +7,55 @@ without building a weave and looks the edges up in a dict.
 - Three or more strands: every opening order's weave is built and
   parametrised (``chart_parametrize``); its chart is compared with the chart
   of every class found so far (``charts_equal_as_subsets``), and every pair
-  of classes is tested with the exact ``charts_adjacent``.
+  of classes is tested with the exact ``charts_adjacent``, which pulls back
+  whole record parts where the graph's certificate
+  (``chart.keys_adjacent``) pulls back key elements.
 """
 import itertools
 
+from braidweave import chart
 from braidweave.braid import PatternMismatch
-from braidweave.chart import chart_parametrize, charts_adjacent, charts_equal_as_subsets
+from braidweave.chart import ChartMap, chart_parametrize, charts_equal_as_subsets
+from braidweave.ring import LaurentPoly, poly_gcd
 from braidweave.weave import all_orders, weave_from_opening_order
+
+
+def charts_adjacent(c1: ChartMap, c2: ChartMap) -> bool:
+    """Exact test that two toric charts of the same variety are one mutation
+    apart: each chart's defining non-vanishing conditions, pulled back
+    through the other's parametrization, must be units times powers of one
+    and the same non-monomial polynomial, so the two tori differ in a single
+    cluster variable.  That polynomial must be the exchange binomial
+    (``chart._certify``); any other single core raises
+    ``NotExchangeBinomial``."""
+    if c1.top.letters != c2.top.letters:
+        return False
+
+    def one_core(inner: ChartMap, outer: ChartMap) -> bool:
+        core, seen = None, set()
+        for e in outer.inverted:
+            for p in (e.num, e.den):
+                r = p.substitute(inner.subs)
+                if r.is_zero():
+                    return False
+                for part in (r.num, r.den):
+                    if part.is_monomial():
+                        continue
+                    # normalised core: monomial factor and scalar stripped,
+                    # so associates compare equal
+                    part = poly_gcd(part, LaurentPoly.zero())
+                    if part in seen:
+                        continue
+                    seen.add(part)
+                    core = part if core is None else chart._common_core(core, part)
+                    if core is None:  # a second coprime core
+                        return False
+        if core is None:
+            return False
+        chart._certify(core, inner, outer)
+        return True
+
+    return one_core(c1, c2) and one_core(c2, c1)
 
 
 def tree_shape(weave):

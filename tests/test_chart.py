@@ -23,9 +23,9 @@ from braidweave.chart import (
     NotExchangeBinomial,
     chart_parametrize,
     chart_satisfies_equations,
-    charts_adjacent,
     charts_equal_as_subsets,
     compare_extended,
+    keys_adjacent,
     ldu_chart,
     mellit_order,
     open_crossing,
@@ -50,7 +50,7 @@ from braidweave.ring import (
 )
 from braidweave.variety import variety_equations
 from braidweave.weave import Weave, WeaveEvent, weave_from_opening_order
-from mutation_oracle import tree_rotations, tree_shape
+from mutation_oracle import charts_adjacent, tree_rotations, tree_shape
 
 
 def test_slide_left_formula():
@@ -708,6 +708,36 @@ def test_charts_adjacent_core_basis():
     assert charts_adjacent(flat, _identity_chart(top, [1 + z1]))
     # charts of different varieties
     assert not charts_adjacent(c1, _identity_chart(parse_braid("B2: 1 1 1"), [z1, f]))
+
+
+def test_keys_adjacent_matches_charts_adjacent():
+    # the certificate over key elements, on the charts of the test above
+    # with each key the record's factors: it agrees with the test on whole
+    # record parts, raises the same error, and says no edge when there is no
+    # core or when a pullback vanishes
+    top = parse_braid("B2: 1 1")
+    z1, z2, t = poly("z1"), poly("z2"), poly("t1")
+    f = 1 + z1 * z2
+
+    def vertex(chart, *elements):
+        return chart, frozenset(e.num for e in elements), {}
+
+    c1 = _identity_chart(top, [z1, f])
+    c2 = _identity_chart(top, [z2, (2 + 2 * z1 * z2) ** 2 / z1, f**3 * z2])
+    assert keys_adjacent(vertex(c1, z1, f), vertex(c2, z1, z2, f))
+    bad = 1 + z1**2 * z2**2
+    with pytest.raises(NotExchangeBinomial, match=r"inverted \[z1, 1 \+ z1\*z2\]"):
+        keys_adjacent(vertex(c1, z1, f), vertex(_identity_chart(top, [z1, bad]), z1, bad))
+    flat = _identity_chart(top, [1 + t], subs={v: t for v in top.variables})
+    cases = [
+        (vertex(c1, z1, f), vertex(_identity_chart(top, [z1, 1 + z1, 1 + z2]), z1, 1 + z1, 1 + z2)),
+        (vertex(_identity_chart(top, [z1, z2]), z1, z2), vertex(_identity_chart(top, [z2]), z2)),
+        (vertex(flat, 1 + t), vertex(_identity_chart(top, [z1 - z2, 1 + z1]), z1 - z2, 1 + z1)),
+        (vertex(flat, 1 + t), vertex(_identity_chart(top, [1 + z1]), 1 + z1)),
+    ]
+    for v1, v2 in cases:
+        assert keys_adjacent(v1, v2) == charts_adjacent(v1[0], v2[0])
+    assert [keys_adjacent(v1, v2) for v1, v2 in cases] == [False, False, False, True]
 
 
 def test_charts_adjacent_stops_at_a_second_core(monkeypatch):

@@ -12,8 +12,9 @@ import pytest
 
 import braidweave
 from braidweave.braid import make_word, parse_braid
-from braidweave.chart import _ldu_record
-from braidweave.weave import BudgetExceeded, mutation_graph
+from braidweave.chart import _ldu_record, _ldu_records
+from braidweave.ring import Bases
+from braidweave.weave import BudgetExceeded, all_orders, mutation_graph
 
 import mutation_oracle
 
@@ -44,6 +45,27 @@ def test_mutation_graph_matches_the_quadratic_search(text):
         assert _ldu_record(beta, order) == chart.inverted, order
 
 
+@pytest.mark.parametrize("text", ORACLE_WORDS)
+def test_depth_first_records_match_every_order(text, monkeypatch):
+    # one pass over the order prefixes gives each order the record that
+    # opening it from scratch gives, in itertools.permutations order; a
+    # step sees only the bases of its own prefix, at most one per opening
+    beta = parse_braid(text)
+    unit = Bases.unit
+
+    def spy(bases, value):
+        assert len(bases.powers) < len(beta)
+        return unit(bases, value)
+
+    monkeypatch.setattr(Bases, "unit", spy)
+    records = _ldu_records(beta)
+    monkeypatch.undo()
+    orders = list(all_orders(len(beta)))
+    assert len(records) == len(orders)
+    for order, record in zip(orders, records):
+        assert record == _ldu_record(beta, order), order
+
+
 @pytest.mark.parametrize("l", range(1, 8))
 def test_two_strand_graph_matches_the_tree_rotations(l):
     # the same representative orders and edges as reading every order's
@@ -59,6 +81,7 @@ def test_two_strand_graph_builds_no_weave_and_no_record(monkeypatch):
 
     monkeypatch.setattr("braidweave.weave.weave_from_opening_order", fail)
     monkeypatch.setattr("braidweave.chart._ldu_record", fail)
+    monkeypatch.setattr("braidweave.chart._ldu_records", fail)
     g = mutation_graph(make_word(2, [1] * 5))
     assert (len(g.vertices), len(g.edges), g.proxy) == (42, 84, "binary-tree shape")
 
@@ -80,11 +103,11 @@ GUARDS = {
     ),
     "not-adjacent": (
         "from braidweave import chart\n"
-        "adjacent, calls = chart.charts_adjacent, []\n"
-        "def first_fails(c1, c2):\n"
+        "adjacent, calls = chart.keys_adjacent, []\n"
+        "def first_fails(v1, v2):\n"
         "    calls.append(1)\n"
-        "    return len(calls) > 1 and adjacent(c1, c2)\n"
-        "chart.charts_adjacent = first_fails\n",
+        "    return len(calls) > 1 and adjacent(v1, v2)\n"
+        "chart.keys_adjacent = first_fails\n",
         "B4: 2 2 2",
         "error: B4: 2 2 2: the keys of orders 1 2 3 and 1 3 2 differ in one element, "
         "but their charts are not adjacent\n",

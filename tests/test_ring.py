@@ -485,6 +485,68 @@ def test_gcd_fallback_matches_heuristic(monkeypatch):
     assert len(cases) > 15 and calls
 
 
+def _gcd_shortcut_cases():
+    """Seeded pairs (f*g, f*h) of true polynomials with int and Fraction
+    coefficients: f is 1 in about a third of them, g and h run over disjoint
+    or shared variable sets, and every tenth pair has equal operands."""
+    rng = random.Random(35)
+    vids = [var_id(f"z{k}") for k in range(1, 6)]
+
+    def rand(vs, terms):
+        out = LaurentPoly.const(rng.choice([0, 1, -2, Fraction(1, 3)]))
+        for _ in range(terms):
+            mono = [(v, rng.randrange(1, 3)) for v in sorted(rng.sample(vs, rng.randrange(1, len(vs) + 1)))]
+            out = out + LaurentPoly.const(rng.choice([1, -1, 2, Fraction(1, 2), Fraction(-3, 4)])).mul_monomial(mono)
+        return out
+
+    cases = []
+    for k in range(150):
+        shuffled = rng.sample(vids, len(vids))
+        if k % 2:  # g and h over disjoint variable sets
+            gv, hv = shuffled[:2], shuffled[2:4]
+        else:
+            gv = hv = shuffled[:3]
+        f = LaurentPoly.const(1) if k % 3 == 0 else rand(rng.sample(vids, 2), 2)
+        g, h = rand(gv, rng.randrange(1, 4)), rand(hv, rng.randrange(1, 4))
+        if not (f.is_zero() or g.is_zero() or h.is_zero()):
+            cases.append((f * g, f * g if k % 10 == 0 else f * h))
+    return cases
+
+
+def test_gcd_shortcut_matches_gcdheu(monkeypatch):
+    # equal operands and the coprime test on one operand's own variables
+    # answer without GCDHEU, and give the gcd that GCDHEU gives
+    cases = _gcd_shortcut_cases()
+    shortcut, answers = ring._gcd_shortcut, []
+
+    def spy(a, b):
+        out = shortcut(a, b)
+        answers.append(out)
+        return out
+
+    monkeypatch.setattr(ring, "_gcd_shortcut", spy)
+    fast = [poly_gcd(a, b) for a, b in cases]
+    monkeypatch.setattr(ring, "_gcd_shortcut", lambda a, b: None)
+    assert fast == [poly_gcd(a, b) for a, b in cases]
+    one = LaurentPoly.const(1)
+    assert sum(g == one for g in answers if g is not None) > 20
+    assert sum(g is not None and g != one for g in answers) > 10
+    assert sum(g is None for g in answers) > 20
+
+
+def test_gcd_shortcut_matches_sympy():
+    sympy = pytest.importorskip("sympy", exc_type=ImportError)
+    table = {f"z{k}": sympy.Symbol(f"z{k}") for k in range(1, 6)}
+
+    def to_sympy(p):
+        return sympy.sympify(p.render().replace("^", "**"), locals=table)
+
+    for a, b in _gcd_shortcut_cases():
+        # poly_gcd strips monomial factors, which are units
+        want = sympy.gcd(*(to_sympy(p.monomial_normalized()[0]) for p in (a, b)))
+        assert sympy.cancel(to_sympy(poly_gcd(a, b)) / want).is_number, (a, b)
+
+
 def test_exponents_that_overflow_a_field_are_refused():
     # a packed field holds exponents of absolute value below 2^31
     x = LaurentPoly.variable(var_id("z1"))
