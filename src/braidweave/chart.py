@@ -37,10 +37,10 @@ as a ``RationalExpr`` over 1, already canonical.  The forward loop
 (``_ldu_units``) divides by the opened values and keeps them ``Localized``, as
 ``propagate_down``; its units, canonicalised, are the record
 (``_ldu_record``), and ``cluster.a_coordinates`` multiplies the units
-themselves.  ``weave.mutation_graph`` keys every opening order by this record
-alone, so neither a weave nor the half twist is built for it: ``_ldu_records``
-opens each shared order prefix once, and ``keys_adjacent`` certifies an edge
-by pulling back key elements, not record parts.
+themselves.  ``weave.mutation_graph`` keys every opening order by its units
+alone, with no weave, half twist or canonical record: ``_ldu_keys`` opens each
+shared order prefix once, and ``keys_adjacent`` certifies an edge by
+evaluating key elements at the chart's values, not pulling back record parts.
 
 ``ldu_chart`` is the one route for the chart of an opening order: the CLI's
 ``chart``, ``cluster.normalized_chart`` and the form oracle all take it, and
@@ -76,6 +76,7 @@ from .ring import (
     Localized,
     MatrixExpr,
     RationalExpr,
+    mono_decode,
     poly_exact_div,
     poly_gcd,
     var_id,
@@ -339,52 +340,51 @@ def _common_core(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
     return None if f is None else _common_core(f, poly_exact_div(b, g))
 
 
-def _certify(core: LaurentPoly, inner: ChartMap, outer: ChartMap) -> None:
+def _certify(core: LaurentPoly, inner: str, outer: str) -> None:
     """Check that the single core of a chart pair is an exchange binomial
     c1*m1 + c2*m2 whose exponent difference m1/m2 is primitive (its entries
     have gcd 1).  A unimodular change of torus coordinates turns it into
     1 + y, up to a unit, so it is irreducible and the two tori differ in
-    exactly one hypersurface."""
+    exactly one hypersurface.  inner and outer name the charts."""
     if len(core.terms) == 2:
         a, b = (dict(m) for m in core.terms)
         if gcd(*(a.get(v, 0) - b.get(v, 0) for v in a.keys() | b.keys())) == 1:
             return
-
-    def label(c):
-        if c.opened_crossings is not None:
-            return "order " + " ".join(map(str, c.opened_crossings))
-        return "inverted [" + ", ".join(e.render() for e in c.inverted) + "]"
-
     raise NotExchangeBinomial(
-        f"charts ({label(inner)}) and ({label(outer)}) differ in {core.render()}, "
-        "which is not a primitive binomial"
+        f"charts ({inner}) and ({outer}) differ in {core.render()}, which is not a primitive binomial"
     )
 
 
-def keys_adjacent(v1, v2) -> bool:
+def keys_adjacent(v1, v2, elements) -> bool:
     """Exact test that the charts of two classes are one mutation apart: in
     each direction the elements of one class's key, pulled back through the
     other's chart, must be units times powers of one non-monomial
     polynomial, the exchange binomial (``_certify``; any other single core
     raises ``NotExchangeBinomial``).  Each record part is a unit times
     powers of its key's elements, so it pulls back to a unit times a power
-    of that irreducible core too.  v1 and v2 are (chart, key, memo)
-    triples; a memo holds, per element pulled back through its chart, the
-    normalised cores of the pullback's parts, or None when it vanishes."""
+    of that irreducible core too.  v1 and v2 are (powers, key, memo, label):
+    powers maps each variable to [1, x, x^2, ...] for its Laurent value x,
+    the key's ids of ``elements``, true polynomials, pull back by evaluation
+    with no gcd, and the memo maps each id to ``poly_gcd(pullback, 0)``."""
 
-    def one_core(inner, memo, key, outer) -> bool:
-        core, seen = None, set()
+    def one_core(powers, memo, key, inner, outer) -> bool:
+        core = None
         for x in key:
             if x not in memo:
-                r = x.substitute(inner.subs)
-                memo[x] = None if r.is_zero() else {
-                    poly_gcd(part, LaurentPoly.zero()) for part in (r.num, r.den) if not part.is_monomial()
-                }
-            if memo[x] is None:
+                r = LaurentPoly.zero()
+                for m, c in elements[x]._terms.items():
+                    t = LaurentPoly.const(c)
+                    for v, e in mono_decode(m):
+                        pw = powers[v]
+                        while len(pw) <= e:
+                            pw.append(pw[-1] * pw[1])
+                        t = t * pw[e]
+                    r = r + t
+                memo[x] = poly_gcd(r, LaurentPoly.zero())
+            if memo[x].is_zero():
                 return False
-            for part in memo[x] - seen:
-                seen.add(part)
-                core = part if core is None else _common_core(core, part)
+            if not memo[x].is_constant():
+                core = memo[x] if core is None else _common_core(core, memo[x])
                 if core is None:  # a second coprime core
                     return False
         if core is None:
@@ -392,8 +392,8 @@ def keys_adjacent(v1, v2) -> bool:
         _certify(core, inner, outer)
         return True
 
-    (c1, k1, m1), (c2, k2, m2) = v1, v2
-    return one_core(c1, m1, k2, c2) and one_core(c2, m2, k1, c1)
+    (p1, k1, m1, n1), (p2, k2, m2, n2) = v1, v2
+    return one_core(p1, m1, k2, n1, n2) and one_core(p2, m2, k1, n2, n1)
 
 
 def chart_parametrize(weave: Weave) -> ChartMap:
@@ -609,24 +609,47 @@ def _ldu_record(beta: BraidWord, order) -> list[RationalExpr]:
     return [u.rational() for u in _ldu_units(beta, order)]
 
 
-def _ldu_records(beta: BraidWord) -> list[list[RationalExpr]]:
-    """``_ldu_record`` of every opening order, in ``itertools.permutations``
-    order, from one depth-first pass over the order prefixes: each prefix is
-    opened once, and the bases its last step appended are dropped on
-    backtrack, so every step sees the bases of its own prefix alone."""
-    bases, records = Bases(), []
+def _separated(rows) -> bool:
+    """True when ``ring.coprime_base``'s refinement of parts with these
+    exponent vectors over pairwise coprime bases (gcd the componentwise
+    minimum, quotient the difference) ends in single bases to the first
+    power, that is when the bases' columns are distinct with gcd 1: min and
+    difference keep two proportional columns proportional and a column's
+    gcd dividing, and an element over two bases makes their columns
+    proportional.  A unit's signed vector stands for its num and den parts."""
+    columns = list(zip(*rows))
+    return all(gcd(*c) == 1 for c in columns) and len(set(columns)) == len(columns)
 
-    def walk(letters, values, record):
+
+def _ldu_keys(beta: BraidWord):
+    """(keys, elements): each opening order's key, in ``itertools.permutations``
+    order, as ids of ``elements``, read off its units in one depth-first pass
+    over the order prefixes that drops a step's new base on backtrack; None
+    when the keys may differ from ``weave._record_keys``.  A key holds its
+    units' monomials' variables (ids 0 .. l-1) and the bases with a nonzero
+    exponent in a unit (the next ids, one per value).  Over pairwise coprime
+    bases a record part is a monomial times powers of bases, so these are
+    the record keys when ``_separated`` holds too."""
+    l, index = len(beta), {v: k for k, v in enumerate(beta.variables)}
+    bases, ids, at, units, keys = Bases(), {}, [], set(), []
+
+    def walk(letters, values, key=frozenset()):
         if not letters:
-            records.append(record)
+            keys.append(key)
         k = len(bases.powers)
         for p in range(len(letters)):
             unit, rest, after = _open_step(beta.n, letters, values, p, bases)
-            walk(rest, after, record + [unit.rational()])
-            del bases.powers[k:]
+            if len(bases.powers) > k:
+                at.append(ids.setdefault(bases.powers[k][1], l + len(ids)))
+            units.add(exps := tuple(sorted((at[j], e) for j, e in unit.exps.items())))
+            walk(rest, after, key.union([index[v] for v in unit.num.variables()], [j for j, _ in exps]))
+            del bases.powers[k:], at[k:]
 
-    walk(list(beta.letters), [Localized(LaurentPoly.variable(v), {}, bases, True) for v in beta.variables], [])
-    return records
+    walk(list(beta.letters), [Localized(LaurentPoly.variable(v), {}, bases, True) for v in beta.variables])
+    found, rows = list(ids), [tuple(dict(u).get(j, 0) for j in range(l, l + len(ids))) for u in units]
+    if all(poly_gcd(a, b).is_constant() for k, a in enumerate(found) for b in found[:k]) and _separated(rows):
+        return keys, [LaurentPoly.variable(v) for v in beta.variables] + found
+    return None
 
 
 def ldu_chart(beta: BraidWord, order) -> ChartMap:

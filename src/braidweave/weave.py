@@ -45,7 +45,7 @@ from .braid import (
     reduced_word,
     stall_index,
 )
-from .ring import _ONE, DomainError, LaurentPoly, _divide, _make, coprime_base, mono_decode, poly_gcd
+from .ring import _ONE, DomainError, LaurentPoly, _divide, coprime_base, mono_decode, poly_gcd
 
 
 class BudgetExceeded(DomainError):
@@ -727,13 +727,13 @@ def mutation_graph(beta: BraidWord) -> MutationGraph:
     elements, each distinct key is a vertex, and two keys sharing l - 1
     elements, found by dict, are an edge.  For n = 2 the key is the set of
     ``merge_intervals``, the replay that ``cluster.i_cycle_basis`` reads too
-    (class proxy: the binary-tree shape).  For n >= 3 it is
-    ``_record_keys`` of the direct route's constraint records, all read in
-    one depth-first pass (``chart._ldu_records``; class proxy: equality of
-    the charts as subsets), and ``chart.keys_adjacent`` certifies every edge,
-    pulling each key element back through each vertex chart once."""
+    (class proxy: the binary-tree shape).  For n >= 3 it is ``_record_keys``
+    of the canonical records, read off the units of one depth-first pass
+    (``chart._ldu_keys``) when it can vouch for that (class proxy: equality
+    of the charts as subsets), and ``chart.keys_adjacent`` certifies every
+    edge, pulling each key element back through each vertex chart once."""
     # lazy import; chart depends on weave
-    from .chart import ChartMap, _ldu_records, _ldu_restore, keys_adjacent
+    from .chart import _ldu_keys, _ldu_record, _ldu_restore, keys_adjacent
 
     n = beta.n
     l = len(beta)
@@ -743,9 +743,12 @@ def mutation_graph(beta: BraidWord) -> MutationGraph:
     orders = list(all_orders(l))
     if n == 2:
         keys = [frozenset(merge_intervals(order)) for order in orders]
-    else:
-        records = _ldu_records(beta)
-        keys = _record_keys(records)
+    elif found := _ldu_keys(beta):
+        keys, elements = found
+    else:  # a soundness check failed: number the record keys' elements
+        ids, records = {}, [_ldu_record(beta, o) for o in orders]
+        keys = [frozenset(ids.setdefault(x, len(ids)) for x in key) for key in _record_keys(records)]
+        elements = list(ids)
     classes = {}  # key -> index of its first order
     for k, (order, key) in enumerate(zip(orders, keys)):
         if len(key) != l:
@@ -761,13 +764,12 @@ def mutation_graph(beta: BraidWord) -> MutationGraph:
     reps = [orders[k] for k in firsts]
     if n == 2:
         return MutationGraph(reps, edges, "binary-tree shape")
-    vertices = {}  # class -> (beta-only chart, key, memo of pulled-back key elements)
+    vertices = {}  # class -> (powers of its chart's values, key, memo of pulled-back key elements, label)
     for i in {i for e in edges for i in e}:
-        subs = {v: _make(x, _ONE) for v, x in zip(beta.variables, _ldu_restore(beta, reps[i])[0])}
-        chart = ChartMap(beta, [], [], subs, inverted=records[firsts[i]], opened_crossings=list(reps[i]))
-        vertices[i] = (chart, keys[firsts[i]], {})
+        powers = {v: [_ONE, x] for v, x in zip(beta.variables, _ldu_restore(beta, reps[i])[0])}
+        vertices[i] = (powers, keys[firsts[i]], {}, "order " + " ".join(map(str, reps[i])))
     for i, j in sorted(edges):
-        if not keys_adjacent(vertices[i], vertices[j]):
+        if not keys_adjacent(vertices[i], vertices[j], elements):
             a, b = (" ".join(map(str, reps[k])) for k in (i, j))
             raise PatternMismatch(
                 f"{beta.render()}: the keys of orders {a} and {b} differ in one element, "

@@ -10,13 +10,19 @@ without building a weave and looks the edges up in a dict.
   of classes is tested with the exact ``charts_adjacent``, which pulls back
   whole record parts where the graph's certificate
   (``chart.keys_adjacent``) pulls back key elements.
+- The keys: the graph reads each order's key off the units of one
+  depth-first pass (``chart._ldu_keys``).  ``_ldu_records`` is the same
+  pass with every unit canonicalised, the record of each order, and
+  ``weave._record_keys`` of those records is the key the units must give.
+  ``refine_exponents`` is ``ring.coprime_base``'s refinement run on
+  exponent vectors, which ``chart._separated`` decides without running it.
 """
 import itertools
 
 from braidweave import chart
 from braidweave.braid import PatternMismatch
-from braidweave.chart import ChartMap, chart_parametrize, charts_equal_as_subsets
-from braidweave.ring import LaurentPoly, poly_gcd
+from braidweave.chart import ChartMap, _open_step, chart_parametrize, charts_equal_as_subsets
+from braidweave.ring import Bases, LaurentPoly, Localized, poly_gcd
 from braidweave.weave import all_orders, weave_from_opening_order
 
 
@@ -52,10 +58,18 @@ def charts_adjacent(c1: ChartMap, c2: ChartMap) -> bool:
                         return False
         if core is None:
             return False
-        chart._certify(core, inner, outer)
+        chart._certify(core, label(inner), label(outer))
         return True
 
     return one_core(c1, c2) and one_core(c2, c1)
+
+
+def label(c: ChartMap) -> str:
+    """The chart's name in a ``NotExchangeBinomial`` error: its opening
+    order, or its record when it has none."""
+    if c.opened_crossings is not None:
+        return "order " + " ".join(map(str, c.opened_crossings))
+    return "inverted [" + ", ".join(e.render() for e in c.inverted) + "]"
 
 
 def tree_shape(weave):
@@ -121,3 +135,43 @@ def mutation_graph(beta):
         if charts_adjacent(class_charts[i], class_charts[j])
     }
     return class_orders, edges, charts
+
+
+def _ldu_records(beta):
+    """``chart._ldu_record`` of every opening order, in
+    ``itertools.permutations`` order, from one depth-first pass over the
+    order prefixes: each prefix is opened once, and the bases its last step
+    appended are dropped on backtrack, so every step sees the bases of its
+    own prefix alone."""
+    bases, records = Bases(), []
+
+    def walk(letters, values, record):
+        if not letters:
+            records.append(record)
+        k = len(bases.powers)
+        for p in range(len(letters)):
+            unit, rest, after = _open_step(beta.n, letters, values, p, bases)
+            walk(rest, after, record + [unit.rational()])
+            del bases.powers[k:]
+
+    walk(list(beta.letters), [Localized(LaurentPoly.variable(v), {}, bases, True) for v in beta.variables], [])
+    return records
+
+
+def refine_exponents(parts):
+    """``ring.coprime_base`` on exponent vectors over pairwise coprime bases:
+    the gcd of two vectors is their componentwise minimum and a quotient
+    their difference; the same steps in the same order."""
+    base, todo = [], list(dict.fromkeys(parts))
+    while todo:
+        p = todo.pop()
+        if not any(p):
+            continue
+        for k, b in enumerate(base):
+            g = tuple(map(min, p, b))
+            if any(g):
+                todo += [g] + [tuple(x - y for x, y in zip(q, g)) for q in (p, base.pop(k))]
+                break
+        else:
+            base.append(p)
+    return base

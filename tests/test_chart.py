@@ -712,32 +712,38 @@ def test_charts_adjacent_core_basis():
 
 def test_keys_adjacent_matches_charts_adjacent():
     # the certificate over key elements, on the charts of the test above
-    # with each key the record's factors: it agrees with the test on whole
-    # record parts, raises the same error, and says no edge when there is no
+    # with each key the record's factors and each vertex the powers of its
+    # chart's values: it agrees with the test on whole record parts, raises
+    # the same error, naming both orders, and says no edge when there is no
     # core or when a pullback vanishes
     top = parse_braid("B2: 1 1")
     z1, z2, t = poly("z1"), poly("z2"), poly("t1")
     f = 1 + z1 * z2
+    elements = []
 
-    def vertex(chart, *elements):
-        return chart, frozenset(e.num for e in elements), {}
+    def vertex(chart, label, *factors):
+        elements.extend(e.num for e in factors if e.num not in elements)
+        powers = {v: [LaurentPoly.const(1), x.num] for v, x in chart.subs.items()}
+        return powers, frozenset(elements.index(e.num) for e in factors), {}, label
 
     c1 = _identity_chart(top, [z1, f])
     c2 = _identity_chart(top, [z2, (2 + 2 * z1 * z2) ** 2 / z1, f**3 * z2])
-    assert keys_adjacent(vertex(c1, z1, f), vertex(c2, z1, z2, f))
+    assert keys_adjacent(vertex(c1, "order 1 2", z1, f), vertex(c2, "order 2 1", z1, z2, f), elements)
     bad = 1 + z1**2 * z2**2
-    with pytest.raises(NotExchangeBinomial, match=r"inverted \[z1, 1 \+ z1\*z2\]"):
-        keys_adjacent(vertex(c1, z1, f), vertex(_identity_chart(top, [z1, bad]), z1, bad))
-    flat = _identity_chart(top, [1 + t], subs={v: t for v in top.variables})
+    with pytest.raises(NotExchangeBinomial, match=r"\(order 1 2\) and \(order 2 1\) differ in 1 \+ z1\^2\*z2\^2"):
+        keys_adjacent(vertex(c1, "order 1 2", z1, f), vertex(_identity_chart(top, [z1, bad]), "order 2 1", z1, bad), elements)
+    flat = _identity_chart(top, [1 + z1], subs={v: t for v in top.variables})
     cases = [
-        (vertex(c1, z1, f), vertex(_identity_chart(top, [z1, 1 + z1, 1 + z2]), z1, 1 + z1, 1 + z2)),
-        (vertex(_identity_chart(top, [z1, z2]), z1, z2), vertex(_identity_chart(top, [z2]), z2)),
-        (vertex(flat, 1 + t), vertex(_identity_chart(top, [z1 - z2, 1 + z1]), z1 - z2, 1 + z1)),
-        (vertex(flat, 1 + t), vertex(_identity_chart(top, [1 + z1]), 1 + z1)),
+        ((c1, z1, f), (_identity_chart(top, [z1, 1 + z1, 1 + z2]), z1, 1 + z1, 1 + z2)),
+        ((_identity_chart(top, [z1, z2]), z1, z2), (_identity_chart(top, [z2]), z2)),
+        ((flat, 1 + z1), (_identity_chart(top, [z1 - z2, 1 + z1]), z1 - z2, 1 + z1)),
+        ((flat, 1 + z1), (_identity_chart(top, [1 + z1]), 1 + z1)),
     ]
-    for v1, v2 in cases:
-        assert keys_adjacent(v1, v2) == charts_adjacent(v1[0], v2[0])
-    assert [keys_adjacent(v1, v2) for v1, v2 in cases] == [False, False, False, True]
+    found = []
+    for (a, *ka), (b, *kb) in cases:
+        found.append(keys_adjacent(vertex(a, "a", *ka), vertex(b, "b", *kb), elements))
+        assert found[-1] == charts_adjacent(a, b)
+    assert found == [False, False, False, True]
 
 
 def test_charts_adjacent_stops_at_a_second_core(monkeypatch):

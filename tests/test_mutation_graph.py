@@ -1,10 +1,12 @@
 """Mutation graphs as exchange graphs: one key per opening order, edges
 looked up by key.  On two strands they are checked against the tree
-rotations of the orders' weaves; on three or more strands each edge is
-certified by exact chart adjacency, and they are checked against the
-quadratic search over weave charts."""
+rotations of the orders' weaves, and every edge is a quiver mutation; on
+three or more strands each edge is certified by exact chart adjacency, the
+keys read off the units are checked against the record keys, and the graphs
+against the quadratic search over weave charts."""
 import itertools
 import os
+import random
 import subprocess
 import sys
 
@@ -12,9 +14,10 @@ import pytest
 
 import braidweave
 from braidweave.braid import make_word, parse_braid
-from braidweave.chart import _ldu_record, _ldu_records
-from braidweave.ring import Bases
-from braidweave.weave import BudgetExceeded, all_orders, mutation_graph
+from braidweave.chart import _ldu_keys, _ldu_record, _separated
+from braidweave.cluster import i_cycle_basis, quiver, quiver_mutate
+from braidweave.ring import Bases, LaurentPoly, coprime_base, poly_gcd
+from braidweave.weave import BudgetExceeded, _record_keys, all_orders, merge_intervals, mutation_graph
 
 import mutation_oracle
 
@@ -29,6 +32,15 @@ ORACLE_WORDS = (
     + _words(3, 4)
     + ["B3: 1 1 1 1 1", "B3: 1 2 1 2 1", "B4: 1 2 3 1 2"]
 )
+
+# two random words for each n = 3..5 and length 4..6
+_rng = random.Random(1)
+SEEDED_WORDS = [
+    make_word(n, [_rng.randrange(1, n) for _ in range(length)]).render()
+    for n in (3, 4, 5)
+    for length in (4, 5, 6)
+    for _ in range(2)
+]
 
 
 @pytest.mark.parametrize("text", ORACLE_WORDS)
@@ -47,9 +59,10 @@ def test_mutation_graph_matches_the_quadratic_search(text):
 
 @pytest.mark.parametrize("text", ORACLE_WORDS)
 def test_depth_first_records_match_every_order(text, monkeypatch):
-    # one pass over the order prefixes gives each order the record that
-    # opening it from scratch gives, in itertools.permutations order; a
-    # step sees only the bases of its own prefix, at most one per opening
+    # one pass over the order prefixes gives each order, in
+    # itertools.permutations order, the key that _record_keys reads off the
+    # record of opening that order from scratch; a step sees only the bases
+    # of its own prefix, at most one per opening
     beta = parse_braid(text)
     unit = Bases.unit
 
@@ -58,12 +71,70 @@ def test_depth_first_records_match_every_order(text, monkeypatch):
         return unit(bases, value)
 
     monkeypatch.setattr(Bases, "unit", spy)
-    records = _ldu_records(beta)
+    keys, elements = _ldu_keys(beta)
+    records = mutation_oracle._ldu_records(beta)
     monkeypatch.undo()
-    orders = list(all_orders(len(beta)))
-    assert len(records) == len(orders)
-    for order, record in zip(orders, records):
-        assert record == _ldu_record(beta, order), order
+    assert records == [_ldu_record(beta, order) for order in all_orders(len(beta))]
+    assert [frozenset(elements[x] for x in key) for key in keys] == _record_keys(records)
+
+
+@pytest.mark.parametrize("text", SEEDED_WORDS)
+def test_unit_keys_are_the_record_keys(text):
+    # both soundness checks pass, and every order's unit key is its record
+    # key, element for element, so the two induce the same classes and edges
+    beta = parse_braid(text)
+    keys, elements = _ldu_keys(beta)
+    assert [frozenset(elements[x] for x in key) for key in keys] == _record_keys(mutation_oracle._ldu_records(beta))
+
+
+@pytest.mark.parametrize("text", ["B3: 1 2 1 2", "B4: 2 2 2", "B3: 1 1 1 1 1", "B4: 1 2 3 1 2"])
+def test_fallback_gives_the_same_graph(text, monkeypatch):
+    # when a soundness check fails the keys are _record_keys over the
+    # canonical records, with the same classes and edges
+    from braidweave import chart, weave
+
+    beta = parse_braid(text)
+    g = mutation_graph(beta)
+    calls = []
+    record_keys = weave._record_keys
+    monkeypatch.setattr(chart, "_separated", lambda parts: False)
+    monkeypatch.setattr(weave, "_record_keys", lambda records: calls.append(1) or record_keys(records))
+    assert _ldu_keys(beta) is None
+    fallback = mutation_graph(beta)
+    assert calls == [1]
+    assert (fallback.vertices, fallback.edges, fallback.proxy) == (g.vertices, g.edges, g.proxy)
+
+
+def test_separation_check():
+    # pairwise coprime bases are not enough: the parts b1*b2 and b1^2*b2^2
+    # have the single coprime base element b1*b2, while b1*b2^2 and b1^2*b2
+    # separate b1 from b2; on exponent vectors the refinement gives the same
+    b1, b2 = LaurentPoly.variable(1) + LaurentPoly.const(1), LaurentPoly.variable(2) + LaurentPoly.const(1)
+    assert poly_gcd(b1, b2).is_constant()
+    assert coprime_base([b1 * b2, (b1 * b2) ** 2]) == [b1 * b2]
+    assert mutation_oracle.refine_exponents([(1, 1), (2, 2)]) == [(1, 1)]
+    assert not _separated([(1, 1), (2, 2)])
+    assert set(coprime_base([b1 * b2 * b2, b1 * b1 * b2])) == {b1, b2}
+    assert set(mutation_oracle.refine_exponents([(1, 2), (2, 1)])) == {(1, 0), (0, 1)}
+    assert _separated([(1, 2), (2, 1)])
+
+
+def test_separation_check_matches_the_refinement():
+    # on random exponent vectors in which every base occurs, the column
+    # test says whether the refinement ends in single bases to the first
+    # power; a signed vector, a unit's, stands for its num and den parts
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(3000):
+        m = rng.randint(1, 4)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(rng.randint(1, 5))]
+        if not all(map(any, zip(*rows))):
+            continue
+        parts = [tuple(max(0, s * e) for e in row) for row in rows for s in (-1, 1)]
+        single = all(sum(b) == 1 for b in mutation_oracle.refine_exponents(parts))
+        assert _separated(rows) == _separated(parts) == single, rows
+        seen.add(single)
+    assert seen == {False, True}
 
 
 @pytest.mark.parametrize("l", range(1, 8))
@@ -81,9 +152,26 @@ def test_two_strand_graph_builds_no_weave_and_no_record(monkeypatch):
 
     monkeypatch.setattr("braidweave.weave.weave_from_opening_order", fail)
     monkeypatch.setattr("braidweave.chart._ldu_record", fail)
-    monkeypatch.setattr("braidweave.chart._ldu_records", fail)
+    monkeypatch.setattr("braidweave.chart._ldu_keys", fail)
     g = mutation_graph(make_word(2, [1] * 5))
     assert (len(g.vertices), len(g.edges), g.proxy) == (42, 84, "binary-tree shape")
+
+
+@pytest.mark.parametrize("l", range(1, 8))
+def test_two_strand_edges_are_quiver_mutations(l):
+    # on every edge the second order's intersection quiver is the first's
+    # mutated at the exchanged cycle, each cycle named by its merge interval
+    beta = make_word(2, [1] * l)
+    g = mutation_graph(beta)
+    for i, j in g.edges:
+        o1, o2 = g.vertices[i], g.vertices[j]
+        c1, c2 = (merge_intervals(o)[:-1] for o in (o1, o2))  # the basis omits the root
+        (k,) = [a for a, c in enumerate(c1) if c not in c2]
+        (new,) = [c for c in c2 if c not in c1]
+        where = [c2.index(new if a == k else c) for a, c in enumerate(c1)]
+        q2 = quiver(i_cycle_basis(beta, o2))
+        assert [[q2[a][b] for b in where] for a in where] == quiver_mutate(quiver(i_cycle_basis(beta, o1)), k)
+    assert len(g.edges) == [0, 1, 5, 21, 84, 330, 1287][l - 1]
 
 
 def test_mutation_graph_limit_for_three_strands():
@@ -95,18 +183,21 @@ def test_mutation_graph_limit_for_three_strands():
 # whose charts are not adjacent
 GUARDS = {
     "short-key": (
-        "from braidweave import weave\n"
-        "keys = weave._record_keys\n"
-        "weave._record_keys = lambda records: [frozenset(list(k)[1:]) for k in keys(records)]\n",
+        "from braidweave import chart\n"
+        "walk = chart._ldu_keys\n"
+        "def short(beta):\n"
+        "    keys, elements = walk(beta)\n"
+        "    return [frozenset(list(k)[1:]) for k in keys], elements\n"
+        "chart._ldu_keys = short\n",
         "B3: 1 2 1",
         "error: B3: 1 2 1: the key of order 1 2 3 has 2 elements, not 3\n",
     ),
     "not-adjacent": (
         "from braidweave import chart\n"
         "adjacent, calls = chart.keys_adjacent, []\n"
-        "def first_fails(v1, v2):\n"
+        "def first_fails(*args):\n"
         "    calls.append(1)\n"
-        "    return len(calls) > 1 and adjacent(v1, v2)\n"
+        "    return len(calls) > 1 and adjacent(*args)\n"
         "chart.keys_adjacent = first_fails\n",
         "B4: 2 2 2",
         "error: B4: 2 2 2: the keys of orders 1 2 3 and 1 3 2 differ in one element, "
