@@ -151,6 +151,19 @@ def perm_matrix(p) -> MatrixExpr:
     return MatrixExpr([[one if p[j] == i else zero for j in range(n)] for i in range(n)])
 
 
+def lower_c_matrix(n: int):
+    """The lower uni-triangular matrix L(c) of variables c{a}{b}, a > b, and
+    the id of each as {(a, b): id}, interned row by row."""
+    one, zero = RationalExpr.const(1), RationalExpr.const(0)
+    rows = [[one if r == c else zero for c in range(n)] for r in range(n)]
+    ids = {}
+    for a in range(2, n + 1):
+        for b in range(1, a):
+            ids[(a, b)] = var_id(f"c{a}{b}")
+            rows[a - 1][b - 1] = RationalExpr.variable(ids[(a, b)])
+    return MatrixExpr(rows), ids
+
+
 def render_perm(p) -> str:
     return "[" + " ".join(str(x + 1) for x in p) + "]"
 

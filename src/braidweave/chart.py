@@ -1,8 +1,8 @@
 """Correspondence semantics for weaves: downward variable propagation with
 triangular-matrix sliding, upward toric-chart parametrization, the direct
 (factor-and-slide) route for opening crossings, the Mellit opening order,
-comparison of the induced rational maps, and the mutation-graph edge
-certificate.
+comparison of the induced rational maps, and the mutation graph: its keys,
+its edge certificate and the graph itself.
 
 The elementary identities, with ``B_i(z)`` the braid matrix:
 
@@ -37,10 +37,12 @@ as a ``RationalExpr`` over 1, already canonical.  The forward loop
 (``_ldu_units``) divides by the opened values and keeps them ``Localized``, as
 ``propagate_down``; its units, canonicalised, are the record
 (``_ldu_record``), and ``cluster.a_coordinates`` multiplies the units
-themselves.  ``weave.mutation_graph`` keys every opening order by its units
-alone, with no weave, half twist or canonical record: ``_ldu_keys`` opens each
-shared order prefix once, and ``keys_adjacent`` certifies an edge by
-evaluating key elements at the chart's values, not pulling back record parts.
+themselves.  ``mutation_graph`` keys every opening order by its units alone,
+with no weave, half twist or canonical record: ``_ldu_keys`` opens each shared
+order prefix once and refuses a word whose bases it cannot vouch for, and
+``keys_adjacent`` certifies an edge by evaluating key elements at the chart's
+values, not pulling back record parts.  On two strands the key is the order's
+``weave.merge_intervals``.
 
 ``ldu_chart`` is the one route for the chart of an opening order: the CLI's
 ``chart``, ``cluster.normalized_chart`` and the form oracle all take it, and
@@ -62,6 +64,7 @@ no ring operation on None and keeps it, and ``_dense`` fills in a kept factor.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -93,11 +96,12 @@ from .braid import (
     exchange_index,
     half_twist_letters,
     longest_perm,
+    lower_c_matrix,
     opening_positions,
     perm_length,
     stall_index,
 )
-from .weave import Weave
+from .weave import BudgetExceeded, Weave, merge_intervals
 
 
 def slide_left(u: MatrixExpr, letters, values, back: bool = False):
@@ -531,15 +535,8 @@ def open_crossing(word: BraidWord, pos: int):
     zvals = word.var_exprs()
 
     # c coordinates as a symbolic lower uni-triangular matrix
+    lower, cvars = lower_c_matrix(n)
     one, zero = RationalExpr.const(1), RationalExpr.const(0)
-    rows = [[one if r == c else zero for c in range(n)] for r in range(n)]
-    cvars = {}
-    for a in range(2, n + 1):
-        for b in range(1, a):
-            vid = var_id(f"c{a}{b}")
-            cvars[(a, b)] = vid
-            rows[a - 1][b - 1] = RationalExpr.variable(vid)
-    lower = MatrixExpr(rows)
 
     new_letters = word.letters[:pos] + word.letters[pos + 1 :]
     new_vars = word.variables[:pos] + word.variables[pos + 1 :]
@@ -607,49 +604,6 @@ def _ldu_units(beta: BraidWord, order) -> list[Localized]:
 def _ldu_record(beta: BraidWord, order) -> list[RationalExpr]:
     """The constraint record: ``_ldu_units`` in canonical form."""
     return [u.rational() for u in _ldu_units(beta, order)]
-
-
-def _separated(rows) -> bool:
-    """True when ``ring.coprime_base``'s refinement of parts with these
-    exponent vectors over pairwise coprime bases (gcd the componentwise
-    minimum, quotient the difference) ends in single bases to the first
-    power, that is when the bases' columns are distinct with gcd 1: min and
-    difference keep two proportional columns proportional and a column's
-    gcd dividing, and an element over two bases makes their columns
-    proportional.  A unit's signed vector stands for its num and den parts."""
-    columns = list(zip(*rows))
-    return all(gcd(*c) == 1 for c in columns) and len(set(columns)) == len(columns)
-
-
-def _ldu_keys(beta: BraidWord):
-    """(keys, elements): each opening order's key, in ``itertools.permutations``
-    order, as ids of ``elements``, read off its units in one depth-first pass
-    over the order prefixes that drops a step's new base on backtrack; None
-    when the keys may differ from ``weave._record_keys``.  A key holds its
-    units' monomials' variables (ids 0 .. l-1) and the bases with a nonzero
-    exponent in a unit (the next ids, one per value).  Over pairwise coprime
-    bases a record part is a monomial times powers of bases, so these are
-    the record keys when ``_separated`` holds too."""
-    l, index = len(beta), {v: k for k, v in enumerate(beta.variables)}
-    bases, ids, at, units, keys = Bases(), {}, [], set(), []
-
-    def walk(letters, values, key=frozenset()):
-        if not letters:
-            keys.append(key)
-        k = len(bases.powers)
-        for p in range(len(letters)):
-            unit, rest, after = _open_step(beta.n, letters, values, p, bases)
-            if len(bases.powers) > k:
-                at.append(ids.setdefault(bases.powers[k][1], l + len(ids)))
-            units.add(exps := tuple(sorted((at[j], e) for j, e in unit.exps.items())))
-            walk(rest, after, key.union([index[v] for v in unit.num.variables()], [j for j, _ in exps]))
-            del bases.powers[k:], at[k:]
-
-    walk(list(beta.letters), [Localized(LaurentPoly.variable(v), {}, bases, True) for v in beta.variables])
-    found, rows = list(ids), [tuple(dict(u).get(j, 0) for j in range(l, l + len(ids))) for u in units]
-    if all(poly_gcd(a, b).is_constant() for k, a in enumerate(found) for b in found[:k]) and _separated(rows):
-        return keys, [LaurentPoly.variable(v) for v in beta.variables] + found
-    return None
 
 
 def ldu_chart(beta: BraidWord, order) -> ChartMap:
@@ -740,3 +694,129 @@ def mellit_order(beta: BraidWord):
         del letters[k - 1]
         del original[k - 1]
     return order
+
+
+# ---------------------------------------------------------------------------
+# mutation graph
+
+
+def _separated(rows) -> bool:
+    """True when the gcd-free basis refinement of parts with these exponent
+    vectors over pairwise coprime bases (gcd the componentwise minimum,
+    quotient the difference) ends in single bases to the first power, that
+    is when the bases' columns are distinct with gcd 1: min and difference
+    keep two proportional columns proportional and a column's gcd dividing,
+    and an element over two bases makes their columns proportional.  A
+    unit's signed vector stands for its num and den parts."""
+    columns = list(zip(*rows))
+    return all(gcd(*c) == 1 for c in columns) and len(set(columns)) == len(columns)
+
+
+def _ldu_keys(beta: BraidWord):
+    """(keys, elements): each opening order's key, in ``itertools.permutations``
+    order, as ids of ``elements``, read off its units in one depth-first pass
+    over the order prefixes that drops a step's new base on backtrack.  A key
+    holds its units' monomials' variables (ids 0 .. l-1) and the bases with a
+    nonzero exponent in a unit (the next ids, one per value).  Over pairwise
+    coprime bases a record part is a monomial times powers of bases, and when
+    ``_separated`` holds too each part is a unit times a product of its
+    key's elements, the record key: the variables of the parts' monomials
+    and the elements of the gcd-free basis of all records' parts that divide
+    one of them.  Otherwise it raises ``PatternMismatch``."""
+    l, index = len(beta), {v: k for k, v in enumerate(beta.variables)}
+    bases, ids, at, units, keys = Bases(), {}, [], set(), []
+
+    def walk(letters, values, key=frozenset()):
+        if not letters:
+            keys.append(key)
+        k = len(bases.powers)
+        for p in range(len(letters)):
+            unit, rest, after = _open_step(beta.n, letters, values, p, bases)
+            if len(bases.powers) > k:
+                at.append(ids.setdefault(bases.powers[k][1], l + len(ids)))
+            units.add(exps := tuple(sorted((at[j], e) for j, e in unit.exps.items())))
+            walk(rest, after, key.union([index[v] for v in unit.num.variables()], [j for j, _ in exps]))
+            del bases.powers[k:], at[k:]
+
+    walk(list(beta.letters), [Localized(LaurentPoly.variable(v), {}, bases, True) for v in beta.variables])
+    found, rows = list(ids), [tuple(dict(u).get(j, 0) for j in range(l, l + len(ids))) for u in units]
+    if all(poly_gcd(a, b).is_constant() for k, a in enumerate(found) for b in found[:k]) and _separated(rows):
+        return keys, [LaurentPoly.variable(v) for v in beta.variables] + found
+    raise PatternMismatch(
+        f"{beta.render()}: the bases of the opening units are not pairwise coprime and separated, "
+        "so the unit keys may not classify the charts"
+    )
+
+
+@dataclass
+class MutationGraph:
+    vertices: list  # class representatives (opening orders)
+    edges: set  # pairs of vertex indices
+    proxy: str
+
+    def render(self) -> str:
+        return f"vertices: {len(self.vertices)}\nedges: {len(self.edges)}\nproxy: {self.proxy}"
+
+    def dot(self) -> str:
+        """Deterministic DOT rendering: one node per class, numbered as
+        ``vertices``, one edge per mutation."""
+        lines = ["graph mutation_graph {"]
+        lines += [f'  v{i} [label="{i}"];' for i in range(len(self.vertices))]
+        lines += [f"  v{a} -- v{b};" for a, b in sorted(self.edges)]
+        lines.append("}")
+        return "\n".join(lines)
+
+
+# longest words whose mutation graphs are built: every opening order is tried
+MUTATION_GRAPH_MAX_LEN_2 = 8  # two strands
+MUTATION_GRAPH_MAX_LEN_3 = 6  # three or more strands
+
+
+def mutation_graph(beta: BraidWord) -> MutationGraph:
+    """Vertices: classes of Demazure weaves beta Delta -> Delta, each given
+    by its first opening order; edges: single mutations.  This is the
+    exchange graph, built without a weave: every order gets a key of l
+    elements, each distinct key is a vertex, and two keys sharing l - 1
+    elements, found by dict, are an edge.  For n = 2 the key is the set of
+    ``weave.merge_intervals``, the replay that ``cluster.i_cycle_basis``
+    reads too (class proxy: the binary-tree shape).  For n >= 3 it is read
+    off the units of one depth-first pass (``_ldu_keys``, which refuses a
+    word whose keys it cannot vouch for; class proxy: equality of the charts
+    as subsets), and ``keys_adjacent`` certifies every edge, pulling each key
+    element back through each vertex chart once."""
+    n, l = beta.n, len(beta)
+    limit = MUTATION_GRAPH_MAX_LEN_2 if n == 2 else MUTATION_GRAPH_MAX_LEN_3
+    if l > limit:
+        raise BudgetExceeded(f"mutation graph bound exceeded for n={n}: l={l} letters, over the limit of {limit}")
+    orders = list(itertools.permutations(range(1, l + 1)))
+    if n == 2:
+        keys = [frozenset(merge_intervals(order)) for order in orders]
+    else:
+        keys, elements = _ldu_keys(beta)
+    classes = {}  # key -> index of its first order
+    for k, (order, key) in enumerate(zip(orders, keys)):
+        if len(key) != l:
+            text = " ".join(map(str, order))
+            raise PatternMismatch(f"{beta.render()}: the key of order {text} has {len(key)} elements, not {l}")
+        classes.setdefault(key, k)
+    buckets = {}  # key less one element -> classes
+    for i, key in enumerate(classes):
+        for x in key:
+            buckets.setdefault(key - {x}, []).append(i)
+    edges = {e for bucket in buckets.values() for e in itertools.combinations(bucket, 2)}
+    firsts = list(classes.values())
+    reps = [orders[k] for k in firsts]
+    if n == 2:
+        return MutationGraph(reps, edges, "binary-tree shape")
+    vertices = {}  # class -> (powers of its chart's values, key, memo of pulled-back key elements, label)
+    for i in {i for e in edges for i in e}:
+        powers = {v: [_ONE, x] for v, x in zip(beta.variables, _ldu_restore(beta, reps[i])[0])}
+        vertices[i] = (powers, keys[firsts[i]], {}, "order " + " ".join(map(str, reps[i])))
+    for i, j in sorted(edges):
+        if not keys_adjacent(vertices[i], vertices[j], elements):
+            a, b = (" ".join(map(str, reps[k])) for k in (i, j))
+            raise PatternMismatch(
+                f"{beta.render()}: the keys of orders {a} and {b} differ in one element, "
+                "but their charts are not adjacent"
+            )
+    return MutationGraph(reps, edges, "chart-subset equality")

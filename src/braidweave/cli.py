@@ -171,11 +171,11 @@ def cmd_cluster(args, out):
 
 def cmd_mutation_graph(args, out):
     beta = braid.parse_braid(args.braid)
-    graph = weave.mutation_graph(beta)
+    graph = chart.mutation_graph(beta)
     out.write(graph.render() + "\n")
     if args.dot:
         with open(args.dot, "w") as fh:
-            fh.write(weave.export_dot(graph) + "\n")
+            fh.write(graph.dot() + "\n")
         out.write(f"dot written: {args.dot}\n")
 
 

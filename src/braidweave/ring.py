@@ -674,26 +674,6 @@ def _normalize_gcd(p: LaurentPoly) -> LaurentPoly:
     return p.scale(_primitive_scale(p))
 
 
-def coprime_base(polys) -> list[LaurentPoly]:
-    """A gcd-free basis of polynomials normalised as ``poly_gcd(p, 0)``:
-    pairwise coprime, each input a scalar times a product of their powers.
-    A polynomial p sharing a factor g with a base element b replaces b by g,
-    b/g and p/g; the total degree falls at every split."""
-    base, todo = [], list(dict.fromkeys(polys))
-    while todo:
-        p = todo.pop()
-        if p.is_constant():
-            continue
-        for k, b in enumerate(base):
-            g = poly_gcd(p, b)
-            if not g.is_constant():
-                todo += [g] + [_normalize_gcd(poly_exact_div(x, g)) for x in (p, base.pop(k))]
-                break
-        else:
-            base.append(p)
-    return base
-
-
 # ---------------------------------------------------------------------------
 # rational expressions
 
@@ -1258,12 +1238,6 @@ class TwoForm:
         for k, c in other.coeffs.items():
             d[k] = d[k] + c if k in d else c
         return TwoForm(d)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return TwoForm({k: v * c for k, v in self.coeffs.items()})
 
     def __eq__(self, other):
         return isinstance(other, TwoForm) and self.coeffs == other.coeffs

@@ -28,6 +28,7 @@ from .braid import (
     half_twist_letters,
     identity_perm,
     longest_perm,
+    lower_c_matrix,
     perm_matrix,
 )
 from .chart import slide_left
@@ -145,15 +146,8 @@ def augmentation_equations(word: BraidWord, marked) -> VarietyPresentation:
     marked = set(marked)
     if not marked <= set(range(1, n + 1)):
         raise ValueError("marked strands must lie in 1..n")
-    cvars = {}
+    lower, cvars = lower_c_matrix(n)
     one, zero = RationalExpr.const(1), RationalExpr.const(0)
-    rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for a in range(2, n + 1):
-        for b in range(1, a):
-            vid = var_id(f"c{a}{b}")
-            cvars[(a, b)] = vid
-            rows[a - 1][b - 1] = RationalExpr.variable(vid)
-    lower = MatrixExpr(rows)
     tvars = []
     diag = []
     for i in range(1, n + 1):

@@ -21,10 +21,13 @@ weaves the Demazure product of every slice agrees with the top one (checked
 by ``validate``).  Equality of weaves is structural on (top, events);
 ``canonicalize`` bubbles independent adjacent events into position order so
 that equal diagrams compare equal.
+
+``merge_intervals`` replays a two-strand opening order without its weave:
+``cluster.i_cycle_basis`` reads the order's cycle basis off it, and
+``chart.mutation_graph`` the order's key in the two-strand exchange graph.
 """
 from __future__ import annotations
 
-import itertools
 import random
 from collections import deque
 from dataclasses import dataclass, replace
@@ -45,7 +48,7 @@ from .braid import (
     reduced_word,
     stall_index,
 )
-from .ring import _ONE, DomainError, LaurentPoly, _divide, coprime_base, mono_decode, poly_gcd
+from .ring import DomainError
 
 
 class BudgetExceeded(DomainError):
@@ -623,26 +626,7 @@ def missing_crossing(weave: Weave) -> int:
 
 
 # ---------------------------------------------------------------------------
-# mutation graph
-
-
-@dataclass
-class MutationGraph:
-    vertices: list  # class representatives (opening orders)
-    edges: set  # pairs of vertex indices
-    proxy: str
-
-    def render(self) -> str:
-        lines = [
-            f"vertices: {len(self.vertices)}",
-            f"edges: {len(self.edges)}",
-            f"proxy: {self.proxy}",
-        ]
-        return "\n".join(lines)
-
-
-def all_orders(l: int):
-    return itertools.permutations(range(1, l + 1))
+# equivalence orbits and two-strand merges
 
 
 def equivalence_orbit(weave: Weave, cap: int = 250):
@@ -683,11 +667,6 @@ def equivalence_orbit(weave: Weave, cap: int = 250):
     return list(seen.values())
 
 
-# longest words whose mutation graphs are built: every opening order is tried
-MUTATION_GRAPH_MAX_LEN_2 = 8  # two strands
-MUTATION_GRAPH_MAX_LEN_3 = 6  # three or more strands
-
-
 def merge_intervals(order) -> list[tuple[int, int]]:
     """The merges of a two-strand opening order, replayed without its
     weave: the leaf interval (a, b) that each opening step creates on the
@@ -707,93 +686,13 @@ def merge_intervals(order) -> list[tuple[int, int]]:
     return out
 
 
-def _record_keys(records) -> list[frozenset]:
-    """The key of each constraint record: the variables of its parts'
-    monomial factors, and the elements of the coprime base of all records'
-    non-monomial parts that divide one of its parts."""
-    parts = dict.fromkeys(p for rec in records for e in rec for p in (e.num, e.den))
-    base = coprime_base(poly_gcd(p, LaurentPoly.zero()) for p in parts if not p.is_monomial())
-    for p in parts:
-        core, mono = p.monomial_normalized()
-        divisors = [] if core.is_constant() else [b for b in base if _divide(core._terms, b._terms) is not None]
-        parts[p] = frozenset([LaurentPoly.variable(v) for v, _ in mono_decode(mono)] + divisors)
-    return [frozenset().union(*(parts[p] for e in rec for p in (e.num, e.den))) for rec in records]
-
-
-def mutation_graph(beta: BraidWord) -> MutationGraph:
-    """Vertices: classes of Demazure weaves beta Delta -> Delta, each given
-    by its first opening order; edges: single mutations.  This is the
-    exchange graph, built without a weave: every order gets a key of l
-    elements, each distinct key is a vertex, and two keys sharing l - 1
-    elements, found by dict, are an edge.  For n = 2 the key is the set of
-    ``merge_intervals``, the replay that ``cluster.i_cycle_basis`` reads too
-    (class proxy: the binary-tree shape).  For n >= 3 it is ``_record_keys``
-    of the canonical records, read off the units of one depth-first pass
-    (``chart._ldu_keys``) when it can vouch for that (class proxy: equality
-    of the charts as subsets), and ``chart.keys_adjacent`` certifies every
-    edge, pulling each key element back through each vertex chart once."""
-    # lazy import; chart depends on weave
-    from .chart import _ldu_keys, _ldu_record, _ldu_restore, keys_adjacent
-
-    n = beta.n
-    l = len(beta)
-    limit = MUTATION_GRAPH_MAX_LEN_2 if n == 2 else MUTATION_GRAPH_MAX_LEN_3
-    if l > limit:
-        raise BudgetExceeded(f"mutation graph bound exceeded for n={n}: l={l} letters, over the limit of {limit}")
-    orders = list(all_orders(l))
-    if n == 2:
-        keys = [frozenset(merge_intervals(order)) for order in orders]
-    elif found := _ldu_keys(beta):
-        keys, elements = found
-    else:  # a soundness check failed: number the record keys' elements
-        ids, records = {}, [_ldu_record(beta, o) for o in orders]
-        keys = [frozenset(ids.setdefault(x, len(ids)) for x in key) for key in _record_keys(records)]
-        elements = list(ids)
-    classes = {}  # key -> index of its first order
-    for k, (order, key) in enumerate(zip(orders, keys)):
-        if len(key) != l:
-            text = " ".join(map(str, order))
-            raise PatternMismatch(f"{beta.render()}: the key of order {text} has {len(key)} elements, not {l}")
-        classes.setdefault(key, k)
-    buckets = {}  # key less one element -> classes
-    for i, key in enumerate(classes):
-        for x in key:
-            buckets.setdefault(key - {x}, []).append(i)
-    edges = {e for bucket in buckets.values() for e in itertools.combinations(bucket, 2)}
-    firsts = list(classes.values())
-    reps = [orders[k] for k in firsts]
-    if n == 2:
-        return MutationGraph(reps, edges, "binary-tree shape")
-    vertices = {}  # class -> (powers of its chart's values, key, memo of pulled-back key elements, label)
-    for i in {i for e in edges for i in e}:
-        powers = {v: [_ONE, x] for v, x in zip(beta.variables, _ldu_restore(beta, reps[i])[0])}
-        vertices[i] = (powers, keys[firsts[i]], {}, "order " + " ".join(map(str, reps[i])))
-    for i, j in sorted(edges):
-        if not keys_adjacent(vertices[i], vertices[j], elements):
-            a, b = (" ".join(map(str, reps[k])) for k in (i, j))
-            raise PatternMismatch(
-                f"{beta.render()}: the keys of orders {a} and {b} differ in one element, "
-                "but their charts are not adjacent"
-            )
-    return MutationGraph(reps, edges, "chart-subset equality")
-
-
 # ---------------------------------------------------------------------------
 # DOT export
 
 
-def export_dot(obj) -> str:
-    """Deterministic DOT rendering of a weave (edges labeled by generator
-    index) or of a mutation graph."""
-    if isinstance(obj, MutationGraph):
-        lines = ["graph mutation_graph {"]
-        for i in range(len(obj.vertices)):
-            lines.append(f'  v{i} [label="{i}"];')
-        for a, b in sorted(obj.edges):
-            lines.append(f"  v{a} -- v{b};")
-        lines.append("}")
-        return "\n".join(lines)
-    weave: Weave = obj
+def export_dot(weave: Weave) -> str:
+    """Deterministic DOT rendering of a weave, edges labeled by generator
+    index."""
     slices = weave.slices()
     lines = ["graph weave {"]
     # nodes: one per event, plus anchors for top and bottom edge endpoints

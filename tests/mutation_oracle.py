@@ -1,4 +1,4 @@
-"""Oracles for ``weave.mutation_graph``, which keys every opening order
+"""Oracles for ``chart.mutation_graph``, which keys every opening order
 without building a weave and looks the edges up in a dict.
 
 - Two strands: every opening order's weave is built and read as a binary
@@ -11,19 +11,60 @@ without building a weave and looks the edges up in a dict.
   whole record parts where the graph's certificate
   (``chart.keys_adjacent``) pulls back key elements.
 - The keys: the graph reads each order's key off the units of one
-  depth-first pass (``chart._ldu_keys``).  ``_ldu_records`` is the same
-  pass with every unit canonicalised, the record of each order, and
-  ``weave._record_keys`` of those records is the key the units must give.
-  ``refine_exponents`` is ``ring.coprime_base``'s refinement run on
-  exponent vectors, which ``chart._separated`` decides without running it.
+  depth-first pass (``chart._ldu_keys``), which raises ``PatternMismatch``
+  when its two soundness checks fail.  ``_ldu_records`` is the same pass
+  with every unit canonicalised, the record of each order, and
+  ``_record_keys`` of those records, over their gcd-free basis
+  (``coprime_base``), is the key the units must give.
+  ``refine_exponents`` is ``coprime_base``'s refinement run on exponent
+  vectors, which ``chart._separated`` decides without running it.
 """
 import itertools
 
 from braidweave import chart
 from braidweave.braid import PatternMismatch
 from braidweave.chart import ChartMap, _open_step, chart_parametrize, charts_equal_as_subsets
-from braidweave.ring import Bases, LaurentPoly, Localized, poly_gcd
-from braidweave.weave import all_orders, weave_from_opening_order
+from braidweave.ring import Bases, LaurentPoly, Localized, mono_decode, poly_exact_div, poly_gcd
+from braidweave.weave import weave_from_opening_order
+
+
+def all_orders(l: int):
+    """Every opening order of l crossings, in the order the graph numbers
+    them."""
+    return itertools.permutations(range(1, l + 1))
+
+
+def coprime_base(polys) -> list[LaurentPoly]:
+    """A gcd-free basis of polynomials normalised as ``poly_gcd(p, 0)``:
+    pairwise coprime, each input a scalar times a product of their powers.
+    A polynomial p sharing a factor g with a base element b replaces b by g,
+    b/g and p/g; the total degree falls at every split."""
+    base, todo = [], list(dict.fromkeys(polys))
+    while todo:
+        p = todo.pop()
+        if p.is_constant():
+            continue
+        for k, b in enumerate(base):
+            g = poly_gcd(p, b)
+            if not g.is_constant():
+                todo += [g] + [poly_gcd(poly_exact_div(x, g), LaurentPoly.zero()) for x in (p, base.pop(k))]
+                break
+        else:
+            base.append(p)
+    return base
+
+
+def _record_keys(records) -> list[frozenset]:
+    """The key of each constraint record: the variables of its parts'
+    monomial factors, and the elements of the coprime base of all records'
+    non-monomial parts that divide one of its parts."""
+    parts = dict.fromkeys(p for rec in records for e in rec for p in (e.num, e.den))
+    base = coprime_base(poly_gcd(p, LaurentPoly.zero()) for p in parts if not p.is_monomial())
+    for p in parts:
+        core, mono = p.monomial_normalized()
+        divisors = [] if core.is_constant() else [b for b in base if poly_exact_div(core, b) is not None]
+        parts[p] = frozenset([LaurentPoly.variable(v) for v, _ in mono_decode(mono)] + divisors)
+    return [frozenset().union(*(parts[p] for e in rec for p in (e.num, e.den))) for rec in records]
 
 
 def charts_adjacent(c1: ChartMap, c2: ChartMap) -> bool:
@@ -159,7 +200,7 @@ def _ldu_records(beta):
 
 
 def refine_exponents(parts):
-    """``ring.coprime_base`` on exponent vectors over pairwise coprime bases:
+    """``coprime_base`` on exponent vectors over pairwise coprime bases:
     the gcd of two vectors is their componentwise minimum and a quotient
     their difference; the same steps in the same order."""
     base, todo = [], list(dict.fromkeys(parts))

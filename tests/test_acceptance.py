@@ -24,6 +24,7 @@ from braidweave.chart import (
     compare_extended,
     ldu_chart,
     mellit_order,
+    mutation_graph,
     propagate_down,
     rational_map,
 )
@@ -47,7 +48,6 @@ from braidweave.variety import split_full_twist, variety_equations
 from braidweave.weave import (
     Weave,
     WeaveEvent,
-    mutation_graph,
     random_triangulation,
     weave_from_opening_order,
     weave_from_triangulation,

@@ -28,6 +28,7 @@ from braidweave.chart import (
     keys_adjacent,
     ldu_chart,
     mellit_order,
+    mutation_graph,
     open_crossing,
     propagate_down,
     rational_map,
@@ -50,7 +51,7 @@ from braidweave.ring import (
 )
 from braidweave.variety import variety_equations
 from braidweave.weave import Weave, WeaveEvent, weave_from_opening_order
-from mutation_oracle import charts_adjacent, tree_rotations, tree_shape
+from mutation_oracle import _record_keys, all_orders, charts_adjacent, tree_rotations, tree_shape
 
 
 def test_slide_left_formula():
@@ -638,7 +639,6 @@ def test_record_key_merges_equal_charts():
     # equal charts whose records differ as sets of cores (z2 against z1*z2):
     # the key, over the coprime base of all records, puts them in one class
     from braidweave.chart import _ldu_record
-    from braidweave.weave import _record_keys, all_orders
 
     beta = parse_braid("B3: 1 2 1")
     c1 = chart_parametrize(weave_from_opening_order(beta, (1, 2, 3)))
@@ -750,7 +750,6 @@ def test_charts_adjacent_stops_at_a_second_core(monkeypatch):
     # non-adjacent class charts of the pentagon B4: 2 2 2 pull back to two
     # coprime cores: the core merge must report it and the test say no edge
     from braidweave import chart
-    from braidweave.weave import mutation_graph
 
     beta = parse_braid("B4: 2 2 2")
     g = mutation_graph(beta)
@@ -781,7 +780,6 @@ def test_certified_exchange_binomials_are_irreducible(monkeypatch):
     # three words is irreducible over Q, by sympy's factorisation
     sympy = pytest.importorskip("sympy", exc_type=ImportError)
     from braidweave import chart, cli
-    from braidweave.weave import mutation_graph
 
     assert issubclass(NotExchangeBinomial, cli.DOMAIN_ERRORS)
     cores = []

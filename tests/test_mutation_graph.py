@@ -2,24 +2,27 @@
 looked up by key.  On two strands they are checked against the tree
 rotations of the orders' weaves, and every edge is a quiver mutation; on
 three or more strands each edge is certified by exact chart adjacency, the
-keys read off the units are checked against the record keys, and the graphs
-against the quadratic search over weave charts."""
+keys read off the units are checked against the record keys, keys that fail
+a soundness check are refused, and the graphs are checked against the
+quadratic search over weave charts."""
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 
 import pytest
 
 import braidweave
-from braidweave.braid import make_word, parse_braid
-from braidweave.chart import _ldu_keys, _ldu_record, _separated
+from braidweave.braid import PatternMismatch, make_word, parse_braid
+from braidweave.chart import _ldu_keys, _ldu_record, _separated, mutation_graph
 from braidweave.cluster import i_cycle_basis, quiver, quiver_mutate
-from braidweave.ring import Bases, LaurentPoly, coprime_base, poly_gcd
-from braidweave.weave import BudgetExceeded, _record_keys, all_orders, merge_intervals, mutation_graph
+from braidweave.ring import Bases, LaurentPoly, poly_gcd
+from braidweave.weave import BudgetExceeded, merge_intervals
 
 import mutation_oracle
+from mutation_oracle import _record_keys, all_orders, coprime_base
 
 
 def _words(n, length):
@@ -88,21 +91,16 @@ def test_unit_keys_are_the_record_keys(text):
 
 
 @pytest.mark.parametrize("text", ["B3: 1 2 1 2", "B4: 2 2 2", "B3: 1 1 1 1 1", "B4: 1 2 3 1 2"])
-def test_fallback_gives_the_same_graph(text, monkeypatch):
-    # when a soundness check fails the keys are _record_keys over the
-    # canonical records, with the same classes and edges
-    from braidweave import chart, weave
+def test_unsound_keys_are_refused(text, monkeypatch):
+    # when a soundness check fails the unit keys may not be the record keys,
+    # so no graph is built from them: the word is refused by name
+    from braidweave import chart
 
     beta = parse_braid(text)
-    g = mutation_graph(beta)
-    calls = []
-    record_keys = weave._record_keys
-    monkeypatch.setattr(chart, "_separated", lambda parts: False)
-    monkeypatch.setattr(weave, "_record_keys", lambda records: calls.append(1) or record_keys(records))
-    assert _ldu_keys(beta) is None
-    fallback = mutation_graph(beta)
-    assert calls == [1]
-    assert (fallback.vertices, fallback.edges, fallback.proxy) == (g.vertices, g.edges, g.proxy)
+    mutation_graph(beta)
+    monkeypatch.setattr(chart, "_separated", lambda rows: False)
+    with pytest.raises(PatternMismatch, match=f"^{re.escape(text)}: the bases of the opening units are not"):
+        mutation_graph(beta)
 
 
 def test_separation_check():
@@ -179,8 +177,8 @@ def test_mutation_graph_limit_for_three_strands():
         mutation_graph(make_word(3, [1] * 7))
 
 
-# (patch, word, the one error line): a key one element short, and a key edge
-# whose charts are not adjacent
+# (patch, word, the one error line): a key one element short, a key edge
+# whose charts are not adjacent, and unit keys whose bases are not separated
 GUARDS = {
     "short-key": (
         "from braidweave import chart\n"
@@ -203,13 +201,20 @@ GUARDS = {
         "error: B4: 2 2 2: the keys of orders 1 2 3 and 1 3 2 differ in one element, "
         "but their charts are not adjacent\n",
     ),
+    "unseparated": (
+        "from braidweave import chart\n"
+        "chart._separated = lambda rows: False\n",
+        "B3: 1 2 1",
+        "error: B3: 1 2 1: the bases of the opening units are not pairwise coprime and separated, "
+        "so the unit keys may not classify the charts\n",
+    ),
 }
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 @pytest.mark.parametrize("guard", sorted(GUARDS))
 def test_mutation_graph_guards_are_one_error_line(guard, flags):
-    # both guards raise a domain error, so python -O keeps them and the CLI
+    # every guard raises a domain error, so python -O keeps them and the CLI
     # exits 1 with one error line and no traceback
     patch, word, err = GUARDS[guard]
     code = patch + (

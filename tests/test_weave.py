@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from braidweave.braid import PatternMismatch, half_twist_letters, make_word, parse_braid
+from braidweave.chart import mutation_graph
 from braidweave.weave import (
     InvalidLabels,
     Weave,
@@ -19,7 +20,6 @@ from braidweave.weave import (
     fan_triangulation,
     find_doubled_letter,
     mutate,
-    mutation_graph,
     parse_weave,
     random_triangulation,
     swap_adjacent_events,
@@ -489,7 +489,7 @@ def test_export_dot():
     dot = export_dot(w)
     assert dot.startswith("graph weave {") and 'label="three@0"' in dot
     g = mutation_graph(parse_braid("B2: 1 1 1"))
-    gdot = export_dot(g)
+    gdot = g.dot()
     assert gdot.count(" -- ") == 5
     empty = Weave(2, make_word(2, [1]), ())
     assert export_dot(empty).startswith("graph weave {")
