@@ -41,7 +41,10 @@ themselves.  ``mutation_graph`` keys every opening order by its units alone,
 with no weave, half twist or canonical record: ``_ldu_keys`` opens each shared
 order prefix once and refuses a word whose bases it cannot vouch for, and
 ``keys_adjacent`` certifies an edge by evaluating key elements at the chart's
-values, not pulling back record parts.  On two strands the key is the order's
+values, not pulling back record parts.  A vertex never evaluates its own
+key's elements, units on its torus (``_vertex``), so each direction of an
+edge evaluates the one element the other key adds, and judges the raw value
+by its term count, with no gcd.  On two strands the key is the order's
 ``weave.merge_intervals``.
 
 ``ldu_chart`` is the one route for the chart of an opening order: the CLI's
@@ -349,14 +352,34 @@ def _certify(core: LaurentPoly, inner: str, outer: str) -> None:
     c1*m1 + c2*m2 whose exponent difference m1/m2 is primitive (its entries
     have gcd 1).  A unimodular change of torus coordinates turns it into
     1 + y, up to a unit, so it is irreducible and the two tori differ in
-    exactly one hypersurface.  inner and outer name the charts."""
-    if len(core.terms) == 2:
-        a, b = (dict(m) for m in core.terms)
-        if gcd(*(a.get(v, 0) - b.get(v, 0) for v in a.keys() | b.keys())) == 1:
+    exactly one hypersurface.  inner and outer name the charts.  The core
+    may carry a unit factor, as a raw pullback does: neither the term count
+    nor the exponent difference, read off the two packed monomials, sees
+    it, and the error renders the core normalised (``poly_gcd(core, 0)``)."""
+    if len(core._terms) == 2:
+        a, b = core._terms
+        if gcd(*(e for _, e in mono_decode(a - b))) == 1:
             return
     raise NotExchangeBinomial(
-        f"charts ({inner}) and ({outer}) differ in {core.render()}, which is not a primitive binomial"
+        f"charts ({inner}) and ({outer}) differ in {poly_gcd(core, LaurentPoly.zero()).render()}, "
+        "which is not a primitive binomial"
     )
+
+
+def _pull_back(powers, element: LaurentPoly) -> LaurentPoly:
+    """A true polynomial evaluated at a chart's Laurent values, with no gcd:
+    powers maps each variable to [1, x, x^2, ...] for its value x, and
+    gains the powers the element needs."""
+    r = LaurentPoly.zero()
+    for m, c in element._terms.items():
+        t = LaurentPoly.const(c)
+        for v, e in mono_decode(m):
+            pw = powers[v]
+            while len(pw) <= e:
+                pw.append(pw[-1] * pw[1])
+            t = t * pw[e]
+        r = r + t
+    return r
 
 
 def keys_adjacent(v1, v2, elements) -> bool:
@@ -369,26 +392,22 @@ def keys_adjacent(v1, v2, elements) -> bool:
     of that irreducible core too.  v1 and v2 are (powers, key, memo, label):
     powers maps each variable to [1, x, x^2, ...] for its Laurent value x,
     the key's ids of ``elements``, true polynomials, pull back by evaluation
-    with no gcd, and the memo maps each id to ``poly_gcd(pullback, 0)``."""
+    (``_pull_back``), and the memo maps an id to its pullback, raw and
+    judged by its term count: no term means it vanishes, one a unit, and
+    more a core.  An element missing from the memo is pulled back and kept,
+    so with empty memos every element is; ``_vertex`` seeds a memo with its
+    own key's elements as units."""
 
     def one_core(powers, memo, key, inner, outer) -> bool:
         core = None
         for x in key:
-            if x not in memo:
-                r = LaurentPoly.zero()
-                for m, c in elements[x]._terms.items():
-                    t = LaurentPoly.const(c)
-                    for v, e in mono_decode(m):
-                        pw = powers[v]
-                        while len(pw) <= e:
-                            pw.append(pw[-1] * pw[1])
-                        t = t * pw[e]
-                    r = r + t
-                memo[x] = poly_gcd(r, LaurentPoly.zero())
-            if memo[x].is_zero():
+            r = memo.get(x)
+            if r is None:
+                r = memo[x] = _pull_back(powers, elements[x])
+            if r.is_zero():
                 return False
-            if not memo[x].is_constant():
-                core = memo[x] if core is None else _common_core(core, memo[x])
+            if not r.is_monomial():
+                core = r if core is None else _common_core(core, r)
                 if core is None:  # a second coprime core
                     return False
         if core is None:
@@ -579,9 +598,12 @@ def _ldu_restore(beta: BraidWord, order):
 def _open_step(n: int, letters, values, p: int, bases: Bases):
     """One forward opening: the letter at 0-based p is opened, its value made
     a unit over ``bases`` (which may gain a base) and its factors slid out.
-    Returns the unit and the letters and values that remain."""
+    Returns the unit and the letters and values that remain; the last
+    letter leaves none, and nothing is slid."""
     i, letters = letters[p], letters[:p] + letters[p + 1 :]
     unit = bases.unit(values[p])
+    if not letters:
+        return unit, letters, []
     values, _ = _opening_slides(n, i, unit, letters, values[:p] + values[p + 1 :], p)
     return unit, letters, values
 
@@ -767,6 +789,16 @@ class MutationGraph:
         return "\n".join(lines)
 
 
+def _vertex(beta: BraidWord, order, key):
+    """The certificate's view of an order's chart (``keys_adjacent``): the
+    powers of its values, its key, its memo and its label.  The memo starts
+    with the key's own elements as units, which they are on their own
+    chart, so on an edge each direction pulls back only the one element
+    that the other key adds."""
+    powers = {v: [_ONE, x] for v, x in zip(beta.variables, _ldu_restore(beta, order)[0])}
+    return powers, key, dict.fromkeys(key, _ONE), "order " + " ".join(map(str, order))
+
+
 # longest words whose mutation graphs are built: every opening order is tried
 MUTATION_GRAPH_MAX_LEN_2 = 8  # two strands
 MUTATION_GRAPH_MAX_LEN_3 = 6  # three or more strands
@@ -782,8 +814,9 @@ def mutation_graph(beta: BraidWord) -> MutationGraph:
     reads too (class proxy: the binary-tree shape).  For n >= 3 it is read
     off the units of one depth-first pass (``_ldu_keys``, which refuses a
     word whose keys it cannot vouch for; class proxy: equality of the charts
-    as subsets), and ``keys_adjacent`` certifies every edge, pulling each key
-    element back through each vertex chart once."""
+    as subsets), and ``keys_adjacent`` certifies every edge, pulling each
+    key element back through each vertex chart at most once and never
+    through its own (``_vertex``)."""
     n, l = beta.n, len(beta)
     limit = MUTATION_GRAPH_MAX_LEN_2 if n == 2 else MUTATION_GRAPH_MAX_LEN_3
     if l > limit:
@@ -808,10 +841,7 @@ def mutation_graph(beta: BraidWord) -> MutationGraph:
     reps = [orders[k] for k in firsts]
     if n == 2:
         return MutationGraph(reps, edges, "binary-tree shape")
-    vertices = {}  # class -> (powers of its chart's values, key, memo of pulled-back key elements, label)
-    for i in {i for e in edges for i in e}:
-        powers = {v: [_ONE, x] for v, x in zip(beta.variables, _ldu_restore(beta, reps[i])[0])}
-        vertices[i] = (powers, keys[firsts[i]], {}, "order " + " ".join(map(str, reps[i])))
+    vertices = {i: _vertex(beta, reps[i], keys[firsts[i]]) for i in {i for e in edges for i in e}}
     for i, j in sorted(edges):
         if not keys_adjacent(vertices[i], vertices[j], elements):
             a, b = (" ".join(map(str, reps[k])) for k in (i, j))

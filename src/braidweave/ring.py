@@ -10,9 +10,10 @@ from four value types, and one more serves the downward weave pass:
   variable id v into the ``EXP_BITS``-wide field at bit ``EXP_BITS * v``, so a
   product of monomials is ``+`` and an inverse is unary ``-``.  It is decoded
   into a ``(var_id, exponent)`` listing only to render, to take the lex
-  leading term and to view a polynomial in one variable.  A one-term value
-  is a unit: ``inverse()`` and ``/`` by it stay Laurent (coefficients 1 and
-  -1 stay ``int``); any other divisor raises ``NonUnitDivisor``.
+  leading term of a Laurent (not true) polynomial and to view a polynomial
+  in one variable.  A one-term value is a unit: ``inverse()`` and ``/`` by
+  it stay Laurent (coefficients 1 and -1 stay ``int``); any other divisor
+  raises ``NonUnitDivisor``.
 - ``RationalExpr``: quotient of two Laurent polynomials in canonical form.
   Canonical means: the denominator is an honest polynomial, not divisible by
   any variable, primitive with positive leading coefficient, and coprime to
@@ -182,11 +183,6 @@ def _mono_min(monos):
             ge = ((lo | signs) - u) & signs
             lo ^= (lo ^ u) & ((ge >> (EXP_BITS - 1)) * (_FIELD - 1))
     return 0 if lo is None else lo - bias
-
-
-def _lex_key(m: int):
-    """Lex order key, smaller for larger monomials with nonnegative exponents."""
-    return tuple((v, -e) for v, e in mono_decode(m)) + ((1 << 60, 0),)
 
 
 def _mono_str(listing):
@@ -371,10 +367,31 @@ class LaurentPoly:
         return (self.mul_monomial(-shift), shift) if shift else (self, 0)
 
     def leading(self):
-        """Leading (packed monomial, coeff) in the lex monomial order."""
+        """Leading (packed monomial, coeff) in the lex monomial order: at the
+        first variable, by id, where two monomials differ, the one with the
+        larger exponent leads.  The candidates are narrowed one variable at a
+        time, reading the packed fields.  On a Laurent polynomial an exponent
+        0 counts below every other, so a variable that occurs beats one that
+        does not, as in its decoded listing."""
         t = self._terms
-        m = min(t, key=_lex_key) if len(t) > 1 else next(iter(t))
-        return m, t[m]
+        ms = list(t)
+        if len(ms) > 1:
+            occur = reduce(or_, ms)  # nonzero in the fields of the variables that occur
+            if _is_polynomial_mono(occur):  # then so is every monomial
+                while len(ms) > 1:
+                    shift = ((occur & -occur).bit_length() - 1) // EXP_BITS * EXP_BITS
+                    occur &= ~((_FIELD - 1) << shift)
+                    es = [m >> shift & (_FIELD - 1) for m in ms]
+                    top = max(es)
+                    ms = [m for m, e in zip(ms, es) if e == top]
+            else:
+                for v in sorted(self.variables()):
+                    es = [_mono_exp(m, v) for m in ms]
+                    top = max(es, key=lambda e: (e != 0, e))
+                    ms = [m for m, e in zip(ms, es) if e == top]
+                    if len(ms) == 1:
+                        break
+        return ms[0], t[ms[0]]
 
     def substitute(self, bindings):
         """Substitute RationalExpr values for variables; returns RationalExpr.
@@ -907,9 +924,12 @@ class Bases:
     def unit(self, value: "Localized") -> "Localized":
         """``value`` as a scalar times a Laurent monomial times powers of
         bases, so that it can be inverted: the core its numerator leaves
-        over the earlier bases becomes a new base."""
+        over the earlier bases becomes a new base.  A value whose numerator
+        is one term is a unit already and is returned as it is."""
         if value.is_zero():
             raise ZeroDenominator("inverse of zero")
+        if len(value.num._terms) == 1:
+            return value
         num, exps = self.cancel(value.num, value.exps, range(len(self.powers)), False)
         core, mono = num.monomial_normalized()
         if not core.is_constant():

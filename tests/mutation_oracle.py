@@ -10,6 +10,12 @@ without building a weave and looks the edges up in a dict.
   of classes is tested with the exact ``charts_adjacent``, which pulls back
   whole record parts where the graph's certificate
   (``chart.keys_adjacent``) pulls back key elements.
+- The certificate's seeded memos: ``chart._vertex`` starts each class's
+  memo with its own key's elements as units.  ``certificate_views`` gives
+  every class with that memo and with an empty one, which pulls back every
+  element; ``own_key_failures`` lists the seeded entries that do not pull
+  back to one term, and ``certificate_answer`` is the answer of
+  ``chart.keys_adjacent`` on a pair, its error text included.
 - The keys: the graph reads each order's key off the units of one
   depth-first pass (``chart._ldu_keys``), which raises ``PatternMismatch``
   when its two soundness checks fail.  ``_ldu_records`` is the same pass
@@ -111,6 +117,40 @@ def label(c: ChartMap) -> str:
     if c.opened_crossings is not None:
         return "order " + " ".join(map(str, c.opened_crossings))
     return "inverted [" + ", ".join(e.render() for e in c.inverted) + "]"
+
+
+def certificate_views(beta):
+    """(graph, elements, seeded, full) for beta on three or more strands:
+    every class of its mutation graph, in the graph's order, as
+    ``chart.keys_adjacent`` sees it with the memo ``chart._vertex`` seeds,
+    and the same with an empty memo."""
+    keys, elements = chart._ldu_keys(beta)
+    index = {order: k for k, order in enumerate(all_orders(len(beta)))}
+    g = chart.mutation_graph(beta)
+    seeded = [chart._vertex(beta, order, keys[index[order]]) for order in g.vertices]
+    full = [(powers, key, {}, name) for powers, key, _, name in seeded]
+    return g, elements, seeded, full
+
+
+def own_key_failures(seeded, elements) -> list:
+    """(label, element id) of each seeded memo entry that does not pull back
+    through its class's chart to one term, with id None for a memo whose
+    ids are not its key's."""
+    bad = []
+    for powers, key, memo, name in seeded:
+        if memo.keys() != key:
+            bad.append((name, None))
+        bad += [(name, x) for x in memo if not chart._pull_back(powers, elements[x]).is_monomial()]
+    return bad
+
+
+def certificate_answer(v1, v2, elements):
+    """``chart.keys_adjacent`` on two classes, or the text of the
+    ``NotExchangeBinomial`` it raises."""
+    try:
+        return chart.keys_adjacent(v1, v2, elements)
+    except chart.NotExchangeBinomial as e:
+        return str(e)
 
 
 def tree_shape(weave):

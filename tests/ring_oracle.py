@@ -5,9 +5,18 @@ A polynomial here is a dict from monomials to nonzero coefficients, and a
 monomial is a sorted tuple of ``(var_id, exponent)`` pairs with nonzero
 exponents, which is the shape ``LaurentPoly.terms`` shows.  The product is
 the term-by-term one on such dicts; the substitution builds one
-``RationalExpr`` per term and adds them up.
+``RationalExpr`` per term and adds them up.  ``lex_key`` orders decoded
+monomials as ``LaurentPoly.leading`` does on packed ones.
 """
-from braidweave.ring import RationalExpr
+from braidweave.ring import RationalExpr, mono_decode
+
+
+def lex_key(m: int):
+    """Lex order key of a packed monomial, smaller for the leading one: its
+    decoded listing with exponents negated, then a sentinel above every
+    variable id.  On nonnegative exponents this is the lex order with the
+    smallest variable id first."""
+    return tuple((v, -e) for v, e in mono_decode(m)) + ((1 << 60, 0),)
 
 
 def mono_mul(m1, m2):

@@ -15,12 +15,16 @@ from braidweave.braid import (
     half_twist_letters,
     longest_perm,
     make_word,
+    opening_positions,
     parse_braid,
     perm_matrix,
 )
 from braidweave.chart import (
     ChartMap,
     NotExchangeBinomial,
+    _ldu_record,
+    _open_step,
+    _opening_slides,
     chart_parametrize,
     chart_satisfies_equations,
     charts_equal_as_subsets,
@@ -46,6 +50,7 @@ from braidweave.ring import (
     RationalExpr,
     const,
     poly,
+    poly_gcd,
     var_id,
     var_name,
 )
@@ -506,6 +511,34 @@ def test_ldu_matches_weave_charts_small():
             assert cl.inverted == cw.inverted
 
 
+def test_last_opening_slides_nothing():
+    # the last opening leaves no letter and no value, and its unit is the
+    # one the slid route gives: Bases.unit of the last value, whose factors
+    # then slide out of the empty word; on every order of three words, with
+    # last values that are units over the bases and values that are not
+    fresh = 0
+    for text in ("B3: 1 2 1 2", "B4: 2 2 2", "B3: 1 1 2"):
+        beta = parse_braid(text)
+        for order in itertools.permutations(range(1, len(beta) + 1)):
+            bases = Bases()
+            letters = list(beta.letters)
+            values = [Localized(LaurentPoly.variable(v), {}, bases, True) for v in beta.variables]
+            *head, last = opening_positions(order)
+            for p in head:
+                _, letters, values = _open_step(beta.n, letters, values, p, bases)
+            (i,), (value,) = letters, values
+            k = len(bases.powers)
+            unit, rest, after = _open_step(beta.n, letters, values, last, bases)
+            assert (last, rest, after) == (0, [], [])
+            fresh += len(bases.powers) > k
+            del bases.powers[k:]
+            slid = bases.unit(value)
+            assert _opening_slides(beta.n, i, slid, [], [], 0)[0] == []
+            assert (unit.num, unit.exps, unit.coprime) == (slid.num, slid.exps, slid.coprime)
+            assert unit.rational() == _ldu_record(beta, order)[-1]
+    assert fresh
+
+
 def test_ldu_matches_weave_charts_six_and_seven_strands():
     # criterion 8 at more strands: every word of length <= 2 for n = 6 and of
     # length 1 for n = 7, in every opening order
@@ -638,8 +671,6 @@ def test_charts_equal_as_subsets():
 def test_record_key_merges_equal_charts():
     # equal charts whose records differ as sets of cores (z2 against z1*z2):
     # the key, over the coprime base of all records, puts them in one class
-    from braidweave.chart import _ldu_record
-
     beta = parse_braid("B3: 1 2 1")
     c1 = chart_parametrize(weave_from_opening_order(beta, (1, 2, 3)))
     c2 = chart_parametrize(weave_from_opening_order(beta, (1, 3, 2)))
@@ -729,9 +760,19 @@ def test_keys_adjacent_matches_charts_adjacent():
     c1 = _identity_chart(top, [z1, f])
     c2 = _identity_chart(top, [z2, (2 + 2 * z1 * z2) ** 2 / z1, f**3 * z2])
     assert keys_adjacent(vertex(c1, "order 1 2", z1, f), vertex(c2, "order 2 1", z1, z2, f), elements)
-    bad = 1 + z1**2 * z2**2
-    with pytest.raises(NotExchangeBinomial, match=r"\(order 1 2\) and \(order 2 1\) differ in 1 \+ z1\^2\*z2\^2"):
-        keys_adjacent(vertex(c1, "order 1 2", z1, f), vertex(_identity_chart(top, [z1, bad]), "order 2 1", z1, bad), elements)
+    # a single core that is not a primitive binomial: four terms, a
+    # binomial whose exponent difference is not primitive, and the same
+    # binomial times a unit, which the raw pullback keeps and the error
+    # drops
+    for bad, core in (
+        ((1 + z1) * (1 + z2), r"1 \+ z1 \+ z2 \+ z1\*z2"),
+        (1 + z1**2 * z2**2, r"1 \+ z1\^2\*z2\^2"),
+        (2 * z1 * (1 + z1**2 * z2**2), r"1 \+ z1\^2\*z2\^2"),
+    ):
+        with pytest.raises(NotExchangeBinomial, match=rf"\(order 1 2\) and \(order 2 1\) differ in {core}, which"):
+            keys_adjacent(
+                vertex(c1, "order 1 2", z1, f), vertex(_identity_chart(top, [z1, bad]), "order 2 1", z1, bad), elements
+            )
     flat = _identity_chart(top, [1 + z1], subs={v: t for v in top.variables})
     cases = [
         ((c1, z1, f), (_identity_chart(top, [z1, 1 + z1, 1 + z2]), z1, 1 + z1, 1 + z2)),
@@ -776,8 +817,10 @@ def test_charts_adjacent_stops_at_a_second_core(monkeypatch):
 
 
 def test_certified_exchange_binomials_are_irreducible(monkeypatch):
-    # every core that charts_adjacent certifies on the mutation graphs of
-    # three words is irreducible over Q, by sympy's factorisation
+    # every core that the certificate accepts on the mutation graphs of
+    # three words is irreducible over Q, by sympy's factorisation.  The core
+    # is a raw pullback, a Laurent polynomial: it is normalised first, which
+    # drops only a unit and so keeps (ir)reducibility
     sympy = pytest.importorskip("sympy", exc_type=ImportError)
     from braidweave import chart, cli
 
@@ -787,7 +830,7 @@ def test_certified_exchange_binomials_are_irreducible(monkeypatch):
 
     def spy(core, inner, outer):
         certify(core, inner, outer)
-        cores.append(core)
+        cores.append(poly_gcd(core, LaurentPoly.zero()))
 
     monkeypatch.setattr(chart, "_certify", spy)
     edges = sum(

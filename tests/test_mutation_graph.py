@@ -2,9 +2,10 @@
 looked up by key.  On two strands they are checked against the tree
 rotations of the orders' weaves, and every edge is a quiver mutation; on
 three or more strands each edge is certified by exact chart adjacency, the
-keys read off the units are checked against the record keys, keys that fail
-a soundness check are refused, and the graphs are checked against the
-quadratic search over weave charts."""
+certificate that never pulls back a class's own key is checked against the
+one that pulls back every element, the keys read off the units are checked
+against the record keys, keys that fail a soundness check are refused, and
+the graphs are checked against the quadratic search over weave charts."""
 import itertools
 import os
 import random
@@ -79,6 +80,27 @@ def test_depth_first_records_match_every_order(text, monkeypatch):
     monkeypatch.undo()
     assert records == [_ldu_record(beta, order) for order in all_orders(len(beta))]
     assert [frozenset(elements[x] for x in key) for key in keys] == _record_keys(records)
+
+
+@pytest.mark.parametrize("text", ORACLE_WORDS)
+def test_own_key_elements_pull_back_to_monomials(text):
+    # every element of an order's key is a unit on its own chart's torus,
+    # so the certificate's memo may start with them: the seeded ids are the
+    # key's, and each pulls back to one term
+    g, elements, seeded, _ = mutation_oracle.certificate_views(parse_braid(text))
+    assert len(seeded) == len(g.vertices)
+    assert mutation_oracle.own_key_failures(seeded, elements) == []
+
+
+@pytest.mark.parametrize("text", ORACLE_WORDS)
+def test_seeded_certificate_matches_the_full_one(text):
+    # on every pair of classes, edge or not, the certificate whose memos
+    # start with the own keys answers as the one that pulls back every
+    # element: True on the graph's edges and False elsewhere
+    g, elements, seeded, full = mutation_oracle.certificate_views(parse_braid(text))
+    for i, j in itertools.combinations(range(len(seeded)), 2):
+        answers = [mutation_oracle.certificate_answer(v[i], v[j], elements) for v in (seeded, full)]
+        assert answers == [(i, j) in g.edges] * 2, (i, j)
 
 
 @pytest.mark.parametrize("text", SEEDED_WORDS)
