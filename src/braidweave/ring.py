@@ -9,11 +9,10 @@ from four value types, and one more serves the downward weave pass:
   nonzero coefficients.  A monomial is one int packing the signed exponent of
   variable id v into the ``EXP_BITS``-wide field at bit ``EXP_BITS * v``, so a
   product of monomials is ``+`` and an inverse is unary ``-``.  It is decoded
-  into a ``(var_id, exponent)`` listing only to render, to take the lex
-  leading term of a Laurent (not true) polynomial and to view a polynomial
-  in one variable.  A one-term value is a unit: ``inverse()`` and ``/`` by
-  it stay Laurent (coefficients 1 and -1 stay ``int``); any other divisor
-  raises ``NonUnitDivisor``.
+  into a ``(var_id, exponent)`` listing only to render and to view a
+  polynomial in one variable.  A one-term value is a unit: ``inverse()`` and
+  ``/`` by it stay Laurent (coefficients 1 and -1 stay ``int``); any other
+  divisor raises ``NonUnitDivisor``.
 - ``RationalExpr``: quotient of two Laurent polynomials in canonical form.
   Canonical means: the denominator is an honest polynomial, not divisible by
   any variable, primitive with positive leading coefficient, and coprime to
@@ -367,30 +366,20 @@ class LaurentPoly:
         return (self.mul_monomial(-shift), shift) if shift else (self, 0)
 
     def leading(self):
-        """Leading (packed monomial, coeff) in the lex monomial order: at the
-        first variable, by id, where two monomials differ, the one with the
-        larger exponent leads.  The candidates are narrowed one variable at a
-        time, reading the packed fields.  On a Laurent polynomial an exponent
-        0 counts below every other, so a variable that occurs beats one that
-        does not, as in its decoded listing."""
+        """Leading (packed monomial, coeff) of a true polynomial, one with no
+        negative exponent, in the lex monomial order: at the first variable,
+        by id, where two monomials differ, the one with the larger exponent
+        leads.  The candidates are narrowed one variable at a time, reading
+        the packed fields."""
         t = self._terms
         ms = list(t)
-        if len(ms) > 1:
-            occur = reduce(or_, ms)  # nonzero in the fields of the variables that occur
-            if _is_polynomial_mono(occur):  # then so is every monomial
-                while len(ms) > 1:
-                    shift = ((occur & -occur).bit_length() - 1) // EXP_BITS * EXP_BITS
-                    occur &= ~((_FIELD - 1) << shift)
-                    es = [m >> shift & (_FIELD - 1) for m in ms]
-                    top = max(es)
-                    ms = [m for m, e in zip(ms, es) if e == top]
-            else:
-                for v in sorted(self.variables()):
-                    es = [_mono_exp(m, v) for m in ms]
-                    top = max(es, key=lambda e: (e != 0, e))
-                    ms = [m for m, e in zip(ms, es) if e == top]
-                    if len(ms) == 1:
-                        break
+        occur = reduce(or_, ms)  # nonzero in the fields of the variables that occur
+        while len(ms) > 1:
+            shift = ((occur & -occur).bit_length() - 1) // EXP_BITS * EXP_BITS
+            occur &= ~((_FIELD - 1) << shift)
+            es = [m >> shift & (_FIELD - 1) for m in ms]
+            top = max(es)
+            ms = [m for m, e in zip(ms, es) if e == top]
         return ms[0], t[ms[0]]
 
     def substitute(self, bindings):
@@ -677,7 +666,8 @@ def _prs_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 
 def _primitive_scale(p: LaurentPoly):
     """The scalar s with s*p an integer polynomial whose coefficients are
-    coprime and whose lex leading coefficient is positive."""
+    coprime and whose lex leading coefficient is positive; p is a true
+    polynomial, as ``monomial_normalized`` returns."""
     cs = p._terms.values()
     den, num = lcm(*(c.denominator for c in cs)), gcd(*(c.numerator for c in cs))
     s = den if num == 1 else Fraction(den, num)

@@ -633,16 +633,14 @@ def test_unit_passes_a_one_term_value_through():
 
 def test_leading_matches_the_decoded_lex_key():
     # the lex leading term read off the packed fields, against the decoded
-    # listing's key (ring_oracle.lex_key), on 24 000 random term sets: true
-    # polynomials and, one in four, Laurent ones, with up to eight terms
-    # over six variables
+    # listing's key (ring_oracle.lex_key), on 24 000 random true polynomials
+    # with up to eight terms over six variables
     rng = random.Random(11)
     ids = [var_id(f"lead{k}") for k in range(6)]
-    for k in range(24000):
-        low = -3 if k % 4 == 0 else 0
+    for _ in range(24000):
         terms = {}
         for _ in range(rng.randint(1, 8)):
-            listing = [(v, rng.randint(low, 4)) for v in rng.sample(ids, rng.randint(0, 4))]
+            listing = [(v, rng.randint(0, 4)) for v in rng.sample(ids, rng.randint(0, 4))]
             terms[ring.mono_pack(listing)] = rng.choice([1, -1, 2, Fraction(-1, 3)])
         p = LaurentPoly(terms)
         m = min(p._terms, key=ring_oracle.lex_key)
