@@ -37,15 +37,14 @@ as a ``RationalExpr`` over 1, already canonical.  The forward loop
 (``_ldu_units``) divides by the opened values and keeps them ``Localized``, as
 ``propagate_down``; its units, canonicalised, are the record
 (``_ldu_record``), and ``cluster.a_coordinates`` multiplies the units
-themselves.  ``mutation_graph`` keys every opening order by its units alone,
-with no weave, half twist or canonical record: ``_ldu_keys`` opens each shared
-order prefix once and refuses a word whose bases it cannot vouch for, and
-``keys_adjacent`` certifies an edge by evaluating key elements at the chart's
-values, not pulling back record parts.  A vertex never evaluates its own
-key's elements, units on its torus (``_vertex``), so each direction of an
-edge evaluates the one element the other key adds, and judges the raw value
-by its term count, with no gcd.  On two strands the key is the order's
-``weave.merge_intervals``.
+themselves.  ``mutation_graph`` keys every opening order, on any number of
+strands, by its units alone, with no weave, half twist or canonical record:
+``_ldu_keys`` opens each opening state once and refuses a word whose bases
+it cannot vouch for, and ``keys_adjacent`` certifies an edge by evaluating
+key elements at the chart's values, not pulling back record parts.  A vertex
+never evaluates its own key's elements, units on its torus (``_vertex``), so
+each direction of an edge evaluates the one element the other key adds, and
+judges the raw value by its term count, with no gcd.
 
 ``ldu_chart`` is the one route for the chart of an opening order: the CLI's
 ``chart``, ``cluster.normalized_chart`` and the form oracle all take it, and
@@ -104,7 +103,7 @@ from .braid import (
     perm_length,
     stall_index,
 )
-from .weave import BudgetExceeded, Weave, merge_intervals
+from .weave import BudgetExceeded, Weave
 
 
 def slide_left(u: MatrixExpr, letters, values, back: bool = False):
@@ -735,35 +734,43 @@ def _separated(rows) -> bool:
 
 
 def _ldu_keys(beta: BraidWord):
-    """(keys, elements): each opening order's key, in ``itertools.permutations``
-    order, as ids of ``elements``, read off its units in one depth-first pass
-    over the order prefixes that drops a step's new base on backtrack.  A key
-    holds its units' monomials' variables (ids 0 .. l-1) and the bases with a
-    nonzero exponent in a unit (the next ids, one per value).  Over pairwise
-    coprime bases a record part is a monomial times powers of bases, and when
+    """(classes, elements): each distinct opening-order key, as ids of
+    ``elements``, mapped to its first opening order, in that order, from one
+    walk that opens each state (the letters still closed and the exact terms
+    and base exponents of their values) once and keeps each suffix key with
+    its first suffix of positions: p runs upward and each state lists its
+    keys by first suffix, so ``setdefault`` keeps the first.  A key holds
+    its units' monomials' variables (ids 0 .. l-1) and the walk's bases with
+    a nonzero exponent in a unit (ids l + index).  Over pairwise coprime
+    bases a record part is a monomial times powers of bases, and when
     ``_separated`` holds too each part is a unit times a product of its
     key's elements, the record key: the variables of the parts' monomials
-    and the elements of the gcd-free basis of all records' parts that divide
-    one of them.  Otherwise it raises ``PatternMismatch``."""
+    and the elements of the gcd-free basis of all records' parts that
+    divide one of them.  Otherwise it raises ``PatternMismatch``."""
     l, index = len(beta), {v: k for k, v in enumerate(beta.variables)}
-    bases, ids, at, units, keys = Bases(), {}, [], set(), []
+    bases, units, memo = Bases(), set(), {}
 
-    def walk(letters, values, key=frozenset()):
-        if not letters:
-            keys.append(key)
-        k = len(bases.powers)
-        for p in range(len(letters)):
-            unit, rest, after = _open_step(beta.n, letters, values, p, bases)
-            if len(bases.powers) > k:
-                at.append(ids.setdefault(bases.powers[k][1], l + len(ids)))
-            units.add(exps := tuple(sorted((at[j], e) for j, e in unit.exps.items())))
-            walk(rest, after, key.union([index[v] for v in unit.num.variables()], [j for j, _ in exps]))
-            del bases.powers[k:], at[k:]
+    def walk(letters, values):
+        state = (letters, tuple((frozenset(v.num._terms.items()), frozenset(v.exps.items())) for v in values))
+        if state not in memo:
+            suffixes = memo[state] = {} if letters else {frozenset(): ()}
+            for p in range(len(letters)):
+                unit, rest, after = _open_step(beta.n, letters, values, p, bases)
+                units.add(exps := tuple(sorted(unit.exps.items())))
+                step = frozenset([index[v] for v in unit.num.variables()] + [l + j for j, _ in exps])
+                for key, suffix in walk(rest, after).items():
+                    suffixes.setdefault(step | key, (p,) + suffix)
+        return memo[state]
 
-    walk(list(beta.letters), [Localized(LaurentPoly.variable(v), {}, bases, True) for v in beta.variables])
-    found, rows = list(ids), [tuple(dict(u).get(j, 0) for j in range(l, l + len(ids))) for u in units]
+    def order(positions):  # positions map to crossings monotonically
+        closed = list(range(1, l + 1))
+        return tuple(closed.pop(p) for p in positions)
+
+    firsts = walk(tuple(beta.letters), [Localized(LaurentPoly.variable(v), {}, bases, True) for v in beta.variables])
+    found = [pw[1] for pw in bases.powers]
+    rows = [tuple(dict(u).get(j, 0) for j in range(len(found))) for u in units]
     if all(poly_gcd(a, b).is_constant() for k, a in enumerate(found) for b in found[:k]) and _separated(rows):
-        return keys, [LaurentPoly.variable(v) for v in beta.variables] + found
+        return {k: order(p) for k, p in firsts.items()}, [LaurentPoly.variable(v) for v in beta.variables] + found
     raise PatternMismatch(
         f"{beta.render()}: the bases of the opening units are not pairwise coprime and separated, "
         "so the unit keys may not classify the charts"
@@ -808,40 +815,32 @@ def mutation_graph(beta: BraidWord) -> MutationGraph:
     """Vertices: classes of Demazure weaves beta Delta -> Delta, each given
     by its first opening order; edges: single mutations.  This is the
     exchange graph, built without a weave: every order gets a key of l
-    elements, each distinct key is a vertex, and two keys sharing l - 1
-    elements, found by dict, are an edge.  For n = 2 the key is the set of
-    ``weave.merge_intervals``, the replay that ``cluster.i_cycle_basis``
-    reads too (class proxy: the binary-tree shape).  For n >= 3 it is read
-    off the units of one depth-first pass (``_ldu_keys``, which refuses a
-    word whose keys it cannot vouch for; class proxy: equality of the charts
-    as subsets), and ``keys_adjacent`` certifies every edge, pulling each
-    key element back through each vertex chart at most once and never
-    through its own (``_vertex``)."""
+    elements, read off its units in one walk over the opening states
+    (``_ldu_keys``, which refuses a word whose keys it cannot vouch for),
+    each distinct key is a vertex, and two keys sharing l - 1 elements,
+    found by dict, are an edge.  For n = 2 the class proxy is the
+    binary-tree shape, and the edges, its rotations, are not certified.
+    For n >= 3 it is equality of the charts as subsets, and
+    ``keys_adjacent`` certifies every edge, pulling each key element back
+    through each vertex chart at most once and never through its own
+    (``_vertex``)."""
     n, l = beta.n, len(beta)
     limit = MUTATION_GRAPH_MAX_LEN_2 if n == 2 else MUTATION_GRAPH_MAX_LEN_3
     if l > limit:
         raise BudgetExceeded(f"mutation graph bound exceeded for n={n}: l={l} letters, over the limit of {limit}")
-    orders = list(itertools.permutations(range(1, l + 1)))
-    if n == 2:
-        keys = [frozenset(merge_intervals(order)) for order in orders]
-    else:
-        keys, elements = _ldu_keys(beta)
-    classes = {}  # key -> index of its first order
-    for k, (order, key) in enumerate(zip(orders, keys)):
-        if len(key) != l:
-            text = " ".join(map(str, order))
-            raise PatternMismatch(f"{beta.render()}: the key of order {text} has {len(key)} elements, not {l}")
-        classes.setdefault(key, k)
+    classes, elements = _ldu_keys(beta)
+    keys, reps = list(classes), list(classes.values())
     buckets = {}  # key less one element -> classes
-    for i, key in enumerate(classes):
+    for i, key in enumerate(keys):
+        if len(key) != l:
+            text = " ".join(map(str, reps[i]))
+            raise PatternMismatch(f"{beta.render()}: the key of order {text} has {len(key)} elements, not {l}")
         for x in key:
             buckets.setdefault(key - {x}, []).append(i)
     edges = {e for bucket in buckets.values() for e in itertools.combinations(bucket, 2)}
-    firsts = list(classes.values())
-    reps = [orders[k] for k in firsts]
     if n == 2:
         return MutationGraph(reps, edges, "binary-tree shape")
-    vertices = {i: _vertex(beta, reps[i], keys[firsts[i]]) for i in {i for e in edges for i in e}}
+    vertices = {i: _vertex(beta, reps[i], keys[i]) for i in {i for e in edges for i in e}}
     for i, j in sorted(edges):
         if not keys_adjacent(vertices[i], vertices[j], elements):
             a, b = (" ".join(map(str, reps[k])) for k in (i, j))

@@ -22,9 +22,8 @@ by ``validate``).  Equality of weaves is structural on (top, events);
 ``canonicalize`` bubbles independent adjacent events into position order so
 that equal diagrams compare equal.
 
-``merge_intervals`` replays a two-strand opening order without its weave:
-``cluster.i_cycle_basis`` reads the order's cycle basis off it, and
-``chart.mutation_graph`` the order's key in the two-strand exchange graph.
+``merge_intervals`` replays a two-strand opening order without its weave,
+and ``cluster.i_cycle_basis`` reads the order's cycle basis off it.
 """
 from __future__ import annotations
 

@@ -3,7 +3,9 @@ without building a weave and looks the edges up in a dict.
 
 - Two strands: every opening order's weave is built and read as a binary
   tree (``tree_shape``); the edges are the single (ss)s <-> s(ss)
-  rotations of the shapes (``tree_rotations``).
+  rotations of the shapes (``tree_rotations``).  ``interval_graph`` keys
+  every order by its ``weave.merge_intervals`` instead, with no weave, as
+  the graph did before its unit keys covered two strands.
 - Three or more strands: every opening order's weave is built and
   parametrised (``chart_parametrize``); its chart is compared with the chart
   of every class found so far (``charts_equal_as_subsets``), and every pair
@@ -16,12 +18,13 @@ without building a weave and looks the edges up in a dict.
   element; ``own_key_failures`` lists the seeded entries that do not pull
   back to one term, and ``certificate_answer`` is the answer of
   ``chart.keys_adjacent`` on a pair, its error text included.
-- The keys: the graph reads each order's key off the units of one
-  depth-first pass (``chart._ldu_keys``), which raises ``PatternMismatch``
-  when its two soundness checks fail.  ``_ldu_records`` is the same pass
-  with every unit canonicalised, the record of each order, and
-  ``_record_keys`` of those records, over their gcd-free basis
-  (``coprime_base``), is the key the units must give.
+- The keys: the graph reads each distinct key, with its first order, off
+  the units of one walk over opening states (``chart._ldu_keys``), which
+  raises ``PatternMismatch`` when its two soundness checks fail.
+  ``_ldu_records`` is a depth-first pass over the order prefixes that
+  canonicalises every unit, the record of each order, and ``_record_keys``
+  of those records, over their gcd-free basis (``coprime_base``), is the
+  key the units must give; ``first_orders`` keeps each key's first order.
   ``refine_exponents`` is ``coprime_base``'s refinement run on exponent
   vectors, which ``chart._separated`` decides without running it.
 """
@@ -31,13 +34,22 @@ from braidweave import chart
 from braidweave.braid import PatternMismatch
 from braidweave.chart import ChartMap, _open_step, chart_parametrize, charts_equal_as_subsets
 from braidweave.ring import Bases, LaurentPoly, Localized, mono_decode, poly_exact_div, poly_gcd
-from braidweave.weave import weave_from_opening_order
+from braidweave.weave import merge_intervals, weave_from_opening_order
 
 
 def all_orders(l: int):
     """Every opening order of l crossings, in the order the graph numbers
     them."""
     return itertools.permutations(range(1, l + 1))
+
+
+def first_orders(beta, keys) -> dict:
+    """Each distinct key of beta's opening orders, given in ``all_orders``
+    order, mapped to the first order that has it."""
+    firsts = {}
+    for order, key in zip(all_orders(len(beta)), keys):
+        firsts.setdefault(key, order)
+    return firsts
 
 
 def coprime_base(polys) -> list[LaurentPoly]:
@@ -124,10 +136,10 @@ def certificate_views(beta):
     every class of its mutation graph, in the graph's order, as
     ``chart.keys_adjacent`` sees it with the memo ``chart._vertex`` seeds,
     and the same with an empty memo."""
-    keys, elements = chart._ldu_keys(beta)
-    index = {order: k for k, order in enumerate(all_orders(len(beta)))}
+    classes, elements = chart._ldu_keys(beta)
+    keys = {order: key for key, order in classes.items()}
     g = chart.mutation_graph(beta)
-    seeded = [chart._vertex(beta, order, keys[index[order]]) for order in g.vertices]
+    seeded = [chart._vertex(beta, order, keys[order]) for order in g.vertices]
     full = [(powers, key, {}, name) for powers, key, _, name in seeded]
     return g, elements, seeded, full
 
@@ -196,6 +208,17 @@ def tree_graph(beta):
     index = {s: i for i, s in enumerate(shapes)}
     edges = {tuple(sorted((index[s], index[t]))) for s in shapes for t in tree_rotations(s) if t in index}
     return list(shapes.values()), edges
+
+
+def interval_graph(beta):
+    """(class representatives as opening orders, edges) of beta on two
+    strands, keyed by merge intervals: one class per distinct set of an
+    order's ``merge_intervals``, given by its first order, and an edge for
+    every two sets that share all but one interval."""
+    classes = first_orders(beta, [frozenset(merge_intervals(order)) for order in all_orders(len(beta))])
+    keys = list(classes)
+    edges = {(i, j) for i, j in itertools.combinations(range(len(keys)), 2) if len(keys[i] ^ keys[j]) == 2}
+    return list(classes.values()), edges
 
 
 def mutation_graph(beta):

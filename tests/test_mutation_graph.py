@@ -1,11 +1,13 @@
 """Mutation graphs as exchange graphs: one key per opening order, edges
 looked up by key.  On two strands they are checked against the tree
-rotations of the orders' weaves, and every edge is a quiver mutation; on
-three or more strands each edge is certified by exact chart adjacency, the
-certificate that never pulls back a class's own key is checked against the
-one that pulls back every element, the keys read off the units are checked
-against the record keys, keys that fail a soundness check are refused, and
-the graphs are checked against the quadratic search over weave charts."""
+rotations of the orders' weaves and against the orders' merge-interval
+keys, and every edge is a quiver mutation; on three or more strands each
+edge is certified by exact chart adjacency, and the certificate that never
+pulls back a class's own key is checked against the one that pulls back
+every element.  The walk over opening states opens no state twice, the keys
+read off its units are checked against the record keys of every order,
+keys that fail a soundness check are refused, and the graphs are checked
+against the quadratic search over weave charts."""
 import itertools
 import os
 import random
@@ -17,13 +19,19 @@ import pytest
 
 import braidweave
 from braidweave.braid import PatternMismatch, make_word, parse_braid
-from braidweave.chart import _ldu_keys, _ldu_record, _separated, mutation_graph
+from braidweave.chart import _ldu_keys, _ldu_record, _open_step, _separated, mutation_graph
 from braidweave.cluster import i_cycle_basis, quiver, quiver_mutate
-from braidweave.ring import Bases, LaurentPoly, poly_gcd
+from braidweave.ring import LaurentPoly, poly_gcd
 from braidweave.weave import BudgetExceeded, merge_intervals
 
 import mutation_oracle
-from mutation_oracle import _record_keys, all_orders, coprime_base
+from mutation_oracle import _record_keys, all_orders, coprime_base, first_orders
+
+
+def _element_classes(beta):
+    """``_ldu_keys``'s classes as (key of elements, first order) pairs."""
+    classes, elements = _ldu_keys(beta)
+    return [(frozenset(elements[x] for x in key), order) for key, order in classes.items()]
 
 
 def _words(n, length):
@@ -63,23 +71,24 @@ def test_mutation_graph_matches_the_quadratic_search(text):
 
 @pytest.mark.parametrize("text", ORACLE_WORDS)
 def test_depth_first_records_match_every_order(text, monkeypatch):
-    # one pass over the order prefixes gives each order, in
-    # itertools.permutations order, the key that _record_keys reads off the
-    # record of opening that order from scratch; a step sees only the bases
-    # of its own prefix, at most one per opening
+    # the oracle's pass over the order prefixes gives each order the record
+    # of opening it from scratch; the walk opens no state (letters and the
+    # exact representation of their values) twice, and gives each distinct
+    # key that _record_keys reads off those records with its first order
     beta = parse_braid(text)
-    unit = Bases.unit
+    opened = []
 
-    def spy(bases, value):
-        assert len(bases.powers) < len(beta)
-        return unit(bases, value)
+    def spy(n, letters, values, p, bases):
+        opened.append((tuple(letters), tuple((v.num, tuple(sorted(v.exps.items()))) for v in values), p))
+        return _open_step(n, letters, values, p, bases)
 
-    monkeypatch.setattr(Bases, "unit", spy)
-    keys, elements = _ldu_keys(beta)
-    records = mutation_oracle._ldu_records(beta)
+    monkeypatch.setattr("braidweave.chart._open_step", spy)
+    classes = _element_classes(beta)
     monkeypatch.undo()
+    assert opened and len(set(opened)) == len(opened)
+    records = mutation_oracle._ldu_records(beta)
     assert records == [_ldu_record(beta, order) for order in all_orders(len(beta))]
-    assert [frozenset(elements[x] for x in key) for key in keys] == _record_keys(records)
+    assert classes == list(first_orders(beta, _record_keys(records)).items())
 
 
 @pytest.mark.parametrize("text", ORACLE_WORDS)
@@ -105,11 +114,12 @@ def test_seeded_certificate_matches_the_full_one(text):
 
 @pytest.mark.parametrize("text", SEEDED_WORDS)
 def test_unit_keys_are_the_record_keys(text):
-    # both soundness checks pass, and every order's unit key is its record
-    # key, element for element, so the two induce the same classes and edges
+    # both soundness checks pass, and every class's unit key is the record
+    # key of its first order, element for element, so the two induce the
+    # same classes and edges
     beta = parse_braid(text)
-    keys, elements = _ldu_keys(beta)
-    assert [frozenset(elements[x] for x in key) for key in keys] == _record_keys(mutation_oracle._ldu_records(beta))
+    records = mutation_oracle._ldu_records(beta)
+    assert _element_classes(beta) == list(first_orders(beta, _record_keys(records)).items())
 
 
 @pytest.mark.parametrize("text", ["B3: 1 2 1 2", "B4: 2 2 2", "B3: 1 1 1 1 1", "B4: 1 2 3 1 2"])
@@ -157,7 +167,7 @@ def test_separation_check_matches_the_refinement():
     assert seen == {False, True}
 
 
-@pytest.mark.parametrize("l", range(1, 8))
+@pytest.mark.parametrize("l", range(8))
 def test_two_strand_graph_matches_the_tree_rotations(l):
     # the same representative orders and edges as reading every order's
     # weave as a binary tree and listing the tree rotations
@@ -166,13 +176,22 @@ def test_two_strand_graph_matches_the_tree_rotations(l):
     assert (g.vertices, g.edges) == mutation_oracle.tree_graph(beta)
 
 
+@pytest.mark.parametrize("l", range(9))
+def test_two_strand_graph_matches_the_interval_keys(l):
+    # the unit keys give the vertices and edges of keying every order by its
+    # merge intervals on every two-strand word within the limit: B2 has the
+    # one letter 1, so these are all of its accepted inputs
+    beta = make_word(2, [1] * l)
+    g = mutation_graph(beta)
+    assert (g.vertices, g.edges) == mutation_oracle.interval_graph(beta)
+
+
 def test_two_strand_graph_builds_no_weave_and_no_record(monkeypatch):
     def fail(*args):
         raise AssertionError("called")
 
     monkeypatch.setattr("braidweave.weave.weave_from_opening_order", fail)
     monkeypatch.setattr("braidweave.chart._ldu_record", fail)
-    monkeypatch.setattr("braidweave.chart._ldu_keys", fail)
     g = mutation_graph(make_word(2, [1] * 5))
     assert (len(g.vertices), len(g.edges), g.proxy) == (42, 84, "binary-tree shape")
 
@@ -206,8 +225,8 @@ GUARDS = {
         "from braidweave import chart\n"
         "walk = chart._ldu_keys\n"
         "def short(beta):\n"
-        "    keys, elements = walk(beta)\n"
-        "    return [frozenset(list(k)[1:]) for k in keys], elements\n"
+        "    classes, elements = walk(beta)\n"
+        "    return {frozenset(list(k)[1:]): order for k, order in classes.items()}, elements\n"
         "chart._ldu_keys = short\n",
         "B3: 1 2 1",
         "error: B3: 1 2 1: the key of order 1 2 3 has 2 elements, not 3\n",
