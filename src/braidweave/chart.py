@@ -806,9 +806,8 @@ def _vertex(beta: BraidWord, order, key):
     return powers, key, dict.fromkeys(key, _ONE), "order " + " ".join(map(str, order))
 
 
-# longest words whose mutation graphs are built: every opening order is tried
-MUTATION_GRAPH_MAX_LEN_2 = 8  # two strands
-MUTATION_GRAPH_MAX_LEN_3 = 6  # three or more strands
+# longest words whose mutation graphs are built, on any number of strands
+MUTATION_GRAPH_MAX_LEN = 8
 
 
 def mutation_graph(beta: BraidWord) -> MutationGraph:
@@ -825,9 +824,9 @@ def mutation_graph(beta: BraidWord) -> MutationGraph:
     through each vertex chart at most once and never through its own
     (``_vertex``)."""
     n, l = beta.n, len(beta)
-    limit = MUTATION_GRAPH_MAX_LEN_2 if n == 2 else MUTATION_GRAPH_MAX_LEN_3
-    if l > limit:
-        raise BudgetExceeded(f"mutation graph bound exceeded for n={n}: l={l} letters, over the limit of {limit}")
+    if l > MUTATION_GRAPH_MAX_LEN:
+        text = f"l={l} letters, over the limit of {MUTATION_GRAPH_MAX_LEN}"
+        raise BudgetExceeded(f"mutation graph bound exceeded for n={n}: {text}")
     classes, elements = _ldu_keys(beta)
     keys, reps = list(classes), list(classes.values())
     buckets = {}  # key less one element -> classes

@@ -6,8 +6,9 @@ edge is certified by exact chart adjacency, and the certificate that never
 pulls back a class's own key is checked against the one that pulls back
 every element.  The walk over opening states opens no state twice, the keys
 read off its units are checked against the record keys of every order,
-keys that fail a soundness check are refused, and the graphs are checked
-against the quadratic search over weave charts."""
+keys that fail a soundness check are refused, the graphs are checked
+against the quadratic search over weave charts, and a power word has the
+same graph on two, three and four strands."""
 import itertools
 import os
 import random
@@ -213,9 +214,24 @@ def test_two_strand_edges_are_quiver_mutations(l):
     assert len(g.edges) == [0, 1, 5, 21, 84, 330, 1287][l - 1]
 
 
-def test_mutation_graph_limit_for_three_strands():
-    with pytest.raises(BudgetExceeded, match="l=7 letters, over the limit of 6"):
-        mutation_graph(make_word(3, [1] * 7))
+def test_power_words_on_more_strands_have_the_two_strand_graph():
+    # the power word's orders, classes and mutations do not depend on the
+    # strand count; three and four strands certify every edge and two
+    # strands certify none, so the two paths check each other
+    two = mutation_graph(make_word(2, [1] * 7))
+    for n, letter in ((3, 1), (4, 2)):
+        g = mutation_graph(make_word(n, [letter] * 7))
+        assert (g.vertices, g.edges, g.proxy) == (two.vertices, two.edges, "chart-subset equality"), n
+
+
+def test_mutation_graph_limit_for_three_strands(monkeypatch):
+    # the length is checked before the walk starts
+    def fail(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr("braidweave.chart._ldu_keys", fail)
+    with pytest.raises(BudgetExceeded, match="l=9 letters, over the limit of 8"):
+        mutation_graph(make_word(3, [1] * 9))
 
 
 # (patch, word, the one error line): a key one element short, a key edge
