@@ -1,14 +1,14 @@
 """Stratification of braid varieties by simplifying weaves and exact point
 counts over prime fields, with a brute-force oracle.
 
-A word gamma with Demazure product w0 is stratified by branching at a doubled
+``stratify`` branches a word gamma with Demazure product w0 at a doubled
 letter (reached by braid moves in closed form): the letter's variable is
 either invertible (trivalent vertex, one letter shorter) or zero (cup, two
-letters shorter).
-Each leaf reached at a reduced word for w0 contributes a stratum
-C^a x (C*)^b, and the count polynomial is sum q^a (q-1)^b over leaves.
-A word reached along several branches is stratified once and its node is
-shared.
+letters shorter).  Each leaf reached at a reduced word for w0 contributes a
+stratum C^a x (C*)^b, and the count polynomial is sum q^a (q-1)^b over
+leaves.  A word reached along several branches is stratified once and its
+node is shared.  ``point_count_polynomial`` counts the same strata with no
+words and no braid moves.
 """
 from __future__ import annotations
 
@@ -17,9 +17,12 @@ from math import comb
 
 from .braid import (
     BraidWord,
-    append_half_twist,
+    coxeter_letters,
     demazure_letters,
+    half_twist_letters,
+    identity_perm,
     longest_perm,
+    right_descent,
 )
 from .weave import BudgetExceeded, find_doubled_letter
 
@@ -33,42 +36,6 @@ class StrataTree:
     status: str  # "branch", "leaf", "dead"
     invert_child: "StrataTree | None" = None
     vanish_child: "StrataTree | None" = None
-
-    def strata(self):
-        """Multiset of (a, b) = (cups, trivalent) over the live leaves below
-        this node, folded bottom-up with each shared node visited once.
-
-        A path to a leaf drops two letters per cup and one per trivalent
-        vertex, so b follows from a and the leaf length.  A node's multiset
-        is one int whose slot a, len(letters) + 1 bits wide, counts the
-        leaves reached with a cups; fewer than 2^len(letters) paths leave
-        this node, so no slot overflows."""
-        below, todo, leaf_len = {self}, [self], None
-        while todo:
-            node = todo.pop()
-            if node.status == "leaf":
-                leaf_len = len(node.letters)
-            elif node.status == "branch":
-                for child in (node.invert_child, node.vanish_child):
-                    if child not in below:
-                        below.add(child)
-                        todo.append(child)
-        width = len(self.letters) + 1
-        # a child's word is shorter than its parent's, so folding by length
-        # folds every child before its parents
-        folded: dict[StrataTree, int] = {}
-        for node in sorted(below, key=lambda node: len(node.letters)):
-            if node.status == "branch":
-                folded[node] = folded[node.invert_child] + (folded[node.vanish_child] << width)
-            else:
-                folded[node] = int(node.status == "leaf")
-        packed, out, mask, a = folded[self], {}, (1 << width) - 1, 0
-        while packed:
-            if packed & mask:
-                out[(a, len(self.letters) - leaf_len - 2 * a)] = packed & mask
-            packed >>= width
-            a += 1
-        return out
 
 
 @dataclass
@@ -146,10 +113,37 @@ def stratify(word: BraidWord) -> StrataTree:
 
 
 def point_count_polynomial(beta: BraidWord) -> PointCountPolynomial:
-    """The count polynomial of X0(beta Delta; w0) over F_q."""
-    gamma = append_half_twist(beta)
-    tree = stratify(gamma)
-    return PointCountPolynomial(len(beta), tree.strata())
+    """The count polynomial of X0(beta Delta; w0) over F_q, from one left to
+    right pass over the permutation p of the reduced prefix (Deodhar's
+    decomposition; T_p T_s = (q-1) T_p + q T_ps for a descent s of p).
+
+    An ascent s moves p to ps.  A descent is the doubled letter where
+    ``stratify`` branches: p stays with one more trivalent vertex, or moves
+    to ps with one more cup.  The strata are the paths that end at w0, and
+    a path with a cups has b = len(beta) - 2a trivalent vertices.  Each p
+    keeps one int whose slot a, len(gamma) + 1 bits wide, counts the paths
+    to it with a cups; at most 2^len(gamma) paths are made, so no slot
+    overflows."""
+    n = beta.n
+    gamma = (*beta.letters, *half_twist_letters(n))
+    width = len(gamma) + 1
+    paths = {identity_perm(n): 1}
+    for s in gamma:
+        step: dict[tuple[int, ...], int] = {}
+        for p, packed in paths.items():
+            if right_descent(p, s):
+                step[p] = step.get(p, 0) + packed
+                packed <<= width
+            ps = coxeter_letters(n, (s,), p)
+            step[ps] = step.get(ps, 0) + packed
+        paths = step
+    packed, strata, mask, a = paths.get(longest_perm(n), 0), {}, (1 << width) - 1, 0
+    while packed:
+        if packed & mask:
+            strata[(a, len(beta) - 2 * a)] = packed & mask
+        packed >>= width
+        a += 1
+    return PointCountPolynomial(len(beta), strata)
 
 
 # Products of the walked letters that brute_count holds at once, each with

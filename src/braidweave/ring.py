@@ -559,6 +559,8 @@ def _heu_gcd(f: dict, g: dict):
             h = _lift(image, x, shift)
             content = gcd(*h.values())
             h = {m: c // content for m, c in h.items()}
+            if h == {0: 1}:  # 1 divides f and g: they are coprime
+                return {0: cont}
             if _divide(f, h) is not None and _divide(g, h) is not None:
                 return {m: c * cont for m, c in h.items()}
         x = 73794 * x * isqrt(isqrt(x)) // 27011

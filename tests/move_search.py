@@ -6,11 +6,6 @@ A path is a list of (pos, kind) moves, kind ``six`` (i, j, i with |i-j| = 1)
 or ``four`` (i, j with |i-j| >= 2), the weave events of the same names.
 """
 from collections import deque
-from functools import partial
-
-import pytest
-
-from braidweave import count
 
 
 def moves(word):
@@ -83,10 +78,3 @@ def doubled_letter(letters, n, rng=None):
     path, word = shortest_path(tuple(letters), lambda w: double_at(w) is not None, rng)
     return path, word, double_at(word)
 
-
-def search_strata(beta, rng):
-    """point_count_polynomial(beta).strata with every doubled letter found by
-    the shuffled breadth-first search."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(count, "find_doubled_letter", partial(doubled_letter, rng=rng))
-        return count.point_count_polynomial(beta).strata

@@ -52,7 +52,7 @@ from braidweave.weave import (
     weave_from_opening_order,
     weave_from_triangulation,
 )
-from move_search import search_strata
+from strata_oracle import search_strata
 
 
 def report(number, text):

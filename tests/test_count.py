@@ -24,7 +24,7 @@ from braidweave.count import (
 from braidweave.ring import LaurentPoly, mono_pack, var_id
 from braidweave.variety import VarietyPresentation, variety_equations
 from braidweave.weave import BudgetExceeded
-from move_search import search_strata
+from strata_oracle import dict_strata, search_strata, tree_strata
 
 
 def test_trefoil_polynomial():
@@ -53,13 +53,13 @@ def test_empty_braid_point():
 def test_half_twist_single_point_stratum():
     tree = stratify(half_twist_word(3))
     assert tree.status == "leaf"
-    assert dict(tree.strata()) == {(0, 0): 1}
+    assert dict_strata(tree) == point_count_polynomial(parse_braid("", 3)).strata == {(0, 0): 1}
 
 
 def test_dead_tree_when_demazure_small():
     tree = stratify(parse_braid("B3: 1"))
     assert tree.status == "dead"
-    assert tree.strata() == {}
+    assert dict_strata(tree) == {}
 
 
 def test_brute_counts():
@@ -253,52 +253,42 @@ def test_oracle_agreement_sweep():
 
 
 def test_two_strand_strata_closed_form():
-    # 1200 letters: stratify and strata() walk far past the recursion limit
+    # 1200 letters: the pass, stratify and dict_strata go far past the
+    # recursion limit, and the pass's slots are 1202 bits wide
     for l in [*range(41), 1200]:
-        strata = point_count_polynomial(make_word(2, [1] * l)).strata
+        beta = make_word(2, [1] * l)
+        strata = point_count_polynomial(beta).strata
         assert strata == {(a, l - 2 * a): math.comb(l - a, a) for a in range(l // 2 + 1)}, l
-
-
-def dict_strata(tree):
-    """Oracle for ``StrataTree.strata``: the same bottom-up fold, with a dict
-    from (a, b) to its multiplicity at every node."""
-    below, todo = {tree}, [tree]
-    while todo:
-        node = todo.pop()
-        if node.status == "branch":
-            for child in (node.invert_child, node.vanish_child):
-                if child not in below:
-                    below.add(child)
-                    todo.append(child)
-    folded = {}
-    for node in sorted(below, key=lambda node: len(node.letters)):
-        out = {}
-        if node.status == "leaf":
-            out[(0, 0)] = 1
-        elif node.status == "branch":
-            for child, da, db in ((node.invert_child, 0, 1), (node.vanish_child, 1, 0)):
-                for (a, b), mult in folded[child].items():
-                    out[(a + da, b + db)] = out.get((a + da, b + db), 0) + mult
-        folded[node] = out
-    return folded[tree]
+        assert strata == tree_strata(beta), l
 
 
 def test_packed_strata_fold_matches_dict_fold():
     rng = random.Random(7)
-    words = [half_twist_word(3), parse_braid("B3: 1"), parse_braid("B3: 1 2 1 2 1 2 1")]
     texts = ["", "B2: 1 1", "B2: 1 1 1", "B3: 1 2 1 2", "B4: 2 1 3 2 1", "B4: 1 3 2 2 1 3"]
     texts += ["B2: " + " ".join(["1"] * k) for k in (1, 5, 13, 40, 120)]
     texts += ["B3: " + " ".join(["1 2"] * k) for k in (1, 3, 8, 20, 45)]
     for _ in range(20):
         n = rng.choice([2, 3, 4])
         texts.append(f"B{n}: " + " ".join(str(rng.randrange(1, n)) for _ in range(rng.randrange(0, 7))))
-    words += [append_half_twist(parse_braid(t, 2)) for t in texts]
-    for word in words:
-        tree = stratify(word)
-        assert tree.strata() == dict_strata(tree), word
-        if tree.status == "branch":
-            for child in (tree.invert_child, tree.vanish_child):
-                assert child.strata() == dict_strata(child), word
+    for text in ["B3: ", *texts]:
+        beta = parse_braid(text, 2)
+        assert point_count_polynomial(beta).strata == tree_strata(beta), text
+
+
+def test_prefix_pass_matches_the_tree():
+    # B1 and the empty words, every B3 word up to 8 letters and B4 word up
+    # to 5, and 100 seeded B5 and B6 words each, of 1 to 8 letters
+    words = [make_word(n, ()) for n in range(1, 7)]
+    words += [
+        make_word(n, w)
+        for n, longest in ((3, 8), (4, 5))
+        for l in range(1, longest + 1)
+        for w in itertools.product(range(1, n), repeat=l)
+    ]
+    rng = random.Random(11)
+    words += [make_word(n, [rng.randrange(1, n) for _ in range(rng.randrange(1, 9))]) for n in (5, 6) for _ in range(100)]
+    for beta in words:
+        assert point_count_polynomial(beta).strata == tree_strata(beta), beta.letters
 
 
 def test_long_word_stratifies_without_deep_recursion():
@@ -364,9 +354,10 @@ def test_dimension_bookkeeping():
         l = rng.randrange(0, 5)
         beta = make_word(n, [rng.randrange(1, n) for _ in range(l)])
         gamma = append_half_twist(beta)
-        tree = stratify(gamma)
+        strata = dict_strata(stratify(gamma))
+        assert strata == point_count_polynomial(beta).strata
         lg = len(gamma) - n * (n - 1) // 2
-        for a, b in tree.strata():
+        for a, b in strata:
             assert 2 * a + b == lg
 
 

@@ -527,8 +527,18 @@ def test_gcd_shortcut_matches_gcdheu(monkeypatch):
 
     monkeypatch.setattr(ring, "_gcd_shortcut", spy)
     fast = [poly_gcd(a, b) for a, b in cases]
+    # without the shortcut GCDHEU sees the coprime pairs too; a lifted image
+    # 1 divides everything, so it is never tried as a divisor
+    divide, divisors = ring._divide, []
+
+    def divide_spy(f, h):
+        divisors.append(h)
+        return divide(f, h)
+
     monkeypatch.setattr(ring, "_gcd_shortcut", lambda a, b: None)
+    monkeypatch.setattr(ring, "_divide", divide_spy)
     assert fast == [poly_gcd(a, b) for a, b in cases]
+    assert divisors and {0: 1} not in divisors
     one = LaurentPoly.const(1)
     assert sum(g == one for g in answers if g is not None) > 20
     assert sum(g is not None and g != one for g in answers) > 10
